@@ -45,7 +45,6 @@ from .greens import (
     free_diagonal_constant,
     green_diagonal,
     green_diagonal_series,
-    green_prime,
     hs_norm,
     polynomial_invariants,
 )

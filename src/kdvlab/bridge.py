@@ -147,11 +147,6 @@ class PartitionFamily:
             total += self.window_samples(k, x)
         return float(np.max(np.abs(total - 1.0)))
 
-    def window_coeffs(self, k, cutoff):
-        """Fourier coefficients of ring(phi^k) on T_L, modes |j| <= cutoff."""
-        js = np.arange(-cutoff, cutoff + 1)
-        return self.bump(k).fourier(js / self.L) / self.L
-
 
 def build_partition(L, N):
     """Partition of unity on T_L; validates the exact-sum invariant."""
@@ -256,15 +251,6 @@ class CutPlan:
         if self.case == "pair-left":
             return p.window_samples(k1, x) - self.coefficient * p.window_samples(k2, x)
         return p.window_samples(k2, x) - self.coefficient * p.window_samples(k1, x)
-
-    def selected_bump_coeffs(self, cutoff):
-        p = self.partition
-        if self.case == "single":
-            return p.window_coeffs(self.indices[0], cutoff)
-        k1, k2 = self.indices
-        if self.case == "pair-left":
-            return p.window_coeffs(k1, cutoff) - self.coefficient * p.window_coeffs(k2, cutoff)
-        return p.window_coeffs(k2, cutoff) - self.coefficient * p.window_coeffs(k1, cutoff)
 
     def to_json_dict(self):
         return {
@@ -469,7 +455,8 @@ def compare_local(u0, plan, kappa, band, T, dt, saves=8, box_factor=2,
 def finite_speed_probe(q0, kappa, T, margin, dt, ramp=None, saves=8,
                        box_cutoff=None, budget=DEFAULT_BUDGET):
     """Exterior H^{-1} mass of the evolved unwrapped data, outside the
-    margin-fattened support."""
+    margin-fattened support, with (||chi'||_{L^2}, ||chi'||_{L^inf}) of the
+    exterior cutoff chi = 1 - interior bump."""
     if margin < 10.0 * kappa ** 2 * T:
         raise PreconditionError(
             f"margin {margin:.3g} below the transport reach 10*kappa^2*T = "
@@ -496,12 +483,8 @@ def finite_speed_probe(q0, kappa, T, margin, dt, ramp=None, saves=8,
         prod = chi_ext * state.samples_values()
         f = make_field(ev0.grid, samples=prod)
         masses.append(sobolev_norm(f, -1.0))
-    return traj.times, np.array(masses), chi_ext_norms(interior)
-
-
-def chi_ext_norms(interior_bump):
-    """(||chi'||_{L^2}, ||chi'||_{L^inf}) for chi = 1 - interior bump."""
-    return interior_bump.derivative_l2(), interior_bump.derivative_linf()
+    return traj.times, np.array(masses), (interior.derivative_l2(),
+                                          interior.derivative_linf())
 
 
 def localized_smoothing_check(q, chi, kappa):

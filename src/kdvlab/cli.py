@@ -1,10 +1,20 @@
 """Command-line interface.
 
 Subcommands: evolve, greens, alpha, sweep-band, sweep-kappa, cutcompare,
-squeeze, area, report.  All take a JSON config (documented in the README)
-and an output directory; outputs are CSV tables plus a manifest with sha256
-digests.  Exit codes: 0 success, 2 precondition failure, 3 numerical
-certification failure.
+squeeze, area, report.  All take a JSON config and an output directory;
+outputs are CSV tables plus a manifest with sha256 digests.  Config blocks:
+
+  grid     {length, cutoff K, samples (optional)}
+  initial  {modes: [{j, re, im}, ...]} with |j| <= K and repeated j summed,
+           or {prototype: {kind: gauss_prime | gauss_bump, width, amplitude,
+           center}} periodized onto the grid
+  flow     {kind: kdv | kdv_linear | hkappa | hkappa_linear | hkappa_band,
+           kappa, band: {m, M} (hkappa_band only)}
+  time     {dt, T, saves (optional)}
+
+squeeze and area take a scenario block instead (see squeeze.build_scenario).
+Exit codes: 0 success, 2 precondition failure (such as a mode with |j| > K),
+3 numerical certification failure.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .bridge import build_partition, compare_local, select_cut, unwrap
+from .bridge import build_partition, compare_local, select_cut
 from .errors import CertificationError, PreconditionError
 from .flows import (
     DEFAULT_BUDGET,
@@ -27,23 +37,17 @@ from .flows import (
     kappa_sweep,
     monitors,
 )
-from .greens import alpha, assemble_resolvent, green_diagonal, hs_norm
+from .greens import alpha, assemble_resolvent, green_diagonal
 from .reporting import RunManifest, run_report, write_csv
-from .spectral import MultiplierSpec, TorusGrid, make_field, sobolev_norm
+from .spectral import MultiplierSpec, TorusGrid, sobolev_norm
 from .squeeze import (
     SearchBudget,
     build_scenario,
     escape_search,
+    field_from_config,
     image_area,
     linear_oracle,
-    periodized_field,
-    prototype_callable,
 )
-
-
-def _load_config(path):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _grid_from(cfg):
@@ -54,13 +58,9 @@ def _grid_from(cfg):
 def _field_from(cfg, grid):
     init = cfg["initial"]
     if "modes" in init:
-        c = np.zeros(2 * grid.cutoff + 1, dtype=complex)
-        for entry in init["modes"]:
-            c[int(entry["j"]) + grid.cutoff] = complex(
-                entry.get("re", 0.0), entry.get("im", 0.0))
-        return make_field(grid, coeffs=c)
+        return field_from_config(init, grid)
     if "prototype" in init:
-        return periodized_field(prototype_callable(init["prototype"]), grid)
+        return field_from_config(init["prototype"], grid)
     raise PreconditionError("initial data must give 'modes' or 'prototype'")
 
 
@@ -242,14 +242,17 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="kdvlab", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="kdvlab", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
     try:
-        cfg = _load_config(args.config)
+        with open(args.config) as fh:
+            cfg = json.load(fh)
         COMMANDS[args.command](cfg, args.out)
     except PreconditionError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)

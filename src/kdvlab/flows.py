@@ -36,9 +36,8 @@ from .spectral import (
     MultiplierSpec,
     PeriodicField,
     _hermitize,
+    cubic_integral,
     derivative,
-    lp_project,
-    pairing,
     product_coeffs,
     sobolev_norm,
 )
@@ -153,8 +152,9 @@ def calibrate_budget(length, cutoff, kappas=(1.0, 2.0, 4.0, 8.0), trials=24, see
 # ---------------------------------------------------------------------------
 
 def _band_values(ham, grid):
+    """The band multiplier P_band on the grid; 1.0 for the untruncated flows."""
     if ham.band is None:
-        return None
+        return 1.0
     return ham.band.values(grid.frequencies)
 
 
@@ -172,10 +172,6 @@ def rhs(q, ham):
     transport = 4.0 * kap ** 2 * derivative(q, 1)
     if ham.kind == "hkappa_linear":
         return transport
-    if ham.kind == "hkappa":
-        g = green_diagonal(assemble_resolvent(q, kap)).g
-        return transport + 16.0 * kap ** 5 * derivative(g, 1)
-    # hkappa_band
     w = _band_values(ham, grid)
     qin = PeriodicField(grid, q.coeffs * w)
     g = green_diagonal(assemble_resolvent(qin, kap)).g
@@ -189,22 +185,13 @@ def hamiltonian_value(q, ham):
     if ham.kind == "kdv":
         return energy
     if ham.kind == "kdv_linear":
-        return energy - cubic_part(q)
+        return energy - cubic_integral(q)
     kap = ham.kappa
     if ham.kind == "hkappa_linear":
         return 4.0 * kap ** 2 * momentum
-    if ham.kind == "hkappa":
-        a = alpha(assemble_resolvent(q, kap)).value
-        return -16.0 * kap ** 5 * a + 4.0 * kap ** 2 * momentum
-    qin = lp_project(q, ham.band)
+    qin = PeriodicField(q.grid, q.coeffs * _band_values(ham, q.grid))
     a = alpha(assemble_resolvent(qin, kap)).value
     return -16.0 * kap ** 5 * a + 4.0 * kap ** 2 * momentum
-
-
-def cubic_part(q):
-    from .spectral import cubic_integral
-
-    return cubic_integral(q)
 
 
 def linear_symbol(grid, ham):
@@ -223,10 +210,8 @@ def linear_symbol(grid, ham):
     _, s_ext, _ = _pair_sums(grid.length, k, kap)
     s = s_ext[k:3 * k + 1]  # lags -K..K
     gain = -16.0 * kap ** 5 * s / grid.length
-    if ham.kind == "hkappa_band":
-        w = _band_values(ham, grid)
-        gain = gain * w * w
-    return sym + two_pi_i_k * gain
+    w = _band_values(ham, grid)
+    return sym + two_pi_i_k * (gain * w * w)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +248,6 @@ class Trajectory:
     warnings: list = field(default_factory=list)
     certified: bool = True
 
-    def state(self, i):
-        return self.states[i]
-
     def final(self):
         return self.states[-1]
 
@@ -289,6 +271,11 @@ def _monitor_state(q, probes):
         out[f"alpha({kap:g})"] = alpha(ctx).value
         out[f"hs({kap:g})"] = norm
     return out
+
+
+def _columns(records):
+    """Per-state monitor records as one array per key."""
+    return {key: np.array([r[key] for r in records]) for key in records[0]}
 
 
 def evolve(q0, spec, budget=DEFAULT_BUDGET):
@@ -362,12 +349,9 @@ def evolve(q0, spec, budget=DEFAULT_BUDGET):
             records.append(_monitor_state(f, spec.probes))
             next_save += 1
 
-    monitors = {}
-    if records:
-        for key in records[0]:
-            monitors[key] = np.array([r[key] for r in records])
     return Trajectory(times=np.array(times), states=states, spec=spec,
-                      monitors=monitors, warnings=warnings, certified=certified)
+                      monitors=_columns(records), warnings=warnings,
+                      certified=certified)
 
 
 # ---------------------------------------------------------------------------
@@ -386,29 +370,29 @@ class ConservationReport:
 
 
 def monitors(traj, probes=None):
-    """Max relative drift of M, P, H_kdv, and alpha at the probe points."""
+    """Max relative drift of M, P, H_kdv, and alpha at the probe points.
+
+    The columns ``evolve`` stored in ``traj.monitors`` are read back; only
+    probes it did not record are computed from the saved states.
+    """
     if probes is None:
         probes = traj.spec.probes
     if len(probes) < 1:
         raise PreconditionError("need at least one alpha probe")
+    series = traj.monitors
+    missing = [kap for kap in probes if f"alpha({kap:g})" not in series]
+    if missing:
+        computed = _columns([_monitor_state(q, missing) for q in traj.states])
+        series = {**computed, **series}
     drifts, scales, cert = {}, {}, {}
-    series = {"M": [], "P": [], "H_kdv": []}
-    for kap in probes:
-        series[f"alpha({kap:g})"] = []
-    for q in traj.states:
-        rec = _monitor_state(q, probes)
-        for key in series:
-            series[key].append(rec[key])
-        for kap in probes:
-            ok = rec[f"hs({kap:g})"] < 1.0
-            key = f"alpha({kap:g})"
-            cert[key] = cert.get(key, True) and ok
-    for key, vals in series.items():
-        vals = np.array(vals)
+    for key in ["M", "P", "H_kdv"] + [f"alpha({kap:g})" for kap in probes]:
+        vals = series[key]
         scale = max(float(np.max(np.abs(vals))), 1e-30)
         drifts[key] = float(np.max(np.abs(vals - vals[0]))) / scale
         scales[key] = scale
-        cert.setdefault(key, True)
+        cert[key] = True
+    for kap in probes:
+        cert[f"alpha({kap:g})"] = bool(np.all(series[f"hs({kap:g})"] < 1.0))
     return ConservationReport(drifts=drifts, scales=scales, certified=cert)
 
 

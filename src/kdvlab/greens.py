@@ -15,9 +15,10 @@ renormalized log-determinant
 
 Two exactness conventions: the free diagonal constant on the circle is the
 closed form coth(kappa l / 2) / (2 kappa) rather than the truncated lattice
-sum, and (by default) the first-order/second-order lattice tails beyond the
-mode cutoff are completed by explicit summation, so both g and alpha converge
-to their circle values as K grows instead of inheriting an O(K^-3) floor.
+sum, and the first-order/second-order lattice tails beyond the mode cutoff
+are completed by explicit summation in ``green_diagonal`` and ``alpha``, so
+both converge to their circle values as K grows instead of inheriting an
+O(K^-3) floor.  The series oracles keep the bare truncation.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .spectral import (
     PeriodicField,
     _hermitize,
     cubic_integral,
-    derivative,
 )
 
 TAIL_SUM_MIN = 4096  # half-width of the extended lattice used for tail completion
@@ -182,7 +182,7 @@ def _completion_term(ctx):
     return -ctx.q.coeffs * w / ctx.grid.length
 
 
-def green_diagonal(ctx, tail_completion=True):
+def green_diagonal(ctx):
     """Diagonal Green's function x -> G(x, x; kappa; q) by direct dense solve."""
     grid = ctx.grid
     inv_sq = 1.0 / np.sqrt(ctx.omega)
@@ -191,13 +191,12 @@ def green_diagonal(ctx, tail_completion=True):
     free = free_diagonal_constant(ctx.kappa, grid.length)
     _, _, sum_inv_omega = ctx.pair_sums()
     c[grid.cutoff] += free - sum_inv_omega / grid.length
-    if tail_completion:
-        c += _completion_term(ctx)
+    c += _completion_term(ctx)
     g = PeriodicField(grid, _hermitize(c))
     return GreenResult(g=g, kappa=ctx.kappa, method="direct", free_constant=free)
 
 
-def green_diagonal_series(q, kappa, l_max, tail_completion=False):
+def green_diagonal_series(q, kappa, l_max):
     """Partial Neumann series for the diagonal Green's function.
 
     Term l is (-1)^l times the anti-diagonal sums of D^{-1/2} B^l D^{-1/2};
@@ -221,8 +220,6 @@ def green_diagonal_series(q, kappa, l_max, tail_completion=False):
         term = _antidiagonal_coeffs(power * scale, grid.cutoff, grid.length)
         # keep the exact free constant convention at d = 0
         c += sign * term
-    if tail_completion and l_max >= 1:
-        c += _completion_term(ctx)
 
     norm = hs_norm(ctx)
     if norm < 1.0:
@@ -236,11 +233,6 @@ def green_diagonal_series(q, kappa, l_max, tail_completion=False):
         g=g, kappa=float(kappa), method=f"series(l_max={int(l_max)})",
         free_constant=free, tail_bound=tail, certified=certified,
     )
-
-
-def green_prime(result):
-    """Spatial derivative of the diagonal Green's function; mean-zero."""
-    return derivative(result.g, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +257,7 @@ def _alpha_completion(ctx):
     return 0.5 * float(np.sum(qsq * w))
 
 
-def alpha(ctx, tail_completion=True):
+def alpha(ctx):
     """alpha(kappa; q) = -log det(I+B) + tr B via the eigenvalues of B."""
     evals = np.linalg.eigvalsh(ctx.B)
     if np.min(1.0 + evals) <= 0.0:
@@ -274,9 +266,7 @@ def alpha(ctx, tail_completion=True):
         )
     _, _, sum_inv_omega = ctx.pair_sums()
     trace_b = float(ctx.q.coeffs[ctx.grid.cutoff].real) * sum_inv_omega
-    value = -float(np.sum(np.log1p(evals))) + trace_b
-    if tail_completion:
-        value += _alpha_completion(ctx)
+    value = -float(np.sum(np.log1p(evals))) + trace_b + _alpha_completion(ctx)
     return AlphaResult(value=value, kappa=ctx.kappa, method="logdet", hs_norm=hs_norm(ctx))
 
 
@@ -300,9 +290,9 @@ def alpha_series(ctx, l_max):
     )
 
 
-def alpha_gradient_field(ctx, tail_completion=True):
+def alpha_gradient_field(ctx):
     """The variational derivative of alpha as a field: free constant minus g."""
-    res = green_diagonal(ctx, tail_completion=tail_completion)
+    res = green_diagonal(ctx)
     c = -res.g.coeffs.copy()
     c[ctx.grid.cutoff] += res.free_constant
     return PeriodicField(ctx.grid, _hermitize(c))

@@ -15,7 +15,7 @@ the mode lattice k = j/l, |j| <= K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -134,9 +134,6 @@ class PeriodicField:
 
     # -- arithmetic (coefficientwise; used by integrators and tests) --------
 
-    def _like(self, coeffs):
-        return PeriodicField(self.grid, _hermitize(np.asarray(coeffs, dtype=complex)))
-
     def __add__(self, other):
         _check_same_grid(self, other)
         return PeriodicField(self.grid, self.coeffs + other.coeffs)
@@ -192,13 +189,17 @@ def zero_field(grid):
 
 
 def field_from_modes(grid, entries):
-    """Field from a sparse mode list [(j, complex amplitude), ...]."""
+    """Field from a sparse mode list [(j, complex amplitude), ...], |j| <= K.
+
+    Amplitudes of a repeated j are summed; Hermitian symmetry is enforced as
+    in ``make_field``.
+    """
     c = np.zeros(2 * grid.cutoff + 1, dtype=complex)
     for j, a in entries:
         if abs(j) > grid.cutoff:
             raise PreconditionError(f"mode {j} beyond cutoff {grid.cutoff}")
         c[int(j) + grid.cutoff] += a
-    return PeriodicField(grid, _hermitize(c))
+    return make_field(grid, coeffs=c)
 
 
 # ---------------------------------------------------------------------------
@@ -648,12 +649,6 @@ def load_field(path, samples=None):
     with open(path) as fh:
         header = fh.readline().split()
         length, cutoff = float(header[0]), int(header[1])
-        grid = TorusGrid.make(length, cutoff, samples)
-        c = np.zeros(2 * cutoff + 1, dtype=complex)
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            j = int(parts[0])
-            c[j + cutoff] = complex(float(parts[1]), float(parts[2]))
-    return PeriodicField(grid, c)
+        entries = [(int(p[0]), complex(float(p[1]), float(p[2])))
+                   for p in map(str.split, fh) if p]
+    return field_from_modes(TorusGrid.make(length, cutoff, samples), entries)

@@ -31,6 +31,7 @@ from .spectral import (
     PeriodicField,
     TorusGrid,
     _hermitize,
+    field_from_modes,
     lp_project,
     make_field,
     pairing,
@@ -80,6 +81,16 @@ def periodized_field(func, grid, translates=6):
     return make_field(grid, samples=total)
 
 
+def field_from_config(block, grid):
+    """Field from a config block: a ``modes`` list {j, re, im}, else a prototype."""
+    if "modes" in block:
+        return field_from_modes(grid, [
+            (int(e["j"]), complex(e.get("re", 0.0), e.get("im", 0.0)))
+            for e in block["modes"]
+        ])
+    return periodized_field(prototype_callable(block), grid)
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
@@ -125,19 +136,9 @@ def build_scenario(config):
     gcfg = config["grid"]
     grid = TorusGrid.make(gcfg["length"], gcfg["cutoff"], gcfg.get("samples"))
     band = MultiplierSpec.band(config["band"]["m"], config["band"]["M"])
-
-    def realize(cfg):
-        if "modes" in cfg:
-            c = np.zeros(2 * grid.cutoff + 1, dtype=complex)
-            for entry in cfg["modes"]:
-                j = int(entry["j"])
-                c[j + grid.cutoff] = complex(entry.get("re", 0.0), entry.get("im", 0.0))
-            return make_field(grid, coeffs=c)
-        return periodized_field(prototype_callable(cfg), grid)
-
-    z_raw = realize(config["center"])
+    z_raw = field_from_config(config["center"], grid)
     zeta = lp_project(z_raw, band)
-    l_raw = realize(config["observable"])
+    l_raw = field_from_config(config["observable"], grid)
     l_proj = lp_project(l_raw, band)
     l_norm = sobolev_norm(l_proj, 0.5, homogeneous=True)
     if l_norm < 1e-12:
@@ -241,12 +242,6 @@ class SearchBudget:
     dt: float = 1e-3
     directions: int = 8
 
-    @classmethod
-    def coerce(cls, value):
-        if isinstance(value, cls):
-            return value
-        return cls(rounds=int(value))
-
 
 @dataclass
 class SearchResult:
@@ -257,7 +252,7 @@ class SearchResult:
     failures: list
 
 
-def escape_search(scenario, budget=SearchBudget(), budget_obj=None):
+def escape_search(scenario, budget=SearchBudget()):
     """Maximize |<l, q(T)> - alpha| over the ball by multi-start + ascent.
 
     Starts: seeded ball samples plus the two informed starts along the dual
@@ -266,16 +261,13 @@ def escape_search(scenario, budget=SearchBudget(), budget_obj=None):
     ball, step halved per round.  Deterministic for a fixed (scenario, seed,
     budget) triple.
     """
-    budget = SearchBudget.coerce(budget)
-    wp_budget = budget_obj if budget_obj is not None else DEFAULT_BUDGET
     failures = []
     evaluations = 0
 
     def value_of(q0):
         nonlocal evaluations
         evaluations += 1
-        return abs(evolved_pairing(scenario, q0, dt=budget.dt, budget=wp_budget)
-                   - scenario.alpha_target)
+        return abs(evolved_pairing(scenario, q0, dt=budget.dt) - scenario.alpha_target)
 
     def clipped(q0):
         v = q0 - scenario.center

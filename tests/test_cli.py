@@ -132,10 +132,30 @@ def test_report_collects_digests(tmp_path):
     assert manifest["outputs"]["data.csv"] == sha256_digest(f)
 
 
-def test_precondition_failure_exit_codeـ2(tmp_path):
+def test_precondition_failure_exit_code_2(tmp_path):
     bad = dict(SCENARIO, r=0.05, R=0.04)
     cfg = {"scenario": bad}
     code, _ = run_cli(tmp_path, "squeeze", cfg)
+    assert code == 2
+
+
+@pytest.mark.parametrize("j", [-9, 9])
+def test_out_of_range_mode_exit_code_2(tmp_path, j, capsys):
+    cfg = {
+        "grid": {"length": 6.283185307179586, "cutoff": 8},
+        "initial": {"modes": [{"j": j, "re": 0.01}]},
+        "flow": {"kind": "kdv"},
+        "time": {"dt": 1e-3, "T": 0.002, "saves": 1},
+    }
+    code, out = run_cli(tmp_path, "evolve", cfg)
+    assert code == 2
+    assert f"mode {j} beyond cutoff 8" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_out_of_range_scenario_center_exit_code_2(tmp_path):
+    center = {"modes": [{"j": 49, "re": 0.01}, {"j": -49, "re": 0.01}]}
+    code, _ = run_cli(tmp_path, "squeeze", {"scenario": dict(SCENARIO, center=center)})
     assert code == 2
 
 

@@ -1,6 +1,7 @@
 """Time integration: right-hand sides, conservation, approximation rates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,6 +193,22 @@ class TestMonitors:
         vals = [hamiltonian_value(s, ham) for s in traj.states]
         scale = max(abs(vals[0]), 1e-12)
         assert max(abs(v - vals[0]) for v in vals) <= 1e-7 * scale
+
+    def test_reads_back_stored_probes(self, monkeypatch):
+        grid = TorusGrid.make(TWO_PI, 16)
+        traj = evolve(small_smooth(grid),
+                      FlowSpec(HamiltonianSpec.kdv(), dt=1e-3, T=0.05, saves=5,
+                               probes=(2.0, 4.0)))
+        recomputed = monitors(replace(traj, monitors={}))
+
+        def no_resolvent(*args):
+            raise AssertionError("monitors() rebuilt a resolvent")
+
+        monkeypatch.setattr("kdvlab.flows.assemble_resolvent", no_resolvent)
+        rep = monitors(traj)
+        assert rep.drifts == recomputed.drifts
+        assert rep.scales == recomputed.scales
+        assert rep.certified == recomputed.certified
 
     def test_needs_at_least_one_probe(self):
         grid = TorusGrid.make(TWO_PI, 16)

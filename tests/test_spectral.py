@@ -400,6 +400,12 @@ class TestSerialization:
         assert g.grid.cutoff == f.grid.cutoff
         assert np.all(g.coeffs == f.coeffs)
 
+    def test_mode_beyond_cutoff_rejected(self, tmp_path):
+        path = tmp_path / "field.txt"
+        path.write_text("1.0 4\n0 0.5 0.0\n5 0.1 0.0\n")
+        with pytest.raises(PreconditionError, match="mode 5 beyond cutoff 4"):
+            load_field(path)
+
 
 class TestPlancherel:
     def test_sample_vs_coefficient_space(self, rng):

@@ -106,7 +106,7 @@ class TestSampleBall:
 
 class TestEscapeSearch:
     def test_budget_zero_uses_initial_samples_only(self, linear_scenario):
-        res = escape_search(linear_scenario, 0)
+        res = escape_search(linear_scenario, SearchBudget(rounds=0))
         # 16 seeded starts plus the two informed starts, no ascent rounds
         assert res.evaluations == 18
 
@@ -136,7 +136,7 @@ class TestEscapeSearch:
         vals = []
         for radius in (0.02, 0.04, 0.08):
             s = replace(linear_scenario, R=radius, r=0.01)
-            vals.append(escape_search(s, 0).value)
+            vals.append(escape_search(s, SearchBudget(rounds=0)).value)
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_kdv_desk_scenario_exceeds_r(self):
@@ -226,7 +226,7 @@ class TestReporting:
 
     def test_rerun_reproduces_digests(self, tmp_path, linear_scenario):
         def run(name):
-            res = escape_search(linear_scenario, 0)
+            res = escape_search(linear_scenario, SearchBudget(rounds=0))
             return write_csv(tmp_path / name, ["value"], [[res.value]])
 
         assert sha256_digest(run("r1.csv")) == sha256_digest(run("r2.csv"))
