@@ -38,6 +38,7 @@ from .spectral import (
     PeriodicField,
     TorusGrid,
     _hermitize,
+    derivative,
     make_field,
     periodize_samples,
     sobolev_norm,
@@ -185,7 +186,7 @@ def _window_product_coeffs(u, part, k, out_cutoff):
     return conv[mid - out_cutoff: mid + out_cutoff + 1]
 
 
-def localized_norms(u, part, out_cutoff=None):
+def localized_norms(u, part):
     """Per-window table of (Hdot^{-1/2}, Hdot^{-1}) norms and exact integrals."""
     if abs(u.grid.length - part.L) > 1e-9 * part.L:
         raise PreconditionError("field period does not match the partition period")
@@ -194,7 +195,7 @@ def localized_norms(u, part, out_cutoff=None):
             f"{u.grid.samples} samples cannot resolve {part.N} windows "
             f"(need >= 16 per window)"
         )
-    D = u.grid.samples if out_cutoff is None else int(out_cutoff)
+    D = u.grid.samples
     L = part.L
     js = np.arange(-D, D + 1)
     freqs = js / L
@@ -494,8 +495,6 @@ def localized_smoothing_check(q, chi, kappa):
     ||chi'||_{L^inf}.  ``chi`` is a RampBump (or any callable) evaluated on a
     padded copy of the field's grid; the caller records the lhs/rhs ratio.
     """
-    from .spectral import derivative as _derivative
-
     if isinstance(q, LineField):
         field, x_start = q.box, q.box_start
     else:
@@ -505,7 +504,7 @@ def localized_smoothing_check(q, chi, kappa):
     chi_pad = chi(xp) if callable(chi) else np.asarray(chi, dtype=float)
 
     g = green_diagonal(assemble_resolvent(field, kappa)).g
-    gprime = _derivative(g, 1)
+    gprime = derivative(g, 1)
     prod = chi_pad * gprime.samples_values(n_pad)
     lhs = math.sqrt(field.grid.length * float(np.mean(prod ** 2)))
 

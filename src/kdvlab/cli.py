@@ -13,8 +13,9 @@ outputs are CSV tables plus a manifest with sha256 digests.  Config blocks:
   time     {dt, T, saves (optional)}
 
 squeeze and area take a scenario block instead (see squeeze.build_scenario).
-Exit codes: 0 success, 2 precondition failure (such as a mode with |j| > K),
-3 numerical certification failure.
+Exit codes: 0 success, 2 precondition failure (such as a mode with |j| > K,
+a mode entry without j, or a missing required block), 3 numerical
+certification failure.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .flows import (
 )
 from .greens import alpha, assemble_resolvent, green_diagonal
 from .reporting import RunManifest, run_report, write_csv
-from .spectral import MultiplierSpec, TorusGrid, sobolev_norm
+from .spectral import MultiplierSpec, TorusGrid, lp_project, sobolev_norm
 from .squeeze import (
     SearchBudget,
     build_scenario,
@@ -163,8 +164,6 @@ def cmd_sweep_kappa(cfg, out):
 
 
 def cmd_cutcompare(cfg, out):
-    from .spectral import lp_project
-
     grid = _grid_from(cfg)
     band = MultiplierSpec.band(cfg["band"]["m"], cfg["band"]["M"])
     u0 = lp_project(_field_from(cfg, grid), band)
@@ -228,16 +227,17 @@ def cmd_report(cfg, out):
     return paths
 
 
+# subcommand -> (handler, top-level config blocks it requires)
 COMMANDS = {
-    "evolve": cmd_evolve,
-    "greens": cmd_greens,
-    "alpha": cmd_alpha,
-    "sweep-band": cmd_sweep_band,
-    "sweep-kappa": cmd_sweep_kappa,
-    "cutcompare": cmd_cutcompare,
-    "squeeze": cmd_squeeze,
-    "area": cmd_area,
-    "report": cmd_report,
+    "evolve": (cmd_evolve, ("grid", "initial", "flow", "time")),
+    "greens": (cmd_greens, ("grid", "initial")),
+    "alpha": (cmd_alpha, ("grid", "initial")),
+    "sweep-band": (cmd_sweep_band, ("grid", "initial", "flow", "time", "bands")),
+    "sweep-kappa": (cmd_sweep_kappa, ("grid", "initial", "time")),
+    "cutcompare": (cmd_cutcompare, ("grid", "initial", "band", "partition", "flow", "time")),
+    "squeeze": (cmd_squeeze, ("scenario",)),
+    "area": (cmd_area, ("scenario",)),
+    "report": (cmd_report, ()),
 }
 
 
@@ -250,10 +250,15 @@ def main(argv=None):
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
+    command, required = COMMANDS[args.command]
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-        COMMANDS[args.command](cfg, args.out)
+        missing = [key for key in required if key not in cfg]
+        if missing:
+            raise PreconditionError(
+                f"{args.command} config lacks required block(s): {', '.join(missing)}")
+        command(cfg, args.out)
     except PreconditionError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 2

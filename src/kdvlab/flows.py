@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import BlowUpError, PreconditionError
 from .greens import (
+    _pair_sums,
     alpha,
     assemble_resolvent,
     green_diagonal,
@@ -35,9 +36,11 @@ from .greens import (
 from .spectral import (
     MultiplierSpec,
     PeriodicField,
+    TorusGrid,
     _hermitize,
     cubic_integral,
     derivative,
+    make_field,
     product_coeffs,
     sobolev_norm,
 )
@@ -118,8 +121,6 @@ def calibrate_budget(length, cutoff, kappas=(1.0, 2.0, 4.0, 8.0), trials=24, see
     (worst case over random band-limited directions).  lipschitz: observed
     bound for ||g(u)-g(v)||_{H^1} / ||u-v||_{H^{-1}} on small random pairs.
     """
-    from .spectral import TorusGrid, make_field
-
     grid = TorusGrid.make(length, cutoff)
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0  # hs norm per unit H^{-1} norm
@@ -204,8 +205,6 @@ def linear_symbol(grid, ham):
     if ham.kind == "hkappa_linear":
         return sym
     # first-order symbol of 16 kappa^5 d/dx g(q), tail-completed lattice sum
-    from .greens import _pair_sums
-
     k = grid.cutoff
     _, s_ext, _ = _pair_sums(grid.length, k, kap)
     s = s_ext[k:3 * k + 1]  # lags -K..K

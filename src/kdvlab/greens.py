@@ -1,17 +1,38 @@
 """Schroedinger resolvent machinery on the circle.
 
-The operator -d^2/dx^2 + q + kappa^2 is assembled in the Fourier basis of
-T_l, where it is diagonal-plus-Toeplitz:
+In the Fourier basis e_j of T_l the operator -d^2/dx^2 + q + kappa^2 is
+diagonal-plus-Toeplitz,
 
-    A[a, b] = omega_a delta_ab + qhat((a-b)/l),   omega_a = 4 pi^2 (a/l)^2 + kappa^2.
+    A[a, b] = omega_a delta_ab + qhat((a-b)/l),   omega_a = 4 pi^2 (a/l)^2 + kappa^2,
 
-Writing A = D^{1/2} (I + B) D^{1/2} with D = diag(omega) gives the normalized
+and A = D^{1/2} (I + B) D^{1/2} with D = diag(omega) defines the normalized
 perturbation B[a, b] = qhat((a-b)/l) / sqrt(omega_a omega_b), the object whose
-Hilbert-Schmidt norm controls every series here.  From A^{-1} we read off the
-diagonal Green's function (anti-diagonal sums of the inverse) and the
-renormalized log-determinant
+Hilbert-Schmidt norm controls every series here.
 
-    alpha(kappa; q) = -log det(I + B) + tr B = sum_{l>=2} (-1)^l/l tr(B^l).
+q is real, so the hot path never forms the complex B.  It works in the
+orthonormal real basis (e_0, cos_1..cos_K, sin_1..sin_K), where B_r = U^H B U
+is real symmetric.  With a = Re qhat, b = Im qhat (a even, b odd, both zero
+beyond K) and 1 <= m, p <= K, the blocks of B_r before the diagonal scaling
+by 1/sqrt(omega) are Toeplitz plus Hankel:
+
+    cos-cos  a(m-p) + a(m+p)        sin-sin  a(m-p) - a(m+p)
+    cos-sin  b(m-p) - b(m+p)        row 0    a(0), sqrt2 a(p), -sqrt2 b(p).
+
+The diagonal Green's function g_hat(d) = (1/l) sum_{a-b=d} A^{-1}[a, b] is
+read for 0 <= d <= K from Y = D_r^{-1/2} (I + B_r)^{-1} D_r^{-1/2}, and
+g_hat(-d) = conj g_hat(d):
+
+    l g_hat(d) =   sum_{m-p=d} [(Y_cc + Y_ss) + i (Y_cs - Y_sc)]
+                 + sum_{m+p=d} [(Y_cc - Y_ss) - i (Y_cs + Y_sc)] / 2
+                 + sqrt2 (Y_0c(d) - i Y_0s(d))  for d >= 1,  Y_00 for d = 0.
+
+The Frobenius norm and the spectrum are invariant under U, so ``hs_norm``
+and the renormalized log-determinant
+
+    alpha(kappa; q) = -log det(I + B) + tr B = sum_{l>=2} (-1)^l/l tr(B^l)
+
+are taken from B_r as well.  The complex B, A and ``apply_operator`` are
+built only on first use: they are oracles for the tests and the series routes.
 
 Two exactness conventions: the free diagonal constant on the circle is the
 closed form coth(kappa l / 2) / (2 kappa) rather than the truncated lattice
@@ -25,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -39,6 +60,8 @@ from .spectral import (
 )
 
 TAIL_SUM_MIN = 4096  # half-width of the extended lattice used for tail completion
+HERMITIAN_RTOL = 1e-12  # allowed asymmetry of qhat(-d) vs conj qhat(d), relative to max |qhat|
+SQRT2 = math.sqrt(2.0)
 
 
 def free_diagonal_constant(kappa, length):
@@ -79,17 +102,27 @@ def _pair_sums(length, cutoff, kappa):
 
 @dataclass
 class ResolventContext:
-    """Assembled L + kappa^2 for one (q, kappa), with its normalized matrix."""
+    """Assembled L + kappa^2 for one (q, kappa): B_r in the real cos/sin basis."""
 
     q: PeriodicField
     kappa: float
-    omega: np.ndarray
-    B: np.ndarray
+    omega: np.ndarray  # omega_j for j = -K..K
+    B_r: np.ndarray    # real symmetric, basis (e_0, cos_1..cos_K, sin_1..sin_K)
     _inv_ib: np.ndarray | None = None
 
     @property
     def grid(self):
         return self.q.grid
+
+    @cached_property
+    def B(self):
+        """Complex normalized perturbation in the mode basis (oracle)."""
+        k = self.grid.cutoff
+        qext = np.zeros(4 * k + 1, dtype=complex)
+        qext[k:3 * k + 1] = self.q.coeffs  # qext[d + 2k] = qhat(d/l)
+        idx = np.arange(2 * k + 1)
+        inv_sq = 1.0 / np.sqrt(self.omega)
+        return qext[idx[:, None] - idx[None, :] + 2 * k] * np.outer(inv_sq, inv_sq)
 
     @property
     def A(self):
@@ -102,23 +135,26 @@ class ResolventContext:
         return self.A @ np.asarray(coeffs, dtype=complex)
 
     def inv_ib(self):
-        """(I + B)^{-1}, cached; Cholesky route with an LU fallback.
+        """Upper triangle of (I + B_r)^{-1}, cached; the strict lower part is zero.
 
-        I + B is Hermitian and positive definite throughout the certified
-        regime (||B|| < 1), where zpotrf/zpotri is the cheapest full inverse;
-        outside it we fall back to LU so diagnostics still work.
+        I + B_r is symmetric positive definite throughout the certified regime
+        (||B|| < 1), where dpotrf/dpotri is the cheapest inverse and fills one
+        triangle only; outside it we fall back to LU so diagnostics still work.
         """
         if self._inv_ib is None:
-            n = self.B.shape[0]
-            a = np.eye(n) + self.B
-            cf, info = lapack.zpotrf(a, lower=0)
+            n = len(self.B_r)
+            a = self.B_r.copy()
+            a.flat[::n + 1] += 1.0
+            # factor the lower triangle: LAPACK returns it in Fortran order, so
+            # the transpose is the C-ordered upper triangle of the inverse
+            cf, info = lapack.dpotrf(a, lower=1)
             if info == 0:
-                inv, info2 = lapack.zpotri(cf, lower=0)
-                if info2 == 0:
-                    self._inv_ib = np.triu(inv) + np.triu(inv, 1).conj().T
+                inv, info = lapack.dpotri(cf, lower=1, overwrite_c=1)
+                if info == 0:
+                    self._inv_ib = inv.T
                     return self._inv_ib
             try:
-                self._inv_ib = np.linalg.inv(a)
+                self._inv_ib = np.triu(np.linalg.inv(a))
             except np.linalg.LinAlgError as exc:
                 smin = float(np.linalg.svd(a, compute_uv=False)[-1])
                 raise SingularResolventError(
@@ -131,25 +167,57 @@ class ResolventContext:
         return _pair_sums(self.grid.length, self.grid.cutoff, self.kappa)
 
 
+def _real_basis_inv_sqrt(omega):
+    """1/sqrt(omega) in the order of the real basis: e_0, cos_1..K, sin_1..K."""
+    k = len(omega) // 2
+    return 1.0 / np.sqrt(np.concatenate((omega[k:], omega[k + 1:])))
+
+
+def _hankel(v, k):
+    """Overlapping k x k view [i, j] -> v[i + j] of a contiguous 1-d array; read it only."""
+    step = v.strides[0]
+    return np.ndarray((k, k), v.dtype, v, strides=(step, step))
+
+
 def assemble_resolvent(q, kappa):
-    """Build the dense resolvent context for (q, kappa); requires kappa >= 1."""
+    """Build the resolvent context for a real q and kappa >= 1.
+
+    B_r is filled block by block from the Toeplitz and Hankel views of
+    a = Re qhat and b = Im qhat (see the module docstring).
+    """
     if kappa < 1:
         raise PreconditionError(f"kappa must be >= 1, got {kappa}")
-    grid = q.grid
-    k = grid.cutoff
-    omega = omega_values(grid, kappa)
-    qext = np.zeros(4 * k + 1, dtype=complex)
-    qext[k:3 * k + 1] = q.coeffs  # qext[d + 2k] = qhat(d/l)
-    idx = np.arange(2 * k + 1)
-    toep = qext[idx[:, None] - idx[None, :] + 2 * k]
-    inv_sq = 1.0 / np.sqrt(omega)
-    B = toep * np.outer(inv_sq, inv_sq)
-    return ResolventContext(q=q, kappa=float(kappa), omega=omega, B=B)
+    c = q.coeffs
+    if abs(c - c[::-1].conj()).max() > HERMITIAN_RTOL * abs(c).max():
+        raise PreconditionError("q is not real: its coefficients are not Hermitian-symmetric")
+    k = q.grid.cutoff
+    n = 2 * k + 1
+    a = np.zeros(n)  # a[d] = Re qhat(d/l) for 0 <= d <= 2K
+    b = np.zeros(n)
+    a[:k + 1] = c[k:].real
+    b[:k + 1] = c[k:].imag
+    a_lag = np.concatenate((a[k - 1:0:-1], a[:k]))  # index m - p + K - 1
+    b_lag = np.concatenate((-b[k - 1:0:-1], b[:k]))
+    ta, tb = _hankel(a_lag, k)[:, ::-1], _hankel(b_lag, k)[:, ::-1]  # [m, p] -> lag m - p
+    ha, hb = _hankel(a[2:], k), _hankel(b[2:], k)  # [m, p] -> a[m + p], b[m + p]
+    cos, sin = slice(1, k + 1), slice(k + 1, n)
+    br = np.empty((n, n))
+    np.add(ta, ha, out=br[cos, cos])
+    np.subtract(ta, ha, out=br[sin, sin])
+    np.subtract(tb, hb, out=br[cos, sin])
+    br[sin, cos] = br[cos, sin].T
+    br[0, 0] = a[0]
+    br[0, cos] = br[cos, 0] = SQRT2 * a[1:k + 1]
+    br[0, sin] = br[sin, 0] = -SQRT2 * b[1:k + 1]
+    omega = omega_values(q.grid, kappa)
+    inv_sq = _real_basis_inv_sqrt(omega)
+    br *= np.outer(inv_sq, inv_sq)
+    return ResolventContext(q=q, kappa=float(kappa), omega=omega, B_r=br)
 
 
 def hs_norm(ctx):
     """Hilbert-Schmidt (Frobenius) norm of the normalized perturbation B."""
-    return float(np.linalg.norm(ctx.B, "fro"))
+    return float(np.linalg.norm(ctx.B_r))
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +234,17 @@ class GreenResult:
     certified: bool = True
 
 
-def _antidiagonal_coeffs(matrix, cutoff, length):
-    """Field coefficients g_hat(d/l) = (1/l) sum_{a-b=d} M[a,b], |d| <= cutoff."""
-    c = np.empty(2 * cutoff + 1, dtype=complex)
-    for d in range(-cutoff, cutoff + 1):
-        c[d + cutoff] = np.trace(matrix, offset=-d)
-    return c / length
+def _lag_sums(x):
+    """Diagonal sums of a square matrix: out[d + n - 1] = sum_{i-j=d} x[i, j].
+
+    x is written column-reversed into an n x 2n zero buffer; read back as rows
+    of length 2n - 1, each column holds exactly one lag.  Anti-diagonal sums
+    out[s] = sum_{i+j=s} x[i, j] are ``_lag_sums(x[:, ::-1])``.
+    """
+    n = len(x)
+    buf = np.zeros((n, 2 * n), dtype=x.dtype)
+    buf[:, :n] = x[:, ::-1]
+    return buf.ravel()[:n * (2 * n - 1)].reshape(n, 2 * n - 1).sum(axis=0)
 
 
 def _completion_term(ctx):
@@ -185,12 +258,34 @@ def _completion_term(ctx):
 def green_diagonal(ctx):
     """Diagonal Green's function x -> G(x, x; kappa; q) by direct dense solve."""
     grid = ctx.grid
-    inv_sq = 1.0 / np.sqrt(ctx.omega)
-    m = ctx.inv_ib() * np.outer(inv_sq, inv_sq)
-    c = _antidiagonal_coeffs(m, grid.cutoff, grid.length)
+    k = grid.cutoff
+    inv_sq = _real_basis_inv_sqrt(ctx.omega)
+    y = ctx.inv_ib() * np.outer(inv_sq, inv_sq)  # Y, upper triangle only
+    cos, sin = slice(1, k + 1), slice(k + 1, 2 * k + 1)
+    cc, ss, cs = y[cos, cos], y[sin, sin], y[cos, sin]
+    # cc and ss are symmetric but stored as upper triangles: their sums at lag
+    # d >= 0 sit at lag -d, and their anti-diagonals hold each off-diagonal
+    # entry once, so those sums are doubled less the diagonal term
+    lag_sym = _lag_sums(cc + ss)[k - 1::-1]  # lags 0..K-1
+    lag_cs = _lag_sums(cs)
+    diff = cc - ss
+    anti_diff = 2.0 * _lag_sums(diff[:, ::-1])  # m + p = 2..2K
+    anti_diff[::2] -= np.diagonal(diff)
+    anti_cs = _lag_sums(cs[:, ::-1])
+    re = np.zeros(k + 1)  # l Re g_hat(d), l Im g_hat(d) for d = 0..K
+    im = np.zeros(k + 1)
+    re[0] = y[0, 0]
+    re[1:] = SQRT2 * y[0, cos]
+    im[1:] = -SQRT2 * y[0, sin]
+    re[:k] += lag_sym
+    im[:k] += lag_cs[k - 1:] - lag_cs[k - 1::-1]
+    re[2:] += 0.5 * anti_diff[:k - 1]
+    im[2:] -= anti_cs[:k - 1]
+    ghat = (re + 1j * im) / grid.length
+    c = np.concatenate((np.conj(ghat[:0:-1]), ghat))
     free = free_diagonal_constant(ctx.kappa, grid.length)
     _, _, sum_inv_omega = ctx.pair_sums()
-    c[grid.cutoff] += free - sum_inv_omega / grid.length
+    c[k] += free - sum_inv_omega / grid.length
     c += _completion_term(ctx)
     g = PeriodicField(grid, _hermitize(c))
     return GreenResult(g=g, kappa=ctx.kappa, method="direct", free_constant=free)
@@ -217,7 +312,7 @@ def green_diagonal_series(q, kappa, l_max):
     for _ in range(1, int(l_max) + 1):
         power = power @ ctx.B
         sign = -sign
-        term = _antidiagonal_coeffs(power * scale, grid.cutoff, grid.length)
+        term = _lag_sums(power * scale)[grid.cutoff:3 * grid.cutoff + 1] / grid.length
         # keep the exact free constant convention at d = 0
         c += sign * term
 
@@ -258,8 +353,8 @@ def _alpha_completion(ctx):
 
 
 def alpha(ctx):
-    """alpha(kappa; q) = -log det(I+B) + tr B via the eigenvalues of B."""
-    evals = np.linalg.eigvalsh(ctx.B)
+    """alpha(kappa; q) = -log det(I+B) + tr B via the eigenvalues of B_r."""
+    evals = np.linalg.eigvalsh(ctx.B_r)
     if np.min(1.0 + evals) <= 0.0:
         raise LogDetBranchError(
             f"eigenvalue of I+B at or below zero (min {1.0 + float(np.min(evals)):.3e})"

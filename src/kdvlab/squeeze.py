@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    CertificationError,
     KdvLabError,
     PreconditionError,
     SearchFailureError,
@@ -84,6 +83,8 @@ def periodized_field(func, grid, translates=6):
 def field_from_config(block, grid):
     """Field from a config block: a ``modes`` list {j, re, im}, else a prototype."""
     if "modes" in block:
+        if any("j" not in e for e in block["modes"]):
+            raise PreconditionError('every entry of a modes list needs its mode number "j"')
         return field_from_modes(grid, [
             (int(e["j"]), complex(e.get("re", 0.0), e.get("im", 0.0)))
             for e in block["modes"]
@@ -211,14 +212,13 @@ def _propagate_linear(q, ham, T):
     return PeriodicField(q.grid, _hermitize(q.coeffs * np.exp(lam * T)))
 
 
-def evolved_pairing(scenario, q0, dt=1e-3, budget=DEFAULT_BUDGET, observable=None):
+def evolved_pairing(scenario, q0, dt=1e-3):
     """<l, q(T)> for one initial condition under the scenario flow."""
-    l = scenario.observable if observable is None else observable
+    l = scenario.observable
     if scenario.flow.is_linear:
         return pairing(l, _propagate_linear(q0, scenario.flow, scenario.T))
     spec = FlowSpec(scenario.flow, dt=dt, T=scenario.T, saves=1)
-    traj = evolve(q0, spec, budget=budget)
-    return pairing(l, traj.final())
+    return pairing(l, evolve(q0, spec).final())
 
 
 def _dual_direction(scenario, w):
@@ -292,7 +292,7 @@ def escape_search(scenario, budget=SearchBudget()):
     for i, q0 in enumerate(candidates):
         try:
             scored.append((value_of(q0), i, q0))
-        except (CertificationError, KdvLabError) as exc:  # keep searching
+        except KdvLabError as exc:  # keep searching
             failures.append(f"candidate {i}: {exc}")
     if not scored:
         raise SearchFailureError(
@@ -320,7 +320,7 @@ def escape_search(scenario, budget=SearchBudget()):
                     trial = clipped(best + direction * (sgn * step / nrm))
                     try:
                         val = value_of(trial)
-                    except (CertificationError, KdvLabError) as exc:
+                    except KdvLabError as exc:
                         failures.append(f"ascent: {exc}")
                         continue
                     if val > best_val + 1e-15:

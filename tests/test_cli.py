@@ -39,6 +39,25 @@ def test_evolve_writes_trajectory_and_monitors(tmp_path):
     assert set(manifest["outputs"]) == {"trajectory.csv", "monitors.csv"}
 
 
+EVOLVE = {
+    "grid": GRID,
+    "initial": MODES,
+    "flow": {"kind": "kdv"},
+    "time": {"dt": 1e-3, "T": 0.002, "saves": 1},
+}
+
+
+@pytest.mark.parametrize("cfg, key", [
+    (dict(EVOLVE, initial={"modes": [{"re": 0.1}]}), '"j"'),
+    ({k: v for k, v in EVOLVE.items() if k != "time"}, "time"),
+], ids=["mode_without_j", "no_time_block"])
+def test_missing_key_exit_code_2(tmp_path, capsys, cfg, key):
+    code, _ = run_cli(tmp_path, "evolve", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:") and key in err
+
+
 def test_greens_and_alpha_tables(tmp_path):
     cfg = {"grid": GRID, "initial": MODES, "kappas": [2.0, 4.0]}
     code, out = run_cli(tmp_path, "greens", cfg)

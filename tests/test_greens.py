@@ -23,8 +23,9 @@ from kdvlab import (
     sobolev_norm,
     zero_field,
 )
-from kdvlab.errors import LogDetBranchError, PreconditionError
-from kdvlab.spectral import product_coeffs
+from kdvlab.errors import LogDetBranchError, PreconditionError, SingularResolventError
+from kdvlab.greens import _alpha_completion, _completion_term, _lag_sums
+from kdvlab.spectral import PeriodicField, product_coeffs
 
 from conftest import random_field
 
@@ -65,6 +66,99 @@ class TestAssembly:
     def test_kappa_below_one_rejected(self, unit_grid):
         with pytest.raises(PreconditionError):
             assemble_resolvent(zero_field(unit_grid), 0.5)
+
+    def test_non_hermitian_field_rejected(self, unit_grid):
+        # a complex-valued potential: the real cos/sin basis would drop its
+        # anti-Hermitian part, so assembly must refuse it
+        c = np.zeros(2 * unit_grid.cutoff + 1, dtype=complex)
+        c[unit_grid.cutoff + 1] = 0.1
+        with pytest.raises(PreconditionError):
+            assemble_resolvent(PeriodicField(unit_grid, c), 2.0)
+
+
+def dense_green_coeffs(ctx, inverse):
+    """g_hat from a complex (I+B)^{-1}: lag sums of D^{-1/2} inverse D^{-1/2}
+    plus the free-constant and tail-completion terms of ``green_diagonal``."""
+    grid = ctx.grid
+    k = grid.cutoff
+    inv_sq = 1.0 / np.sqrt(ctx.omega)
+    m = inverse * np.outer(inv_sq, inv_sq)
+    c = np.array([np.trace(m, offset=-d) for d in range(-k, k + 1)]) / grid.length
+    _, _, sum_inv_omega = ctx.pair_sums()
+    c[k] += free_diagonal_constant(ctx.kappa, grid.length) - sum_inv_omega / grid.length
+    return c + _completion_term(ctx)
+
+
+def with_mean(q, mean):
+    c = q.coeffs.copy()
+    c[q.grid.cutoff] = mean
+    return make_field(q.grid, coeffs=c)
+
+
+def relative_error(got, expected):
+    return np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+
+
+class TestRealBasisMatchesComplexOracle:
+    """The real cos/sin hot path against the complex mode-basis matrices."""
+
+    @pytest.fixture(params=[1, 2, 16, 64])
+    def ctx(self, request, rng):
+        grid = TorusGrid.make(2.0, request.param)
+        return assemble_resolvent(with_mean(small_random(grid, rng, 0.4, 2.0), 0.05), 2.0)
+
+    def test_green_diagonal(self, ctx):
+        n = len(ctx.omega)
+        expected = dense_green_coeffs(ctx, np.linalg.inv(np.eye(n) + ctx.B))
+        assert relative_error(green_diagonal(ctx).g.coeffs, expected) <= 1e-13
+
+    def test_hs_norm(self, ctx):
+        expected = np.linalg.norm(ctx.B, "fro")
+        assert abs(hs_norm(ctx) - expected) <= 1e-13 * expected
+
+    def test_alpha(self, ctx):
+        expected = (-np.sum(np.log1p(np.linalg.eigvalsh(ctx.B)))
+                    + np.trace(ctx.B).real + _alpha_completion(ctx))
+        assert abs(alpha(ctx).value - expected) <= 1e-13 * abs(expected)
+
+    def test_real_matrix_is_unitary_conjugate(self, ctx):
+        k = ctx.grid.cutoff
+        u = np.zeros((2 * k + 1, 2 * k + 1), dtype=complex)
+        u[k, 0] = 1.0
+        for m in range(1, k + 1):
+            u[k + m, m] = u[k - m, m] = 1.0 / math.sqrt(2.0)
+            u[k + m, k + m], u[k - m, k + m] = -1j / math.sqrt(2.0), 1j / math.sqrt(2.0)
+        expected = u.conj().T @ ctx.B @ u
+        assert relative_error(ctx.B_r, expected) <= 1e-13
+        assert np.array_equal(ctx.B_r, ctx.B_r.T)
+
+
+class TestResolventFallbacks:
+    def test_indefinite_takes_lu_and_matches_complex_inverse(self, rng):
+        # q = -2 + small: the constant mode of I + B is -1 at kappa = 1, so
+        # Cholesky fails and the LU fallback must still give the dense g
+        grid = TorusGrid.make(1.0, 16)
+        q = with_mean(random_field(grid, rng, amplitude=0.05), -2.0)
+        ctx = assemble_resolvent(q, 1.0)
+        n = len(ctx.omega)
+        assert np.min(np.linalg.eigvalsh(np.eye(n) + ctx.B_r)) < 0
+        expected = dense_green_coeffs(ctx, np.linalg.inv(np.eye(n) + ctx.B))
+        assert relative_error(green_diagonal(ctx).g.coeffs, expected) <= 1e-13
+
+    def test_singular_raises(self, unit_grid):
+        # q = -kappa^2 annihilates the constants: I + B_r has an exact zero row
+        q = field_from_modes(unit_grid, [(0, -4.0)])
+        with pytest.raises(SingularResolventError):
+            green_diagonal(assemble_resolvent(q, 2.0))
+
+
+def test_lag_sums_match_trace_loop(rng):
+    n = 7
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    diag = [np.trace(x, offset=-d) for d in range(-(n - 1), n)]
+    anti = [np.trace(x[:, ::-1], offset=n - 1 - s) for s in range(2 * n - 1)]
+    assert np.max(np.abs(_lag_sums(x) - diag)) <= 1e-13 * np.max(np.abs(diag))
+    assert np.max(np.abs(_lag_sums(x[:, ::-1]) - anti)) <= 1e-13 * np.max(np.abs(anti))
 
 
 class TestHsNorm:
