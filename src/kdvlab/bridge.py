@@ -37,7 +37,7 @@ from .spectral import (
     LineField,
     PeriodicField,
     TorusGrid,
-    _hermitize,
+    _coeffs_from_samples,
     derivative,
     make_field,
     periodize_samples,
@@ -372,8 +372,7 @@ def unwrap(u, plan, box_factor=2):
     lam = box_factor * L
     k_box = (n_box - 1) // 2
     grid = TorusGrid(lam, k_box, n_box)
-    chat = np.fft.fft(vals) / n_box
-    c = _hermitize(chat[grid.modes % n_box])
+    c = _coeffs_from_samples(grid, vals)
     c[k_box] = 0.0  # exact integral from the correction construction
     support = (theta_s - L + h / 4, theta_s - h / 4)
     return LineField(box=PeriodicField(grid, c), box_start=box_start,

@@ -14,7 +14,7 @@ outputs are CSV tables plus a manifest with sha256 digests.  Config blocks:
 
 squeeze and area take a scenario block instead (see squeeze.build_scenario).
 Exit codes: 0 success, 2 precondition failure (such as a mode with |j| > K,
-a mode entry without j, or a missing required block), 3 numerical
+a mode entry without j, or a missing required block or key), 3 numerical
 certification failure.
 """
 
@@ -40,20 +40,18 @@ from .flows import (
 )
 from .greens import alpha, assemble_resolvent, green_diagonal
 from .reporting import RunManifest, run_report, write_csv
-from .spectral import MultiplierSpec, TorusGrid, lp_project, sobolev_norm
+from .spectral import lp_project, sobolev_norm
 from .squeeze import (
     SearchBudget,
+    band_from_config,
     build_scenario,
+    config_values,
     escape_search,
     field_from_config,
+    grid_from_config,
     image_area,
     linear_oracle,
 )
-
-
-def _grid_from(cfg):
-    g = cfg["grid"]
-    return TorusGrid.make(g["length"], g["cutoff"], g.get("samples"))
 
 
 def _field_from(cfg, grid):
@@ -67,10 +65,18 @@ def _field_from(cfg, grid):
 
 def _flow_from(cfg):
     f = cfg["flow"]
-    kind = f["kind"]
+    (kind,) = config_values(f, "flow block", "kind")
     if kind == "hkappa_band":
-        return HamiltonianSpec.hkappa_band(f["kappa"], f["band"]["m"], f["band"]["M"])
+        kappa, band = config_values(f, "flow block", "kappa", "band")
+        return HamiltonianSpec(kind, kappa=float(kappa), band=band_from_config(band))
     return HamiltonianSpec(kind, kappa=f.get("kappa"))
+
+
+def _time_from(cfg, saves):
+    """FlowSpec keywords dt, T and saves from the time block (saves defaults to ``saves``)."""
+    t = cfg["time"]
+    dt, T = config_values(t, "time block", "dt", "T")
+    return {"dt": dt, "T": T, "saves": t.get("saves", saves)}
 
 
 def _manifest(cfg, outputs, out_dir, seeds=None):
@@ -82,11 +88,10 @@ def _manifest(cfg, outputs, out_dir, seeds=None):
 
 
 def cmd_evolve(cfg, out):
-    grid = _grid_from(cfg)
+    grid = grid_from_config(cfg["grid"])
     q0 = _field_from(cfg, grid)
-    t = cfg["time"]
-    spec = FlowSpec(_flow_from(cfg), dt=t["dt"], T=t["T"],
-                    saves=t.get("saves", 10), probes=tuple(cfg.get("probes", ())))
+    spec = FlowSpec(_flow_from(cfg), **_time_from(cfg, 10),
+                    probes=tuple(cfg.get("probes", ())))
     traj = evolve(q0, spec)
     coeff_header = ["t"]
     for j in range(-grid.cutoff, grid.cutoff + 1):
@@ -108,7 +113,7 @@ def cmd_evolve(cfg, out):
 
 
 def cmd_greens(cfg, out):
-    grid = _grid_from(cfg)
+    grid = grid_from_config(cfg["grid"])
     q = _field_from(cfg, grid)
     rows = []
     for kap in cfg.get("kappas", [2.0]):
@@ -121,7 +126,7 @@ def cmd_greens(cfg, out):
 
 
 def cmd_alpha(cfg, out):
-    grid = _grid_from(cfg)
+    grid = grid_from_config(cfg["grid"])
     q = _field_from(cfg, grid)
     rows = []
     for kap in cfg.get("kappas", [2.0, 4.0, 8.0]):
@@ -133,17 +138,15 @@ def cmd_alpha(cfg, out):
 
 
 def cmd_sweep_band(cfg, out):
-    grid = _grid_from(cfg)
+    grid = grid_from_config(cfg["grid"])
     q0 = _field_from(cfg, grid)
-    t = cfg["time"]
-    kap = cfg["flow"]["kappa"]
+    time_kw = _time_from(cfg, 10)
+    (kap,) = config_values(cfg["flow"], "flow block", "kappa")
     rows = []
     for band in cfg["bands"]:
-        m, M = band["m"], band["M"]
-        spec_full = FlowSpec(HamiltonianSpec.hkappa(kap), dt=t["dt"], T=t["T"],
-                             saves=t.get("saves", 10))
-        spec_band = FlowSpec(HamiltonianSpec.hkappa_band(kap, m, M), dt=t["dt"],
-                             T=t["T"], saves=t.get("saves", 10))
+        m, M = config_values(band, "band block", "m", "M")
+        spec_full = FlowSpec(HamiltonianSpec.hkappa(kap), **time_kw)
+        spec_band = FlowSpec(HamiltonianSpec.hkappa_band(kap, m, M), **time_kw)
         _, errs, _ = compare_flows(q0, q0, spec_band, spec_full)
         rate = m ** 0.5 + M ** (-0.5)
         rows.append([m, M, float(np.max(errs)), rate, float(np.max(errs)) / rate])
@@ -153,26 +156,23 @@ def cmd_sweep_band(cfg, out):
 
 
 def cmd_sweep_kappa(cfg, out):
-    grid = _grid_from(cfg)
+    grid = grid_from_config(cfg["grid"])
     q0 = _field_from(cfg, grid)
-    t = cfg["time"]
-    sweep = kappa_sweep(q0, cfg.get("kappas", [2.0, 4.0, 8.0]), T=t["T"], dt=t["dt"],
-                        saves=t.get("saves", 10))
+    sweep = kappa_sweep(q0, cfg.get("kappas", [2.0, 4.0, 8.0]), **_time_from(cfg, 10))
     rows = [[k, v] for k, v in sorted(sweep.items())]
     p = write_csv(os.path.join(out, "kappa_sweep.csv"), ["kappa", "sup_error"], rows)
     return _manifest(cfg, [p], out)
 
 
 def cmd_cutcompare(cfg, out):
-    grid = _grid_from(cfg)
-    band = MultiplierSpec.band(cfg["band"]["m"], cfg["band"]["M"])
+    grid = grid_from_config(cfg["grid"])
+    band = band_from_config(cfg["band"])
     u0 = lp_project(_field_from(cfg, grid), band)
-    part = build_partition(grid.length, cfg["partition"]["N"])
-    plan = select_cut(u0, part)
-    t = cfg["time"]
+    (n_windows,) = config_values(cfg["partition"], "partition block", "N")
+    plan = select_cut(u0, build_partition(grid.length, n_windows))
+    (kap,) = config_values(cfg["flow"], "flow block", "kappa")
     times, errs, (_, _, q0) = compare_local(
-        u0, plan, cfg["flow"]["kappa"], band, T=t["T"], dt=t["dt"],
-        saves=t.get("saves", 8), box_cutoff=cfg.get("box_cutoff"))
+        u0, plan, kap, band, **_time_from(cfg, 8), box_cutoff=cfg.get("box_cutoff"))
     with open(os.path.join(out, "cutplan.json"), "w") as fh:
         json.dump(plan.to_json_dict(), fh, sort_keys=True, indent=2)
     rows = list(zip(times, errs))
@@ -254,10 +254,7 @@ def main(argv=None):
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-        missing = [key for key in required if key not in cfg]
-        if missing:
-            raise PreconditionError(
-                f"{args.command} config lacks required block(s): {', '.join(missing)}")
+        config_values(cfg, f"{args.command} config", *required)
         command(cfg, args.out)
     except PreconditionError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)

@@ -26,9 +26,9 @@ import numpy as np
 
 from .errors import BlowUpError, PreconditionError
 from .greens import (
-    _pair_sums,
     alpha,
     assemble_resolvent,
+    first_order_green,
     green_diagonal,
     hs_norm,
     polynomial_invariants,
@@ -204,11 +204,8 @@ def linear_symbol(grid, ham):
     sym = 4.0 * kap ** 2 * two_pi_i_k
     if ham.kind == "hkappa_linear":
         return sym
-    # first-order symbol of 16 kappa^5 d/dx g(q), tail-completed lattice sum
-    k = grid.cutoff
-    _, s_ext, _ = _pair_sums(grid.length, k, kap)
-    s = s_ext[k:3 * k + 1]  # lags -K..K
-    gain = -16.0 * kap ** 5 * s / grid.length
+    # first-order symbol of 16 kappa^5 d/dx g(q)
+    gain = 16.0 * kap ** 5 * first_order_green(grid, kap)
     w = _band_values(ham, grid)
     return sym + two_pi_i_k * (gain * w * w)
 
@@ -300,7 +297,7 @@ def evolve(q0, spec, budget=DEFAULT_BUDGET):
     full = half * half
 
     def nonlinear(c):
-        f = PeriodicField(grid, _hermitize(c.copy()))
+        f = PeriodicField(grid, _hermitize(c))
         return rhs(f, ham).coeffs - lam * c
 
     warnings = []
@@ -308,7 +305,7 @@ def evolve(q0, spec, budget=DEFAULT_BUDGET):
 
     def check_budget(c, t):
         nonlocal certified
-        f = PeriodicField(grid, _hermitize(c.copy()))
+        f = PeriodicField(grid, _hermitize(c))
         if ham.kind in HKAPPA_KINDS and budget is not None:
             nrm = sobolev_norm(f, -1.0)
             if nrm > budget.delta0 and certified:

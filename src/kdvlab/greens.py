@@ -35,11 +35,17 @@ are taken from B_r as well.  The complex B, A and ``apply_operator`` are
 built only on first use: they are oracles for the tests and the series routes.
 
 Two exactness conventions: the free diagonal constant on the circle is the
-closed form coth(kappa l / 2) / (2 kappa) rather than the truncated lattice
-sum, and the first-order/second-order lattice tails beyond the mode cutoff
-are completed by explicit summation in ``green_diagonal`` and ``alpha``, so
-both converge to their circle values as K grows instead of inheriting an
-O(K^-3) floor.  The series oracles keep the bare truncation.
+closed form g0 = coth(kappa l / 2) / (2 kappa) rather than the truncated
+lattice sum, and ``green_diagonal`` and ``alpha`` add the lattice tails S - S_K
+beyond the mode cutoff, so both converge to their circle values as K grows
+instead of inheriting an O(K^-3) floor.  S_K(d) is the in-window sum the dense
+matrix sees; the full sum S(d) = sum_{a in Z} 1/(omega_a omega_{a-d}) has the
+closed form (k = d/l)
+
+    S(d) / l = 2 g0 / (4 pi^2 k^2 + 4 kappa^2)
+               + [d = 0] l e^{-kappa l} / (2 kappa^2 (1 - e^{-kappa l})^2).
+
+The series oracles keep the bare truncation.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.signal import fftconvolve
 
 from .errors import LogDetBranchError, PreconditionError, SingularResolventError
 from .spectral import (
@@ -59,7 +64,6 @@ from .spectral import (
     cubic_integral,
 )
 
-TAIL_SUM_MIN = 4096  # half-width of the extended lattice used for tail completion
 HERMITIAN_RTOL = 1e-12  # allowed asymmetry of qhat(-d) vs conj qhat(d), relative to max |qhat|
 SQRT2 = math.sqrt(2.0)
 
@@ -76,28 +80,27 @@ def omega_values(grid, kappa):
     return 4.0 * math.pi ** 2 * k * k + kappa * kappa
 
 
-@lru_cache(maxsize=64)
-def _pair_sums(length, cutoff, kappa):
-    """Lattice sums S_K(d), S_ext(d) of 1/(omega_a omega_{a-d}), |d| <= 2K.
+def first_order_green(grid, kappa):
+    """m = -S/l, the part of g linear in q: ghat(d) = g0 [d = 0] + m(d) qhat(d) + O(q^2).
 
-    S_K restricts both indices to the cutoff window (exactly what the dense
-    matrix sees); S_ext sums over a window wide enough that the remainder is
-    far below rounding for every quantity built on top.
+    Off d = 0, m = -2 g0 / (4 pi^2 k^2 + 4 kappa^2): g ~ g0 - 2 g0 (-d^2 + 4 kappa^2)^{-1} q.
     """
-    two_pi_sq = 4.0 * math.pi ** 2
+    k, length = grid.frequencies, grid.length
+    m = -2.0 * free_diagonal_constant(kappa, length) / (4.0 * math.pi ** 2 * k * k
+                                                        + 4.0 * kappa * kappa)
+    m[grid.cutoff] -= length * math.exp(-kappa * length) / (
+        2.0 * kappa * kappa * math.expm1(-kappa * length) ** 2)
+    return m
 
-    def inv_omega(js):
-        return 1.0 / (two_pi_sq * (js / length) ** 2 + kappa * kappa)
 
-    w_in = inv_omega(np.arange(-cutoff, cutoff + 1))
-    corr_in = fftconvolve(w_in, w_in[::-1])
-    kext = max(TAIL_SUM_MIN, 8 * cutoff)
-    w_ext = inv_omega(np.arange(-kext, kext + 1))
-    corr_ext = fftconvolve(w_ext, w_ext[::-1])
-    lags = np.arange(-2 * cutoff, 2 * cutoff + 1)
-    s_in = corr_in[lags + 2 * cutoff]
-    s_ext = corr_ext[lags + 2 * kext]
-    return s_in, s_ext, float(np.sum(w_in))
+@lru_cache(maxsize=64)
+def _pair_sums(grid, kappa):
+    """S_K(d) (a direct correlation) and S(d) for |d| <= K, and sum_{|a|<=K} 1/omega_a."""
+    inv_omega = 1.0 / omega_values(grid, kappa)
+    k = grid.cutoff
+    s_in = np.correlate(inv_omega, inv_omega, "full")[k:3 * k + 1]
+    s_full = -grid.length * first_order_green(grid, kappa)
+    return s_in, s_full, float(np.sum(inv_omega))
 
 
 @dataclass
@@ -162,9 +165,6 @@ class ResolventContext:
                     smallest_singular_value=smin,
                 ) from exc
         return self._inv_ib
-
-    def pair_sums(self):
-        return _pair_sums(self.grid.length, self.grid.cutoff, self.kappa)
 
 
 def _real_basis_inv_sqrt(omega):
@@ -247,14 +247,6 @@ def _lag_sums(x):
     return buf.ravel()[:n * (2 * n - 1)].reshape(n, 2 * n - 1).sum(axis=0)
 
 
-def _completion_term(ctx):
-    """First-order lattice-tail completion of g: -qhat(d) (S_ext - S_K)(d) / l."""
-    s_in, s_ext, _ = ctx.pair_sums()
-    k = ctx.grid.cutoff
-    w = (s_ext - s_in)[k:3 * k + 1]  # lags -K..K
-    return -ctx.q.coeffs * w / ctx.grid.length
-
-
 def green_diagonal(ctx):
     """Diagonal Green's function x -> G(x, x; kappa; q) by direct dense solve."""
     grid = ctx.grid
@@ -284,9 +276,9 @@ def green_diagonal(ctx):
     ghat = (re + 1j * im) / grid.length
     c = np.concatenate((np.conj(ghat[:0:-1]), ghat))
     free = free_diagonal_constant(ctx.kappa, grid.length)
-    _, _, sum_inv_omega = ctx.pair_sums()
+    s_in, s_full, sum_inv_omega = _pair_sums(grid, ctx.kappa)
     c[k] += free - sum_inv_omega / grid.length
-    c += _completion_term(ctx)
+    c -= ctx.q.coeffs * (s_full - s_in) / grid.length  # first-order lattice tail
     g = PeriodicField(grid, _hermitize(c))
     return GreenResult(g=g, kappa=ctx.kappa, method="direct", free_constant=free)
 
@@ -301,7 +293,7 @@ def green_diagonal_series(q, kappa, l_max):
     ctx = assemble_resolvent(q, kappa)
     grid = ctx.grid
     free = free_diagonal_constant(kappa, grid.length)
-    _, _, sum_inv_omega = ctx.pair_sums()
+    _, _, sum_inv_omega = _pair_sums(grid, kappa)
     inv_sq = 1.0 / np.sqrt(ctx.omega)
     scale = np.outer(inv_sq, inv_sq)
 
@@ -344,14 +336,6 @@ class AlphaResult:
     certified: bool = True
 
 
-def _alpha_completion(ctx):
-    s_in, s_ext, _ = ctx.pair_sums()
-    qsq = np.abs(ctx.q.coeffs) ** 2
-    k = ctx.grid.cutoff
-    w = (s_ext - s_in)[k:3 * k + 1]
-    return 0.5 * float(np.sum(qsq * w))
-
-
 def alpha(ctx):
     """alpha(kappa; q) = -log det(I+B) + tr B via the eigenvalues of B_r."""
     evals = np.linalg.eigvalsh(ctx.B_r)
@@ -359,9 +343,10 @@ def alpha(ctx):
         raise LogDetBranchError(
             f"eigenvalue of I+B at or below zero (min {1.0 + float(np.min(evals)):.3e})"
         )
-    _, _, sum_inv_omega = ctx.pair_sums()
+    s_in, s_full, sum_inv_omega = _pair_sums(ctx.grid, ctx.kappa)
     trace_b = float(ctx.q.coeffs[ctx.grid.cutoff].real) * sum_inv_omega
-    value = -float(np.sum(np.log1p(evals))) + trace_b + _alpha_completion(ctx)
+    tail = 0.5 * float(np.sum(np.abs(ctx.q.coeffs) ** 2 * (s_full - s_in)))  # second order
+    value = -float(np.sum(np.log1p(evals))) + trace_b + tail
     return AlphaResult(value=value, kappa=ctx.kappa, method="logdet", hs_norm=hs_norm(ctx))
 
 

@@ -86,6 +86,12 @@ def _hermitize(coeffs):
     return c
 
 
+def _coeffs_from_samples(grid, values):
+    """Hermitized coefficients of modes |j| <= K from grid.samples equispaced real values."""
+    chat = np.fft.fft(values) / grid.samples
+    return _hermitize(chat[grid.modes % grid.samples])
+
+
 @dataclass(frozen=True)
 class PeriodicField:
     """Real field on T_l held as Hermitian-symmetric Fourier coefficients."""
@@ -179,9 +185,7 @@ def make_field(grid, samples=None, coeffs=None):
         raise PreconditionError(f"expected {grid.samples} samples, got {len(s)}")
     if not np.all(np.isfinite(s)):
         raise PreconditionError("non-finite samples")
-    chat = np.fft.fft(s) / grid.samples
-    c = chat[grid.modes % grid.samples]
-    return PeriodicField(grid, _hermitize(c))
+    return PeriodicField(grid, _coeffs_from_samples(grid, s))
 
 
 def zero_field(grid):
@@ -286,10 +290,8 @@ def make_line_field(box_length, cutoff, func, support, box_start=None, samples=N
     vals = np.asarray(func(x), dtype=float) if callable(func) else np.asarray(func, float)
     if len(vals) != n:
         raise PreconditionError("sample array length does not match the box grid")
-    chat = np.fft.fft(vals) / n
-    c = _hermitize(chat[grid.modes % n])
+    c = _coeffs_from_samples(grid, vals)
     if pin_integral is not None:
-        c = c.copy()
         c[grid.cutoff] = pin_integral / box_length
     field = PeriodicField(grid, c)
     return LineField(box=field, box_start=float(box_start), support=tuple(support),
@@ -330,12 +332,10 @@ def _extended_line_field(f, factor=2):
     start2 = f.box_start - offset * grid.spacing
     s2 = np.zeros(n2)
     s2[offset:offset + grid.samples] = vals
-    chat = np.fft.fft(s2) / n2
     k2 = factor * grid.cutoff
     grid2 = TorusGrid(factor * grid.length, k2, n2)
-    c = _hermitize(chat[grid2.modes % n2])
+    c = _coeffs_from_samples(grid2, s2)
     if f.exact_samples is not None and f.box.is_mean_zero():
-        c = c.copy()
         c[k2] = 0.0
     box2 = PeriodicField(grid2, c)
     return LineField(box=box2, box_start=start2, support=f.support, exact_samples=None)

@@ -80,6 +80,25 @@ def periodized_field(func, grid, translates=6):
     return make_field(grid, samples=total)
 
 
+def config_values(block, where, *keys):
+    """block[key] for each key; a missing key is a PreconditionError naming it."""
+    for key in keys:
+        if key not in block:
+            raise PreconditionError(f'{where} lacks the key "{key}"')
+    return [block[key] for key in keys]
+
+
+def grid_from_config(block):
+    """TorusGrid from a {length, cutoff, samples (optional)} block."""
+    length, cutoff = config_values(block, "grid block", "length", "cutoff")
+    return TorusGrid.make(length, cutoff, block.get("samples"))
+
+
+def band_from_config(block):
+    """Band multiplier from an {m, M} block."""
+    return MultiplierSpec.band(*config_values(block, "band block", "m", "M"))
+
+
 def field_from_config(block, grid):
     """Field from a config block: a ``modes`` list {j, re, im}, else a prototype."""
     if "modes" in block:
@@ -134,20 +153,22 @@ def build_scenario(config):
     flow {kind, kappa?}, seed.  Centers are periodized then band-projected
     (hence mean-zero); observables are renormalized to unit Hdot^{1/2}.
     """
-    gcfg = config["grid"]
-    grid = TorusGrid.make(gcfg["length"], gcfg["cutoff"], gcfg.get("samples"))
-    band = MultiplierSpec.band(config["band"]["m"], config["band"]["M"])
-    z_raw = field_from_config(config["center"], grid)
+    grid_cfg, band_cfg, center, observable, r, R, T = config_values(
+        config, "scenario block", "grid", "band", "center", "observable", "r", "R", "T")
+    grid = grid_from_config(grid_cfg)
+    band = band_from_config(band_cfg)
+    z_raw = field_from_config(center, grid)
     zeta = lp_project(z_raw, band)
-    l_raw = field_from_config(config["observable"], grid)
+    l_raw = field_from_config(observable, grid)
     l_proj = lp_project(l_raw, band)
     l_norm = sobolev_norm(l_proj, 0.5, homogeneous=True)
     if l_norm < 1e-12:
         raise PreconditionError("projected observable is numerically zero")
     lam = l_proj * (1.0 / l_norm)
     fcfg = config.get("flow", {"kind": "kdv"})
-    flow = HamiltonianSpec(fcfg["kind"], kappa=fcfg.get("kappa"),
-                           band=band if fcfg["kind"] == "hkappa_band" else None)
+    (kind,) = config_values(fcfg, "flow block", "kind")
+    flow = HamiltonianSpec(kind, kappa=fcfg.get("kappa"),
+                           band=band if kind == "hkappa_band" else None)
     zeta_norm = sobolev_norm(zeta, -0.5, homogeneous=True) if np.any(np.abs(zeta.coeffs) > 0) else 0.0
     record = {
         "grid": {"length": grid.length, "cutoff": grid.cutoff, "samples": grid.samples},
@@ -157,7 +178,7 @@ def build_scenario(config):
     }
     return SqueezeScenario(
         center=zeta, observable=lam, alpha_target=float(config.get("alpha", 0.0)),
-        r=float(config["r"]), R=float(config["R"]), T=float(config["T"]),
+        r=float(r), R=float(R), T=float(T),
         flow=flow, band=band, seed=int(config.get("seed", 0)), record=record,
     )
 

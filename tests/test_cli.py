@@ -1,6 +1,9 @@
 """CLI subcommands: config parsing, outputs, manifests, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -47,12 +50,28 @@ EVOLVE = {
 }
 
 
-@pytest.mark.parametrize("cfg, key", [
-    (dict(EVOLVE, initial={"modes": [{"re": 0.1}]}), '"j"'),
-    ({k: v for k, v in EVOLVE.items() if k != "time"}, "time"),
-], ids=["mode_without_j", "no_time_block"])
-def test_missing_key_exit_code_2(tmp_path, capsys, cfg, key):
-    code, _ = run_cli(tmp_path, "evolve", cfg)
+SCENARIO = {
+    "grid": {"length": 16.0, "cutoff": 48},
+    "band": {"m": 0.25, "M": 2.0},
+    "center": {"kind": "gauss_prime", "width": 1.0, "amplitude": 0.05},
+    "observable": {"kind": "gauss_bump", "width": 1.5, "amplitude": 1.0},
+    "alpha": 0.01, "r": 0.02, "R": 0.04, "T": 0.7,
+    "flow": {"kind": "kdv_linear"},
+    "seed": 42,
+}
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("evolve", dict(EVOLVE, initial={"modes": [{"re": 0.1}]}), '"j"'),
+    ("evolve", {k: v for k, v in EVOLVE.items() if k != "time"}, "time"),
+    ("evolve", dict(EVOLVE, time={"T": 0.01}), '"dt"'),
+    ("squeeze", {"scenario": {k: v for k, v in SCENARIO.items() if k != "r"}}, '"r"'),
+    ("squeeze", {"scenario": dict(SCENARIO, band={"m": 0.25})}, '"M"'),
+    ("evolve", dict(EVOLVE, flow={"kind": "hkappa_band", "kappa": 4.0}), '"band"'),
+], ids=["mode_without_j", "no_time_block", "time_without_dt", "scenario_without_r",
+        "band_without_M", "hkappa_band_without_band"])
+def test_missing_key_exit_code_2(tmp_path, capsys, command, cfg, key):
+    code, _ = run_cli(tmp_path, command, cfg)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition failure:") and key in err
@@ -113,17 +132,6 @@ def test_cutcompare(tmp_path):
     plan = json.loads((out / "cutplan.json").read_text())
     assert plan["case"] in ("single", "pair-left", "pair-right")
     assert (out / "cut_error.csv").exists()
-
-
-SCENARIO = {
-    "grid": {"length": 16.0, "cutoff": 48},
-    "band": {"m": 0.25, "M": 2.0},
-    "center": {"kind": "gauss_prime", "width": 1.0, "amplitude": 0.05},
-    "observable": {"kind": "gauss_bump", "width": 1.5, "amplitude": 1.0},
-    "alpha": 0.01, "r": 0.02, "R": 0.04, "T": 0.7,
-    "flow": {"kind": "kdv_linear"},
-    "seed": 42,
-}
 
 
 def test_squeeze_linear(tmp_path):
@@ -187,3 +195,11 @@ def test_certification_failure_exit_code_3(tmp_path):
     }
     code, _ = run_cli(tmp_path, "evolve", cfg)
     assert code == 3
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    code = "import sys, kdvlab.cli; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

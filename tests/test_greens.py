@@ -24,7 +24,7 @@ from kdvlab import (
     zero_field,
 )
 from kdvlab.errors import LogDetBranchError, PreconditionError, SingularResolventError
-from kdvlab.greens import _alpha_completion, _completion_term, _lag_sums
+from kdvlab.greens import _lag_sums, _pair_sums
 from kdvlab.spectral import PeriodicField, product_coeffs
 
 from conftest import random_field
@@ -76,6 +76,28 @@ class TestAssembly:
             assemble_resolvent(PeriodicField(unit_grid, c), 2.0)
 
 
+@pytest.mark.parametrize("length, cutoff, kappa", [
+    (2 * math.pi, 64, 4.0), (2 * math.pi, 24, 1.0), (8 * math.pi, 288, 4.0), (40.0, 288, 2.0),
+])
+def test_pair_sums_match_long_lattice(length, cutoff, kappa):
+    """S_K against the window sum, and the closed-form S against |a| <= 2^21,
+    whose dropped tail is below 2e-14 of S(d) for these lags."""
+    grid = TorusGrid.make(length, cutoff)
+    s_in, s_full, _ = _pair_sums(grid, kappa)
+
+    def inv_omega(a):
+        return 1.0 / (4.0 * math.pi ** 2 * (a / length) ** 2 + kappa ** 2)
+
+    window = np.arange(-cutoff, cutoff + 1.0)
+    lattice = np.arange(-2.0 ** 21, 2.0 ** 21 + 1.0)
+    for d in (0, 1, cutoff):
+        both_in = window[window - d >= -cutoff]
+        expected_in = math.fsum(memoryview(inv_omega(both_in) * inv_omega(both_in - d)))
+        assert abs(s_in[cutoff + d] - expected_in) <= 1e-13 * expected_in
+        expected = math.fsum(memoryview(inv_omega(lattice) * inv_omega(lattice - d)))
+        assert abs(s_full[cutoff + d] - expected) <= 1e-13 * expected
+
+
 def dense_green_coeffs(ctx, inverse):
     """g_hat from a complex (I+B)^{-1}: lag sums of D^{-1/2} inverse D^{-1/2}
     plus the free-constant and tail-completion terms of ``green_diagonal``."""
@@ -84,9 +106,15 @@ def dense_green_coeffs(ctx, inverse):
     inv_sq = 1.0 / np.sqrt(ctx.omega)
     m = inverse * np.outer(inv_sq, inv_sq)
     c = np.array([np.trace(m, offset=-d) for d in range(-k, k + 1)]) / grid.length
-    _, _, sum_inv_omega = ctx.pair_sums()
+    s_in, s_full, sum_inv_omega = _pair_sums(grid, ctx.kappa)
     c[k] += free_diagonal_constant(ctx.kappa, grid.length) - sum_inv_omega / grid.length
-    return c + _completion_term(ctx)
+    return c - ctx.q.coeffs * (s_full - s_in) / grid.length
+
+
+def alpha_tail(ctx):
+    """The second-order lattice-tail term of ``alpha``: sum_d |qhat(d)|^2 (S - S_K)(d) / 2."""
+    s_in, s_full, _ = _pair_sums(ctx.grid, ctx.kappa)
+    return 0.5 * np.sum(np.abs(ctx.q.coeffs) ** 2 * (s_full - s_in))
 
 
 def with_mean(q, mean):
@@ -118,7 +146,7 @@ class TestRealBasisMatchesComplexOracle:
 
     def test_alpha(self, ctx):
         expected = (-np.sum(np.log1p(np.linalg.eigvalsh(ctx.B)))
-                    + np.trace(ctx.B).real + _alpha_completion(ctx))
+                    + np.trace(ctx.B).real + alpha_tail(ctx))
         assert abs(alpha(ctx).value - expected) <= 1e-13 * abs(expected)
 
     def test_real_matrix_is_unitary_conjugate(self, ctx):
