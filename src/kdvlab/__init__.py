@@ -15,7 +15,6 @@ from .spectral import (
     MultiplierSpec,
     PeriodicField,
     TorusGrid,
-    dealiased_product,
     derivative,
     field_from_modes,
     line_norm_refinement,
@@ -58,6 +57,7 @@ from .flows import (
     calibrate_budget,
     compare_flows,
     evolve,
+    evolve_batch,
     hamiltonian_value,
     kappa_sweep,
     monitors,

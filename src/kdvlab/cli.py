@@ -12,10 +12,22 @@ outputs are CSV tables plus a manifest with sha256 digests.  Config blocks:
            kappa, band: {m, M} (hkappa_band only)}
   time     {dt, T, saves (optional)}
 
-squeeze and area take a scenario block instead (see squeeze.build_scenario).
+squeeze and area take a scenario block instead (see squeeze.build_scenario),
+and each an optional block whose keys are all optional; a key left out takes
+the default of squeeze.SearchBudget or squeeze.image_area:
+
+  search   (squeeze) {starts: seeded ball samples (2 informed starts are
+           added), rounds: ascent rounds, step: first ascent step as a
+           fraction of R, dt: time step, directions: modes tried per round}
+  area     (area) {resolution: occupancy cells per side, rings, angles: the
+           polar slice samples (default resolution//2 + 1 and
+           ceil(pi * resolution)), dt: time step}
+
 Exit codes: 0 success, 2 precondition failure (such as a mode with |j| > K,
-a mode entry without j, or a missing required block or key), 3 numerical
-certification failure.
+a mode entry without j, a missing required block or key, a value of the
+wrong type, or an unknown key in a grid, time, flow, band, partition, search,
+area, scenario, prototype or mode entry block), 3 numerical certification
+failure.
 """
 
 from __future__ import annotations
@@ -45,9 +57,12 @@ from .squeeze import (
     SearchBudget,
     band_from_config,
     build_scenario,
+    config_number,
+    config_numbers,
     config_values,
     escape_search,
     field_from_config,
+    flow_from_config,
     grid_from_config,
     image_area,
     linear_oracle,
@@ -63,20 +78,21 @@ def _field_from(cfg, grid):
     raise PreconditionError("initial data must give 'modes' or 'prototype'")
 
 
-def _flow_from(cfg):
-    f = cfg["flow"]
-    (kind,) = config_values(f, "flow block", "kind")
-    if kind == "hkappa_band":
-        kappa, band = config_values(f, "flow block", "kappa", "band")
-        return HamiltonianSpec(kind, kappa=float(kappa), band=band_from_config(band))
-    return HamiltonianSpec(kind, kappa=f.get("kappa"))
-
-
 def _time_from(cfg, saves):
     """FlowSpec keywords dt, T and saves from the time block (saves defaults to ``saves``)."""
-    t = cfg["time"]
-    dt, T = config_values(t, "time block", "dt", "T")
-    return {"dt": dt, "T": T, "saves": t.get("saves", saves)}
+    return {"saves": saves, **config_numbers(cfg["time"], "time block", ("dt", "T"), dt=float,
+                                             T=float, saves=int)}
+
+
+def _kappa(cfg):
+    """kappa from the flow block."""
+    return config_numbers(cfg["flow"], "flow block", ("kappa",), kind=None, kappa=float,
+                          band=None)["kappa"]
+
+
+def _numbers(cfg, key, default):
+    """The list cfg[key] (``default`` when absent), each entry checked to be a number."""
+    return [config_number(v, f"{key} list", key) for v in cfg.get(key, default)]
 
 
 def _manifest(cfg, outputs, out_dir, seeds=None):
@@ -90,8 +106,8 @@ def _manifest(cfg, outputs, out_dir, seeds=None):
 def cmd_evolve(cfg, out):
     grid = grid_from_config(cfg["grid"])
     q0 = _field_from(cfg, grid)
-    spec = FlowSpec(_flow_from(cfg), **_time_from(cfg, 10),
-                    probes=tuple(cfg.get("probes", ())))
+    spec = FlowSpec(flow_from_config(cfg["flow"]), **_time_from(cfg, 10),
+                    probes=tuple(_numbers(cfg, "probes", ())))
     traj = evolve(q0, spec)
     coeff_header = ["t"]
     for j in range(-grid.cutoff, grid.cutoff + 1):
@@ -116,7 +132,7 @@ def cmd_greens(cfg, out):
     grid = grid_from_config(cfg["grid"])
     q = _field_from(cfg, grid)
     rows = []
-    for kap in cfg.get("kappas", [2.0]):
+    for kap in _numbers(cfg, "kappas", [2.0]):
         res = green_diagonal(assemble_resolvent(q, kap))
         xs = grid.points
         gs = res.g.samples_values()
@@ -129,7 +145,7 @@ def cmd_alpha(cfg, out):
     grid = grid_from_config(cfg["grid"])
     q = _field_from(cfg, grid)
     rows = []
-    for kap in cfg.get("kappas", [2.0, 4.0, 8.0]):
+    for kap in _numbers(cfg, "kappas", [2.0, 4.0, 8.0]):
         ctx = assemble_resolvent(q, kap)
         a = alpha(ctx)
         rows.append([kap, a.value, a.hs_norm])
@@ -141,10 +157,10 @@ def cmd_sweep_band(cfg, out):
     grid = grid_from_config(cfg["grid"])
     q0 = _field_from(cfg, grid)
     time_kw = _time_from(cfg, 10)
-    (kap,) = config_values(cfg["flow"], "flow block", "kappa")
+    kap = _kappa(cfg)
     rows = []
-    for band in cfg["bands"]:
-        m, M = config_values(band, "band block", "m", "M")
+    for band in map(band_from_config, cfg["bands"]):
+        m, M = band.N, band.M
         spec_full = FlowSpec(HamiltonianSpec.hkappa(kap), **time_kw)
         spec_band = FlowSpec(HamiltonianSpec.hkappa_band(kap, m, M), **time_kw)
         _, errs, _ = compare_flows(q0, q0, spec_band, spec_full)
@@ -158,7 +174,7 @@ def cmd_sweep_band(cfg, out):
 def cmd_sweep_kappa(cfg, out):
     grid = grid_from_config(cfg["grid"])
     q0 = _field_from(cfg, grid)
-    sweep = kappa_sweep(q0, cfg.get("kappas", [2.0, 4.0, 8.0]), **_time_from(cfg, 10))
+    sweep = kappa_sweep(q0, _numbers(cfg, "kappas", [2.0, 4.0, 8.0]), **_time_from(cfg, 10))
     rows = [[k, v] for k, v in sorted(sweep.items())]
     p = write_csv(os.path.join(out, "kappa_sweep.csv"), ["kappa", "sup_error"], rows)
     return _manifest(cfg, [p], out)
@@ -168,11 +184,13 @@ def cmd_cutcompare(cfg, out):
     grid = grid_from_config(cfg["grid"])
     band = band_from_config(cfg["band"])
     u0 = lp_project(_field_from(cfg, grid), band)
-    (n_windows,) = config_values(cfg["partition"], "partition block", "N")
+    n_windows = config_numbers(cfg["partition"], "partition block", ("N",), N=int)["N"]
     plan = select_cut(u0, build_partition(grid.length, n_windows))
-    (kap,) = config_values(cfg["flow"], "flow block", "kappa")
+    box_cutoff = cfg.get("box_cutoff")
+    if box_cutoff is not None:
+        box_cutoff = config_number(box_cutoff, "cutcompare config", "box_cutoff", int)
     times, errs, (_, _, q0) = compare_local(
-        u0, plan, kap, band, **_time_from(cfg, 8), box_cutoff=cfg.get("box_cutoff"))
+        u0, plan, _kappa(cfg), band, **_time_from(cfg, 8), box_cutoff=box_cutoff)
     with open(os.path.join(out, "cutplan.json"), "w") as fh:
         json.dump(plan.to_json_dict(), fh, sort_keys=True, indent=2)
     rows = list(zip(times, errs))
@@ -185,10 +203,8 @@ def cmd_cutcompare(cfg, out):
 
 def cmd_squeeze(cfg, out):
     scenario = build_scenario(cfg["scenario"])
-    b = cfg.get("search", {})
-    budget = SearchBudget(starts=b.get("starts", 16), rounds=b.get("rounds", 2),
-                          step=b.get("step", 0.5), dt=b.get("dt", 1e-3),
-                          directions=b.get("directions", 8))
+    budget = SearchBudget(**config_numbers(cfg.get("search", {}), "search block", starts=int,
+                                           rounds=int, step=float, dt=float, directions=int))
     result = escape_search(scenario, budget)
     rows = [[scenario.r, scenario.R, result.value, int(result.exceeds_r),
              result.evaluations]]
@@ -204,10 +220,8 @@ def cmd_squeeze(cfg, out):
 
 def cmd_area(cfg, out):
     scenario = build_scenario(cfg["scenario"])
-    acfg = cfg.get("area", {})
-    res = image_area(scenario, resolution=acfg.get("resolution", 512),
-                     rings=acfg.get("rings"), angles=acfg.get("angles"),
-                     dt=acfg.get("dt", 1e-3))
+    res = image_area(scenario, **config_numbers(cfg.get("area", {}), "area block", resolution=int,
+                                                rings=int, angles=int, dt=float))
     expected = float(np.pi * scenario.R ** 2)
     rows = [[scenario.R, res.area, expected, res.area / expected, res.occupied_cells,
              res.resolution]]

@@ -15,6 +15,14 @@ Airy symbol for KdV, and for the Green's-function flows the transport symbol
 dispersive stiffness (the transport parts cancel at leading order as kappa
 grows).  Only the genuinely nonlinear remainder is stepped by RK4, so step
 sizes are set by accuracy on the data's own frequencies, not by the grid.
+
+One RK4 loop steps a (B, 2K+1) stack of coefficient rows: ``evolve`` is the
+stack of one, ``evolve_batch`` runs many initial data side by side.  The KdV
+remainder 3 d/dx (q^2) is computed for the whole stack from the nonnegative
+modes by one inverse and one forward real FFT of length next_fast_len(3K+1)
+(no aliasing onto |j| <= K); other kinds call ``rhs`` per row.  A row whose
+``rhs`` raises or whose L^2 norm doubles in a step stops with its error
+while the other rows go on.
 """
 
 from __future__ import annotations
@@ -23,8 +31,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 
-from .errors import BlowUpError, PreconditionError
+from .errors import BlowUpError, KdvLabError, PreconditionError
 from .greens import (
     alpha,
     assemble_resolvent,
@@ -41,7 +50,6 @@ from .spectral import (
     cubic_integral,
     derivative,
     make_field,
-    product_coeffs,
     sobolev_norm,
 )
 
@@ -159,14 +167,21 @@ def _band_values(ham, grid):
     return ham.band.values(grid.frequencies)
 
 
+def _kdv_nonlinear(c, grid):
+    """Dealiased 3 d/dx (q^2), |j| <= K, per Hermitian row of c (reads c[..., K:])."""
+    k = grid.cutoff
+    n = next_fast_len(3 * k + 1)
+    q = np.fft.irfft(c[..., k:], n, norm="forward")
+    sq = np.fft.rfft(q * q, norm="forward")[..., :k + 1]
+    d = (6j * math.pi / grid.length) * np.arange(k + 1) * sq
+    return np.concatenate((np.conj(d[..., :0:-1]), d), axis=-1)
+
+
 def rhs(q, ham):
     """The right-hand side of the selected evolution at state q."""
     grid = q.grid
     if ham.kind == "kdv":
-        cubic = derivative(q, 3)
-        sq = PeriodicField(grid, product_coeffs(q.coeffs, q.coeffs, grid.cutoff,
-                                                grid.cutoff, grid.cutoff))
-        return PeriodicField(grid, -cubic.coeffs + 3.0 * derivative(sq, 1).coeffs)
+        return PeriodicField(grid, -derivative(q, 3).coeffs + _kdv_nonlinear(q.coeffs, grid))
     if ham.kind == "kdv_linear":
         return -1.0 * derivative(q, 3)
     kap = ham.kappa
@@ -249,13 +264,8 @@ class Trajectory:
 
     def coeff_table(self):
         """Rows of (t, re c_-K, im c_-K, ..., re c_K, im c_K)."""
-        rows = []
-        for t, s in zip(self.times, self.states):
-            row = [t]
-            for c in s.coeffs:
-                row.extend((c.real, c.imag))
-            rows.append(row)
-        return rows
+        c = np.array([s.coeffs for s in self.states], dtype=complex)
+        return np.column_stack((self.times, c.view(float))).tolist()
 
 
 def _monitor_state(q, probes):
@@ -274,6 +284,75 @@ def _columns(records):
     return {key: np.array([r[key] for r in records]) for key in records[0]}
 
 
+def _lawson_rk4(q0s, spec, on_save=None):
+    """Per member of q0s (one shared grid): its final coefficient row, or the
+    ``KdvLabError`` (rhs failure or ``BlowUpError``) that dropped it from the
+    stack.  ``on_save(t, c)`` gets the running stack at t = 0 and each save.
+    """
+    grid = q0s[0].grid
+    if any(q.grid != grid for q in q0s):
+        raise PreconditionError("a batch of initial data needs one shared grid")
+    ham = spec.hamiltonian
+    n_steps = max(1, int(math.ceil(spec.T / spec.dt - 1e-12))) if spec.T > 0 else 0
+    dt = spec.T / n_steps if n_steps else spec.dt
+    save_steps = set(np.round(np.linspace(0, n_steps, spec.saves + 1)).astype(int).tolist())
+
+    lam = linear_symbol(grid, ham)
+    half = np.exp(lam * (dt / 2.0))
+    full = half * half
+
+    def nonlinear(c, failed):
+        if ham.kind == "kdv":
+            return _kdv_nonlinear(c, grid)
+        out = np.zeros_like(c)
+        for i, row in enumerate(c):
+            if i not in failed:
+                try:
+                    out[i] = rhs(PeriodicField(grid, _hermitize(row)), ham).coeffs - lam * row
+                except KdvLabError as exc:
+                    failed[i] = exc
+        return out
+
+    def norms(c):
+        """L^2 norm of each coefficient row (the sum of squares of the float view)."""
+        v = c.view(float)
+        return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+    c = _hermitize(np.array([q.coeffs for q in q0s], dtype=complex))
+    members = np.arange(len(q0s))
+    results = [None] * len(q0s)
+    if on_save is not None:
+        on_save(0.0, c)
+    for step in range(1, n_steps + 1):
+        failed = {}
+        norm_before = norms(c)
+        a = nonlinear(c, failed)
+        b = nonlinear(half * (c + (dt / 2.0) * a), failed)
+        cc = nonlinear(half * c + (dt / 2.0) * b, failed)
+        d = nonlinear(full * c + dt * half * cc, failed)
+        c = _hermitize(full * c + (dt / 6.0) * (full * a + 2.0 * half * (b + cc) + d))
+        norm_after = norms(c)
+        for i in np.flatnonzero((norm_after > 2.0 * norm_before) & (norm_before > 1e-300)):
+            before, after = float(norm_before[i]), float(norm_after[i])
+            failed.setdefault(i, BlowUpError(
+                f"L^2 norm doubled within one step at t={step * dt:.6g} "
+                f"({before:.3e} -> {after:.3e}); reduce dt or data size",
+                time=step * dt, norm_before=before, norm_after=after))
+        if failed:
+            for i, exc in failed.items():
+                results[members[i]] = exc
+            keep = [i not in failed for i in range(len(c))]
+            c, members = c[keep], members[keep]
+            if not len(c):
+                break
+        if on_save is not None and step in save_steps:
+            on_save(step * dt, c)
+
+    for i, row in zip(members, c):
+        results[i] = row
+    return results
+
+
 def evolve(q0, spec, budget=DEFAULT_BUDGET):
     """Integrate the selected flow from q0; states on a uniform output grid.
 
@@ -283,29 +362,13 @@ def evolve(q0, spec, budget=DEFAULT_BUDGET):
     """
     grid = q0.grid
     ham = spec.hamiltonian
-    if spec.T == 0:
-        n_steps = 0
-        dt = spec.dt
-        save_idx = np.array([0])
-    else:
-        n_steps = max(1, int(math.ceil(spec.T / spec.dt - 1e-12)))
-        dt = spec.T / n_steps
-        save_idx = np.unique(np.round(np.linspace(0, n_steps, spec.saves + 1)).astype(int))
-
-    lam = linear_symbol(grid, ham)
-    half = np.exp(lam * (dt / 2.0))
-    full = half * half
-
-    def nonlinear(c):
-        f = PeriodicField(grid, _hermitize(c))
-        return rhs(f, ham).coeffs - lam * c
-
     warnings = []
     certified = True
+    times, states, records = [], [], []
 
-    def check_budget(c, t):
+    def save(t, c):
         nonlocal certified
-        f = PeriodicField(grid, _hermitize(c))
+        f = PeriodicField(grid, _hermitize(c[0]))
         if ham.kind in HKAPPA_KINDS and budget is not None:
             nrm = sobolev_norm(f, -1.0)
             if nrm > budget.delta0 and certified:
@@ -314,40 +377,30 @@ def evolve(q0, spec, budget=DEFAULT_BUDGET):
                     f"H^-1 norm {nrm:.3g} exceeded smallness budget "
                     f"delta0={budget.delta0:.3g} at t={t:.6g}"
                 )
-        return f
+        times.append(t)
+        states.append(f)
+        records.append(_monitor_state(f, spec.probes))
 
-    c = q0.coeffs.astype(complex).copy()
-    times = [0.0]
-    states = [check_budget(c, 0.0)]
-    records = [_monitor_state(states[0], spec.probes)]
-
-    next_save = 1
-    for step in range(1, n_steps + 1):
-        norm_before = float(np.linalg.norm(c))
-        a = nonlinear(c)
-        b = nonlinear(half * (c + (dt / 2.0) * a))
-        cc = nonlinear(half * c + (dt / 2.0) * b)
-        d = nonlinear(full * c + dt * half * cc)
-        c = full * c + (dt / 6.0) * (full * a + 2.0 * half * (b + cc) + d)
-        c = _hermitize(c)
-        norm_after = float(np.linalg.norm(c))
-        if norm_after > 2.0 * max(norm_before, 1e-300) and norm_before > 1e-300:
-            raise BlowUpError(
-                f"L^2 norm doubled within one step at t={step * dt:.6g} "
-                f"({norm_before:.3e} -> {norm_after:.3e}); reduce dt or data size",
-                time=step * dt, norm_before=norm_before, norm_after=norm_after,
-            )
-        if next_save < len(save_idx) and step == save_idx[next_save]:
-            t = step * dt
-            f = check_budget(c, t)
-            times.append(t)
-            states.append(f)
-            records.append(_monitor_state(f, spec.probes))
-            next_save += 1
-
+    (final,) = _lawson_rk4([q0], spec, save)
+    if isinstance(final, KdvLabError):
+        raise final
     return Trajectory(times=np.array(times), states=states, spec=spec,
                       monitors=_columns(records), warnings=warnings,
                       certified=certified)
+
+
+def evolve_batch(q0s, spec):
+    """Final states of the flow from each of q0s, integrated side by side.
+
+    One Lawson-RK4 loop over the stack of all members (see ``evolve``); for
+    each member the result is its final PeriodicField, or the ``KdvLabError``
+    (such as a ``BlowUpError``) that stopped it while the others went on.
+    """
+    if not q0s:
+        return []
+    grid = q0s[0].grid
+    return [r if isinstance(r, KdvLabError) else PeriodicField(grid, r)
+            for r in _lawson_rk4(q0s, spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +481,6 @@ def time_equicontinuity(traj, deltas=None):
     span = float(times[-1] - times[0])
     if deltas is None:
         deltas = span * np.array([0.125, 0.25, 0.5, 1.0])
-    n = len(times)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = sobolev_norm(traj.states[i] - traj.states[j], -1.0)
-    table = []
-    for d in deltas:
-        best = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if times[j] - times[i] <= d + 1e-12:
-                    best = max(best, dist[i, j])
-        table.append((float(d), best))
-    return table
+    dist = np.array([[sobolev_norm(a - b, -1.0) for b in traj.states] for a in traj.states])
+    gap = np.abs(times[:, None] - times[None, :])
+    return [(float(d), float(np.max(dist[gap <= d + 1e-12]))) for d in deltas]

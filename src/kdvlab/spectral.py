@@ -80,9 +80,10 @@ class TorusGrid:
 
 
 def _hermitize(coeffs):
-    c = 0.5 * (coeffs + np.conj(coeffs[::-1]))
-    k0 = (len(c) - 1) // 2
-    c[k0] = c[k0].real
+    """Hermitian-symmetric part along the last axis (one field or a stack of them)."""
+    c = 0.5 * (coeffs + np.conj(coeffs[..., ::-1]))
+    k0 = (c.shape[-1] - 1) // 2
+    c[..., k0] = c[..., k0].real
     return c
 
 
@@ -508,18 +509,9 @@ def rescale(q, lam):
     if lam <= 0:
         raise PreconditionError("scaling parameter must be positive")
     if isinstance(q, LineField):
-        g = q.box.grid
-        grid = TorusGrid(g.length / lam, g.cutoff, g.samples)
-        box = PeriodicField(grid, q.box.coeffs * lam ** 2)
-        exact = None
-        if q.exact_samples is not None:
-            exact = lam ** 2 * q.exact_samples
-        return LineField(
-            box=box,
-            box_start=q.box_start / lam,
-            support=(q.support[0] / lam, q.support[1] / lam),
-            exact_samples=exact,
-        )
+        exact = None if q.exact_samples is None else lam ** 2 * q.exact_samples
+        return LineField(box=rescale(q.box, lam), box_start=q.box_start / lam,
+                         support=(q.support[0] / lam, q.support[1] / lam), exact_samples=exact)
     g = q.grid
     grid = TorusGrid(g.length / lam, g.cutoff, g.samples)
     return PeriodicField(grid, q.coeffs * lam ** 2)
@@ -547,16 +539,6 @@ def product_coeffs(fc, gc, kf, kg, kout):
     ph = np.fft.fft(sf * sg) / n
     jo = np.arange(-kout, kout + 1)
     return ph[jo % n]
-
-
-def dealiased_product(f, g, cutoff=None):
-    """Pointwise product f*g, dealiased, truncated to ``cutoff`` (default: f's)."""
-    _check_same_grid(f, g)
-    k = f.grid.cutoff
-    kout = k if cutoff is None else int(cutoff)
-    c = product_coeffs(f.coeffs, g.coeffs, k, k, kout)
-    grid = f.grid if kout == k else TorusGrid.make(f.grid.length, kout)
-    return PeriodicField(grid, _hermitize(c))
 
 
 def cubic_integral(f):

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     SearchFailureError,
 )
-from .flows import DEFAULT_BUDGET, FlowSpec, HamiltonianSpec, evolve, linear_symbol
+from .flows import FlowSpec, HamiltonianSpec, evolve_batch, linear_symbol
 from .spectral import (
     MultiplierSpec,
     PeriodicField,
@@ -60,14 +60,14 @@ def _gauss_bump(width, amplitude, center):
 
 def prototype_callable(cfg):
     """Line prototype from a config dict: gauss_prime | gauss_bump."""
-    kind = cfg.get("kind", "gauss_prime")
-    width = float(cfg.get("width", 1.0))
-    amplitude = float(cfg.get("amplitude", 1.0))
-    center = float(cfg.get("center", 0.0))
+    p = config_numbers(cfg, "prototype block", kind=None, width=float, amplitude=float,
+                       center=float)
+    kind = p.get("kind", "gauss_prime")
+    args = (p.get("width", 1.0), p.get("amplitude", 1.0), p.get("center", 0.0))
     if kind == "gauss_prime":
-        return _gauss_prime(width, amplitude, center)
+        return _gauss_prime(*args)
     if kind == "gauss_bump":
-        return _gauss_bump(width, amplitude, center)
+        return _gauss_bump(*args)
     raise PreconditionError(f"unknown prototype kind {kind!r}")
 
 
@@ -80,6 +80,15 @@ def periodized_field(func, grid, translates=6):
     return make_field(grid, samples=total)
 
 
+def config_number(value, where, key, kind=float):
+    """value converted to ``kind`` (int or float) if it is a number of that kind
+    (an integer for int, never a bool); else a PreconditionError naming key."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise PreconditionError(f'{where}: "{key}" must be {what}, got {value!r}')
+    return kind(value)
+
+
 def config_values(block, where, *keys):
     """block[key] for each key; a missing key is a PreconditionError naming it."""
     for key in keys:
@@ -88,26 +97,49 @@ def config_values(block, where, *keys):
     return [block[key] for key in keys]
 
 
+def config_numbers(block, where, required=(), **kinds):
+    """The entries block gives, each key one of ``kinds``: a number of its kind
+    (``config_number``), or any value where the kind is None (a name, a block).
+    A missing ``required`` key, an unknown key or a wrong type is a
+    PreconditionError naming the key."""
+    config_values(block, where, *required)
+    for key in block:
+        if key not in kinds:
+            raise PreconditionError(f'{where} has the unknown key "{key}"')
+    return {key: value if kinds[key] is None else config_number(value, where, key, kinds[key])
+            for key, value in block.items()}
+
+
 def grid_from_config(block):
     """TorusGrid from a {length, cutoff, samples (optional)} block."""
-    length, cutoff = config_values(block, "grid block", "length", "cutoff")
-    return TorusGrid.make(length, cutoff, block.get("samples"))
+    return TorusGrid.make(**config_numbers(block, "grid block", ("length", "cutoff"),
+                                           length=float, cutoff=int, samples=int))
 
 
 def band_from_config(block):
     """Band multiplier from an {m, M} block."""
-    return MultiplierSpec.band(*config_values(block, "band block", "m", "M"))
+    b = config_numbers(block, "band block", ("m", "M"), m=float, M=float)
+    return MultiplierSpec.band(b["m"], b["M"])
+
+
+def flow_from_config(block, band=None):
+    """HamiltonianSpec from a {kind, kappa, band} block; a scenario passes its own band."""
+    own_band = block.get("kind") == "hkappa_band" and band is None
+    f = config_numbers(block, "flow block", ("kind",) + (("kappa", "band") if own_band else ()),
+                       kind=None, kappa=float, band=None)
+    if own_band:
+        band = band_from_config(f["band"])
+    return HamiltonianSpec(f["kind"], kappa=f.get("kappa"),
+                           band=band if f["kind"] == "hkappa_band" else None)
 
 
 def field_from_config(block, grid):
     """Field from a config block: a ``modes`` list {j, re, im}, else a prototype."""
     if "modes" in block:
-        if any("j" not in e for e in block["modes"]):
-            raise PreconditionError('every entry of a modes list needs its mode number "j"')
-        return field_from_modes(grid, [
-            (int(e["j"]), complex(e.get("re", 0.0), e.get("im", 0.0)))
-            for e in block["modes"]
-        ])
+        entries = [config_numbers(e, "modes entry", ("j",), j=int, re=float, im=float)
+                   for e in block["modes"]]
+        return field_from_modes(grid, [(e["j"], complex(e.get("re", 0.0), e.get("im", 0.0)))
+                                       for e in entries])
     return periodized_field(prototype_callable(block), grid)
 
 
@@ -150,25 +182,24 @@ def build_scenario(config):
 
     Keys: grid {length, cutoff, samples?}, band {m, M}, center (prototype or
     mode list), observable (prototype or mode list), alpha, r, R, T,
-    flow {kind, kappa?}, seed.  Centers are periodized then band-projected
-    (hence mean-zero); observables are renormalized to unit Hdot^{1/2}.
+    flow {kind, kappa?}, seed; any other key is refused.  Centers are
+    periodized then band-projected (hence mean-zero); observables are
+    renormalized to unit Hdot^{1/2}.
     """
-    grid_cfg, band_cfg, center, observable, r, R, T = config_values(
-        config, "scenario block", "grid", "band", "center", "observable", "r", "R", "T")
-    grid = grid_from_config(grid_cfg)
-    band = band_from_config(band_cfg)
-    z_raw = field_from_config(center, grid)
-    zeta = lp_project(z_raw, band)
-    l_raw = field_from_config(observable, grid)
+    cfg = config_numbers(
+        config, "scenario block", ("grid", "band", "center", "observable", "r", "R", "T"),
+        grid=None, band=None, center=None, observable=None, flow=None, alpha=float,
+        r=float, R=float, T=float, seed=int)
+    grid = grid_from_config(cfg["grid"])
+    band = band_from_config(cfg["band"])
+    zeta = lp_project(field_from_config(cfg["center"], grid), band)
+    l_raw = field_from_config(cfg["observable"], grid)
     l_proj = lp_project(l_raw, band)
     l_norm = sobolev_norm(l_proj, 0.5, homogeneous=True)
     if l_norm < 1e-12:
         raise PreconditionError("projected observable is numerically zero")
     lam = l_proj * (1.0 / l_norm)
-    fcfg = config.get("flow", {"kind": "kdv"})
-    (kind,) = config_values(fcfg, "flow block", "kind")
-    flow = HamiltonianSpec(kind, kappa=fcfg.get("kappa"),
-                           band=band if kind == "hkappa_band" else None)
+    flow = flow_from_config(cfg.get("flow", {"kind": "kdv"}), band)
     zeta_norm = sobolev_norm(zeta, -0.5, homogeneous=True) if np.any(np.abs(zeta.coeffs) > 0) else 0.0
     record = {
         "grid": {"length": grid.length, "cutoff": grid.cutoff, "samples": grid.samples},
@@ -176,11 +207,9 @@ def build_scenario(config):
         "center_norm_hm_half": zeta_norm,
         "observable_norm_before": l_norm,
     }
-    return SqueezeScenario(
-        center=zeta, observable=lam, alpha_target=float(config.get("alpha", 0.0)),
-        r=float(r), R=float(R), T=float(T),
-        flow=flow, band=band, seed=int(config.get("seed", 0)), record=record,
-    )
+    return SqueezeScenario(center=zeta, observable=lam, alpha_target=cfg.get("alpha", 0.0),
+                           r=cfg["r"], R=cfg["R"], T=cfg["T"], flow=flow, band=band,
+                           seed=cfg.get("seed", 0), record=record)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +267,10 @@ def evolved_pairing(scenario, q0, dt=1e-3):
     l = scenario.observable
     if scenario.flow.is_linear:
         return pairing(l, _propagate_linear(q0, scenario.flow, scenario.T))
-    spec = FlowSpec(scenario.flow, dt=dt, T=scenario.T, saves=1)
-    return pairing(l, evolve(q0, spec).final())
+    (qT,) = evolve_batch([q0], FlowSpec(scenario.flow, dt=dt, T=scenario.T, saves=1))
+    if isinstance(qT, KdvLabError):
+        raise qT
+    return pairing(l, qT)
 
 
 def _dual_direction(scenario, w):
@@ -410,14 +441,15 @@ def slice_basis(scenario):
     return e1, e2
 
 
-def image_area(scenario, resolution=512, rings=None, angles=None, dt=1e-3,
-               budget=DEFAULT_BUDGET):
+def image_area(scenario, resolution=512, rings=None, angles=None, dt=1e-3):
     """Occupancy-grid area of {<l, q(T)> + i <l_H, q(T)>} over a slice disk.
 
     The disk of radius R in the (e1, e2) plane centered at z is sampled on a
     polar grid matched to the occupancy resolution; the complex observable
     pairs against l and its Hilbert-transform partner.  For linear flows the
-    adjoint identity <l, U(T)q> = <U(-T)l, q> evaluates samples exactly.
+    adjoint identity <l, U(T)q> = <U(-T)l, q> evaluates samples exactly; for
+    the others each ring of samples (the first with the center) is evolved as
+    one batch, and the first failed sample's error is raised.
     """
     e1, e2 = slice_basis(scenario)
     l_h = hilbert_partner(scenario.observable)
@@ -437,17 +469,15 @@ def image_area(scenario, resolution=512, rings=None, angles=None, dt=1e-3,
         values = np.concatenate(([base], values.ravel()))
     else:
         spec = FlowSpec(scenario.flow, dt=dt, T=scenario.T, saves=1)
-
-        def observe(q0):
-            qT = evolve(q0, spec, budget=budget).final()
-            return pairing(scenario.observable, qT) + 1j * pairing(l_h, qT)
-
-        vals = [observe(scenario.center)]
+        vals, head = [], [scenario.center]
         for rad in radii:
-            for th in thetas:
-                vals.append(observe(
-                    scenario.center + e1 * (rad * math.cos(th)) + e2 * (rad * math.sin(th))
-                ))
+            ring = head + [scenario.center + e1 * (rad * math.cos(th)) + e2 * (rad * math.sin(th))
+                           for th in thetas]
+            head = []
+            for qT in evolve_batch(ring, spec):
+                if isinstance(qT, KdvLabError):
+                    raise qT
+                vals.append(pairing(scenario.observable, qT) + 1j * pairing(l_h, qT))
         values = np.array(vals)
 
     re, im = values.real, values.imag

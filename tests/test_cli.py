@@ -203,3 +203,40 @@ def test_cli_import_leaves_out_scipy_signal():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     code = "import sys, kdvlab.cli; sys.exit('scipy.signal' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("evolve", dict(EVOLVE, time={"dt": "0.001", "T": 0.002}), '"dt"'),
+    ("squeeze", {"scenario": SCENARIO, "search": {"starts": "16"}}, '"starts"'),
+    ("squeeze", {"scenario": SCENARIO, "search": {"start": 16}}, '"start"'),
+    ("area", {"scenario": SCENARIO, "area": {"resolution": 64.0}}, '"resolution"'),
+    ("evolve", dict(EVOLVE, grid=dict(GRID, cutoff=True)), '"cutoff"'),
+    ("evolve", dict(EVOLVE, initial={"modes": [{"j": 1, "re": "0.1"}]}), '"re"'),
+    ("evolve", dict(EVOLVE, flow={"kind": "hkappa", "kappa": "4"}), '"kappa"'),
+    ("squeeze", {"scenario": dict(SCENARIO, radius=0.04)}, '"radius"'),
+    ("squeeze", {"scenario": dict(SCENARIO, center=dict(SCENARIO["center"], widht=1.0))},
+     '"widht"'),
+], ids=["string_dt", "string_search_starts", "unknown_search_key", "float_resolution",
+        "bool_cutoff", "string_mode_amplitude", "string_kappa", "unknown_scenario_key",
+        "unknown_prototype_key"])
+def test_wrong_type_or_unknown_key_exit_code_2(tmp_path, capsys, command, cfg, key):
+    code, _ = run_cli(tmp_path, command, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:") and key in err
+
+
+def test_empty_search_block_gives_default_budget(tmp_path, monkeypatch):
+    from kdvlab import cli
+    from kdvlab.squeeze import SearchBudget, escape_search
+
+    seen = []
+
+    def record(scenario, budget):
+        seen.append(budget)
+        return escape_search(scenario, SearchBudget(starts=1, rounds=0))
+
+    monkeypatch.setattr(cli, "escape_search", record)
+    code, _ = run_cli(tmp_path, "squeeze", {"scenario": SCENARIO, "search": {}})
+    assert code == 0
+    assert seen == [SearchBudget()]

@@ -13,7 +13,9 @@ from kdvlab import (
     SmallnessBudget,
     TorusGrid,
     compare_flows,
+    derivative,
     evolve,
+    evolve_batch,
     field_from_modes,
     hamiltonian_value,
     hs_norm,
@@ -31,7 +33,9 @@ from kdvlab import (
     zero_field,
 )
 from kdvlab.errors import BlowUpError, PreconditionError
+from kdvlab.flows import _kdv_nonlinear
 from kdvlab.greens import assemble_resolvent
+from kdvlab.spectral import PeriodicField, product_coeffs
 
 TWO_PI = 2 * math.pi
 
@@ -159,6 +163,67 @@ class TestEvolve:
         m0 = polynomial_invariants(traj.states[0])[0]
         m1 = polynomial_invariants(traj.final())[0]
         assert abs(m1 - m0) < 1e-12
+
+
+class TestKdvNonlinear:
+    @pytest.mark.parametrize("k", [1, 8, 32, 64])
+    def test_matches_complex_fft_product(self, k, rng):
+        grid = TorusGrid.make(TWO_PI, k)
+        q = make_field(grid, coeffs=rng.standard_normal(2 * k + 1)
+                       + 1j * rng.standard_normal(2 * k + 1))
+        ref = 3.0 * derivative(PeriodicField(grid, product_coeffs(q.coeffs, q.coeffs, k, k, k)),
+                               1).coeffs
+        out = _kdv_nonlinear(q.coeffs, grid)
+        assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.array_equal(out, np.conj(out[::-1]))
+
+    def test_rows_of_a_stack_are_independent(self, rng):
+        grid = TorusGrid.make(TWO_PI, 8)
+        qs = [make_field(grid, coeffs=rng.standard_normal(17) + 0j) for _ in range(3)]
+        out = _kdv_nonlinear(np.array([q.coeffs for q in qs]), grid)
+        for row, q in zip(out, qs):
+            single = _kdv_nonlinear(q.coeffs, grid)
+            assert np.linalg.norm(row - single) <= 1e-15 * np.linalg.norm(single)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a.coeffs - b.coeffs) / np.linalg.norm(b.coeffs)
+
+
+class TestEvolveBatch:
+    def test_batch_of_one_is_evolve(self):
+        grid = TorusGrid.make(TWO_PI, 32)
+        q0 = small_smooth(grid, scale=5.0)
+        spec = FlowSpec(HamiltonianSpec.kdv(), dt=1e-3, T=0.1, saves=3)
+        (final,) = evolve_batch([q0], spec)
+        assert np.array_equal(final.coeffs, evolve(q0, spec).final().coeffs)
+
+    def test_blow_up_is_kept_to_its_member(self):
+        grid = TorusGrid.make(1.0, 24)
+        spec = FlowSpec(HamiltonianSpec.kdv(), dt=0.05, T=1.0, saves=1)
+        q0s = [small_smooth(grid, scale=s) for s in (0.1, 0.2, 0.4)]
+        q0s.append(field_from_modes(grid, [(1, 40.0), (-1, 40.0)]))
+        q0s += [small_smooth(grid, scale=s) for s in (0.6, 0.8, 1.0)]
+        out = evolve_batch(q0s, spec)
+        with pytest.raises(BlowUpError) as serial:
+            evolve(q0s[3], spec)
+        assert isinstance(out[3], BlowUpError)
+        assert out[3].time == serial.value.time
+        for i in (0, 1, 2, 4, 5, 6):
+            assert _rel(out[i], evolve(q0s[i], spec).final()) <= 1e-13
+
+    def test_hkappa_batch_matches_serial(self):
+        grid = TorusGrid.make(TWO_PI, 16)
+        spec = FlowSpec(HamiltonianSpec.hkappa(2.0), dt=1e-3, T=5e-3, saves=1)
+        q0s = [small_smooth(grid), translate(small_smooth(grid, scale=2.0), 0.5)]
+        for got, q0 in zip(evolve_batch(q0s, spec), q0s):
+            assert _rel(got, evolve(q0, spec).final()) <= 1e-13
+
+    def test_needs_one_grid(self):
+        spec = FlowSpec(HamiltonianSpec.kdv(), dt=1e-3, T=2e-3, saves=1)
+        q0s = [zero_field(TorusGrid.make(TWO_PI, 8)), zero_field(TorusGrid.make(TWO_PI, 9))]
+        with pytest.raises(PreconditionError):
+            evolve_batch(q0s, spec)
 
 
 class TestMonitors:

@@ -20,7 +20,7 @@ from kdvlab import (
     sobolev_norm,
     write_csv,
 )
-from kdvlab.errors import PreconditionError
+from kdvlab.errors import BlowUpError, KdvLabError, PreconditionError
 from kdvlab.flows import FlowSpec, evolve
 from kdvlab.squeeze import SearchBudget, hilbert_partner, slice_basis
 
@@ -155,6 +155,59 @@ class TestEscapeSearch:
             qT = _propagate_linear(q0, linear_scenario.flow, linear_scenario.T)
             val = abs(pairing(linear_scenario.observable, qT))
             assert val <= sobolev_norm(qT, -0.5, True) * (1 + 1e-12)
+
+
+def serial_evolve_batch(q0s, spec):
+    """Per-candidate reference for ``evolve_batch``: one ``evolve`` per member."""
+    out = []
+    for q0 in q0s:
+        try:
+            out.append(evolve(q0, spec).final())
+        except KdvLabError as exc:
+            out.append(exc)
+    return out
+
+
+@pytest.fixture(scope="module")
+def kdv_scenario():
+    return build_scenario(base_config(flow={"kind": "kdv"}, T=0.05,
+                                      grid={"length": 16.0, "cutoff": 24}))
+
+
+class TestBatchedEvaluations:
+    def test_escape_search_matches_serial_reference(self, kdv_scenario, monkeypatch):
+        budget = SearchBudget(starts=6, rounds=1, directions=2, dt=5e-3)
+        batched = escape_search(kdv_scenario, budget)
+        monkeypatch.setattr("kdvlab.squeeze.evolve_batch", serial_evolve_batch)
+        serial = escape_search(kdv_scenario, budget)
+        assert batched.value == pytest.approx(serial.value, rel=1e-13, abs=0)
+        assert batched.evaluations == serial.evaluations == 6 + 2 + 2 * 2 * 2
+        assert batched.failures == serial.failures == []
+
+    def test_failed_start_is_named(self, kdv_scenario, monkeypatch):
+        sizes = []
+
+        def fourth_fails(q0s, spec):
+            sizes.append(len(q0s))
+            if len(sizes) == 4:
+                return [BlowUpError("guard tripped", time=0.01)]
+            return serial_evolve_batch(q0s, spec)
+
+        monkeypatch.setattr("kdvlab.squeeze.evolve_batch", fourth_fails)
+        res = escape_search(kdv_scenario, SearchBudget(starts=6, rounds=0, dt=5e-3))
+        assert res.failures == ["candidate 3: guard tripped"]
+        assert res.evaluations == 8
+        assert sizes == [1] * 8  # one evaluation per evolved_pairing call
+
+    def test_image_area_matches_serial_loop(self, kdv_scenario, monkeypatch):
+        kwargs = dict(resolution=32, rings=3, angles=12, dt=5e-3)
+        batched = image_area(kdv_scenario, **kwargs)
+        monkeypatch.setattr("kdvlab.squeeze.evolve_batch", serial_evolve_batch)
+        serial = image_area(kdv_scenario, **kwargs)
+        assert len(batched.values) == 1 + 3 * 12
+        assert np.max(np.abs(batched.values - serial.values)) <= \
+            1e-13 * np.max(np.abs(serial.values))
+        assert batched.area == pytest.approx(serial.area, rel=1e-12)
 
 
 class TestLinearOracle:
