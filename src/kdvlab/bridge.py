@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import (
     NoAdmissibleWindowError,
@@ -40,6 +39,7 @@ from .spectral import (
     _coeffs_from_samples,
     derivative,
     make_field,
+    next_fast_len,
     periodize_samples,
     sobolev_norm,
     truncate_field,

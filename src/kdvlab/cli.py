@@ -12,6 +12,9 @@ outputs are CSV tables plus a manifest with sha256 digests.  Config blocks:
            kappa, band: {m, M} (hkappa_band only)}
   time     {dt, T, saves (optional)}
 
+Other top-level keys: probes (evolve), kappas (greens, alpha, sweep-kappa),
+bands (sweep-band), band, partition, box_cutoff (cutcompare), files (report).
+
 squeeze and area take a scenario block instead (see squeeze.build_scenario),
 and each an optional block whose keys are all optional; a key left out takes
 the default of squeeze.SearchBudget or squeeze.image_area:
@@ -25,9 +28,9 @@ the default of squeeze.SearchBudget or squeeze.image_area:
 
 Exit codes: 0 success, 2 precondition failure (such as a mode with |j| > K,
 a mode entry without j, a missing required block or key, a value of the
-wrong type, or an unknown key in a grid, time, flow, band, partition, search,
-area, scenario, prototype or mode entry block), 3 numerical certification
-failure.
+wrong type, or an unknown key at the top level or in an initial, grid, time,
+flow, band, partition, search, area, scenario, prototype or mode entry
+block), 3 numerical certification failure.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from .squeeze import (
     build_scenario,
     config_number,
     config_numbers,
-    config_values,
     escape_search,
     field_from_config,
     flow_from_config,
@@ -70,7 +72,7 @@ from .squeeze import (
 
 
 def _field_from(cfg, grid):
-    init = cfg["initial"]
+    init = config_numbers(cfg["initial"], "initial block", modes=None, prototype=None)
     if "modes" in init:
         return field_from_config(init, grid)
     if "prototype" in init:
@@ -241,17 +243,18 @@ def cmd_report(cfg, out):
     return paths
 
 
-# subcommand -> (handler, top-level config blocks it requires)
+# subcommand -> (handler, top-level config blocks it requires, optional top-level keys)
 COMMANDS = {
-    "evolve": (cmd_evolve, ("grid", "initial", "flow", "time")),
-    "greens": (cmd_greens, ("grid", "initial")),
-    "alpha": (cmd_alpha, ("grid", "initial")),
-    "sweep-band": (cmd_sweep_band, ("grid", "initial", "flow", "time", "bands")),
-    "sweep-kappa": (cmd_sweep_kappa, ("grid", "initial", "time")),
-    "cutcompare": (cmd_cutcompare, ("grid", "initial", "band", "partition", "flow", "time")),
-    "squeeze": (cmd_squeeze, ("scenario",)),
-    "area": (cmd_area, ("scenario",)),
-    "report": (cmd_report, ()),
+    "evolve": (cmd_evolve, ("grid", "initial", "flow", "time"), ("probes",)),
+    "greens": (cmd_greens, ("grid", "initial"), ("kappas",)),
+    "alpha": (cmd_alpha, ("grid", "initial"), ("kappas",)),
+    "sweep-band": (cmd_sweep_band, ("grid", "initial", "flow", "time", "bands"), ()),
+    "sweep-kappa": (cmd_sweep_kappa, ("grid", "initial", "time"), ("kappas",)),
+    "cutcompare": (cmd_cutcompare, ("grid", "initial", "band", "partition", "flow", "time"),
+                   ("box_cutoff",)),
+    "squeeze": (cmd_squeeze, ("scenario",), ("search",)),
+    "area": (cmd_area, ("scenario",), ("area",)),
+    "report": (cmd_report, (), ("files",)),
 }
 
 
@@ -264,11 +267,12 @@ def main(argv=None):
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
-    command, required = COMMANDS[args.command]
+    command, required, optional = COMMANDS[args.command]
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-        config_values(cfg, f"{args.command} config", *required)
+        config_numbers(cfg, f"{args.command} config", required,
+                       **dict.fromkeys(required + optional))
         command(cfg, args.out)
     except PreconditionError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)

@@ -16,11 +16,13 @@ dispersive stiffness (the transport parts cancel at leading order as kappa
 grows).  Only the genuinely nonlinear remainder is stepped by RK4, so step
 sizes are set by accuracy on the data's own frequencies, not by the grid.
 
-One RK4 loop steps a (B, 2K+1) stack of coefficient rows: ``evolve`` is the
-stack of one, ``evolve_batch`` runs many initial data side by side.  The KdV
-remainder 3 d/dx (q^2) is computed for the whole stack from the nonnegative
-modes by one inverse and one forward real FFT of length next_fast_len(3K+1)
-(no aliasing onto |j| <= K); other kinds call ``rhs`` per row.  A row whose
+One RK4 loop steps a stack of coefficient rows: ``evolve`` is the stack of
+one, ``evolve_batch`` runs many initial data side by side.  A real field has
+c(-j) = conj c(j), so the stack holds only modes 0..K of each row (the rfft
+layout); full rows are built for saves, results and per-row ``rhs`` calls.
+The KdV remainder 3 d/dx (q^2) is computed for the whole stack from that half
+by one inverse and one forward real FFT of length next_fast_len(3K+1) (no
+aliasing onto |j| <= K); other kinds call ``rhs`` per row.  A row whose
 ``rhs`` raises or whose L^2 norm doubles in a step stops with its error
 while the other rows go on.
 """
@@ -31,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import BlowUpError, KdvLabError, PreconditionError
 from .greens import (
@@ -50,6 +51,7 @@ from .spectral import (
     cubic_integral,
     derivative,
     make_field,
+    next_fast_len,
     sobolev_norm,
 )
 
@@ -167,21 +169,30 @@ def _band_values(ham, grid):
     return ham.band.values(grid.frequencies)
 
 
-def _kdv_nonlinear(c, grid):
-    """Dealiased 3 d/dx (q^2), |j| <= K, per Hermitian row of c (reads c[..., K:])."""
+def _full_rows(h):
+    """Exactly Hermitian rows c_{-K..K} from their nonnegative modes h[..., :K+1]."""
+    return np.concatenate((np.conj(h[..., :0:-1]), h), axis=-1)
+
+
+def _kdv_nonlinear(grid):
+    """h -> dealiased 3 d/dx (q^2) on the nonnegative modes 0..K of each row h of q."""
     k = grid.cutoff
     n = next_fast_len(3 * k + 1)
-    q = np.fft.irfft(c[..., k:], n, norm="forward")
-    sq = np.fft.rfft(q * q, norm="forward")[..., :k + 1]
-    d = (6j * math.pi / grid.length) * np.arange(k + 1) * sq
-    return np.concatenate((np.conj(d[..., :0:-1]), d), axis=-1)
+    mult = (6j * math.pi / grid.length) * np.arange(k + 1)
+
+    def term(h):
+        q = np.fft.irfft(h, n, norm="forward")
+        return mult * np.fft.rfft(q * q, norm="forward")[..., :k + 1]
+
+    return term
 
 
 def rhs(q, ham):
     """The right-hand side of the selected evolution at state q."""
     grid = q.grid
     if ham.kind == "kdv":
-        return PeriodicField(grid, -derivative(q, 3).coeffs + _kdv_nonlinear(q.coeffs, grid))
+        nonlinear = _kdv_nonlinear(grid)(q.coeffs[grid.cutoff:])
+        return PeriodicField(grid, -derivative(q, 3).coeffs + _full_rows(nonlinear))
     if ham.kind == "kdv_linear":
         return -1.0 * derivative(q, 3)
     kap = ham.kappa
@@ -287,50 +298,59 @@ def _columns(records):
 def _lawson_rk4(q0s, spec, on_save=None):
     """Per member of q0s (one shared grid): its final coefficient row, or the
     ``KdvLabError`` (rhs failure or ``BlowUpError``) that dropped it from the
-    stack.  ``on_save(t, c)`` gets the running stack at t = 0 and each save.
+    stack.  ``on_save(t, c)`` gets the running stack as full rows at t = 0 and
+    each save.  The stack holds modes 0..K of each row with Im c_0 = 0, so the
+    full rows are exactly Hermitian; a step's row norms (weights 1, 2, 2, ...
+    on |c_j|^2) are the next step's pre-step norms.
     """
     grid = q0s[0].grid
     if any(q.grid != grid for q in q0s):
         raise PreconditionError("a batch of initial data needs one shared grid")
     ham = spec.hamiltonian
+    k = grid.cutoff
     n_steps = max(1, int(math.ceil(spec.T / spec.dt - 1e-12))) if spec.T > 0 else 0
     dt = spec.T / n_steps if n_steps else spec.dt
     save_steps = set(np.round(np.linspace(0, n_steps, spec.saves + 1)).astype(int).tolist())
 
-    lam = linear_symbol(grid, ham)
+    lam = linear_symbol(grid, ham)[k:]
     half = np.exp(lam * (dt / 2.0))
     full = half * half
+    dt_half, two_half = dt * half, 2.0 * half
+    weights = np.repeat([1.0, 2.0], [2, 2 * k])   # (re, im) of modes 0..K in the float view
 
-    def nonlinear(c, failed):
-        if ham.kind == "kdv":
-            return _kdv_nonlinear(c, grid)
-        out = np.zeros_like(c)
-        for i, row in enumerate(c):
-            if i not in failed:
-                try:
-                    out[i] = rhs(PeriodicField(grid, _hermitize(row)), ham).coeffs - lam * row
-                except KdvLabError as exc:
-                    failed[i] = exc
-        return out
+    if ham.kind == "kdv":
+        nonlinear = _kdv_nonlinear(grid)
+    else:
+        def nonlinear(c):
+            out = np.zeros_like(c)
+            for i, row in enumerate(_full_rows(c)):
+                if i not in failed:
+                    try:
+                        out[i] = rhs(PeriodicField(grid, row), ham).coeffs[k:] - lam * c[i]
+                    except KdvLabError as exc:
+                        failed[i] = exc
+            return out
 
     def norms(c):
-        """L^2 norm of each coefficient row (the sum of squares of the float view)."""
+        """L^2 norm of each full coefficient row, from its nonnegative half."""
         v = c.view(float)
-        return np.sqrt(np.einsum("ij,ij->i", v, v))
+        return np.sqrt((v * v) @ weights)
 
-    c = _hermitize(np.array([q.coeffs for q in q0s], dtype=complex))
+    c = _hermitize(np.array([q.coeffs for q in q0s], dtype=complex))[:, k:].copy()
     members = np.arange(len(q0s))
     results = [None] * len(q0s)
     if on_save is not None:
-        on_save(0.0, c)
+        on_save(0.0, _full_rows(c))
+    norm_before = norms(c)
     for step in range(1, n_steps + 1):
         failed = {}
-        norm_before = norms(c)
-        a = nonlinear(c, failed)
-        b = nonlinear(half * (c + (dt / 2.0) * a), failed)
-        cc = nonlinear(half * c + (dt / 2.0) * b, failed)
-        d = nonlinear(full * c + dt * half * cc, failed)
-        c = _hermitize(full * c + (dt / 6.0) * (full * a + 2.0 * half * (b + cc) + d))
+        a = nonlinear(c)
+        b = nonlinear(half * (c + (dt / 2.0) * a))
+        cc = nonlinear(half * c + (dt / 2.0) * b)
+        fc = full * c
+        d = nonlinear(fc + dt_half * cc)
+        c = fc + (dt / 6.0) * (full * a + two_half * (b + cc) + d)
+        c.imag[:, 0] = 0.0
         norm_after = norms(c)
         for i in np.flatnonzero((norm_after > 2.0 * norm_before) & (norm_before > 1e-300)):
             before, after = float(norm_before[i]), float(norm_after[i])
@@ -342,13 +362,14 @@ def _lawson_rk4(q0s, spec, on_save=None):
             for i, exc in failed.items():
                 results[members[i]] = exc
             keep = [i not in failed for i in range(len(c))]
-            c, members = c[keep], members[keep]
+            c, members, norm_after = c[keep], members[keep], norm_after[keep]
             if not len(c):
                 break
+        norm_before = norm_after
         if on_save is not None and step in save_steps:
-            on_save(step * dt, c)
+            on_save(step * dt, _full_rows(c))
 
-    for i, row in zip(members, c):
+    for i, row in zip(members, _full_rows(c)):
         results[i] = row
     return results
 
@@ -368,7 +389,7 @@ def evolve(q0, spec, budget=DEFAULT_BUDGET):
 
     def save(t, c):
         nonlocal certified
-        f = PeriodicField(grid, _hermitize(c[0]))
+        f = PeriodicField(grid, c[0])
         if ham.kind in HKAPPA_KINDS and budget is not None:
             nrm = sobolev_norm(f, -1.0)
             if nrm > budget.delta0 and certified:

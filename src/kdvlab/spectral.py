@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import (
     GridMismatchError,
@@ -28,6 +28,21 @@ from .errors import (
 )
 
 MEAN_ZERO_RTOL = 1e-12
+
+
+@lru_cache(maxsize=256)
+def next_fast_len(n):
+    """The smallest 2*3*5*7*11-smooth integer >= n (and >= 1): an FFT length
+    that numpy's pocketfft transforms without a slow prime factor."""
+    m = max(int(n), 1)
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 # ---------------------------------------------------------------------------

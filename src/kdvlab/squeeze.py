@@ -89,20 +89,14 @@ def config_number(value, where, key, kind=float):
     return kind(value)
 
 
-def config_values(block, where, *keys):
-    """block[key] for each key; a missing key is a PreconditionError naming it."""
-    for key in keys:
-        if key not in block:
-            raise PreconditionError(f'{where} lacks the key "{key}"')
-    return [block[key] for key in keys]
-
-
 def config_numbers(block, where, required=(), **kinds):
     """The entries block gives, each key one of ``kinds``: a number of its kind
     (``config_number``), or any value where the kind is None (a name, a block).
     A missing ``required`` key, an unknown key or a wrong type is a
     PreconditionError naming the key."""
-    config_values(block, where, *required)
+    for key in required:
+        if key not in block:
+            raise PreconditionError(f'{where} lacks the key "{key}"')
     for key in block:
         if key not in kinds:
             raise PreconditionError(f'{where} has the unknown key "{key}"')

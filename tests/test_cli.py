@@ -201,8 +201,11 @@ def test_cli_import_leaves_out_scipy_signal():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    code = "import sys, kdvlab.cli; sys.exit('scipy.signal' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = ("import sys, kdvlab.cli; "
+            "print(*(m for m in ('scipy.signal', 'scipy.fft', 'scipy.special') "
+            "if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout.strip() == "", run.stdout + run.stderr
 
 
 @pytest.mark.parametrize("command, cfg, key", [
@@ -216,9 +219,11 @@ def test_cli_import_leaves_out_scipy_signal():
     ("squeeze", {"scenario": dict(SCENARIO, radius=0.04)}, '"radius"'),
     ("squeeze", {"scenario": dict(SCENARIO, center=dict(SCENARIO["center"], widht=1.0))},
      '"widht"'),
+    ("evolve", dict(EVOLVE, probe=[2.0]), '"probe"'),
+    ("evolve", dict(EVOLVE, initial=dict(MODES, mode=[])), '"mode"'),
 ], ids=["string_dt", "string_search_starts", "unknown_search_key", "float_resolution",
         "bool_cutoff", "string_mode_amplitude", "string_kappa", "unknown_scenario_key",
-        "unknown_prototype_key"])
+        "unknown_prototype_key", "unknown_top_level_key", "unknown_initial_key"])
 def test_wrong_type_or_unknown_key_exit_code_2(tmp_path, capsys, command, cfg, key):
     code, _ = run_cli(tmp_path, command, cfg)
     assert code == 2

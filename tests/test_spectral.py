@@ -26,6 +26,7 @@ from kdvlab import (
     zero_field,
 )
 from kdvlab.errors import GridMismatchError, MeanZeroError, PreconditionError
+from kdvlab.spectral import next_fast_len
 
 from conftest import random_field
 
@@ -405,6 +406,12 @@ class TestSerialization:
         path.write_text("1.0 4\n0 0.5 0.0\n5 0.1 0.0\n")
         with pytest.raises(PreconditionError, match="mode 5 beyond cutoff 4"):
             load_field(path)
+
+
+def test_next_fast_len_matches_scipy():
+    scipy_fft = pytest.importorskip("scipy.fft")
+    for n in range(1, 5001):
+        assert next_fast_len(n) == scipy_fft.next_fast_len(n), n
 
 
 class TestPlancherel:
