@@ -39,11 +39,13 @@ from .greens import (
     ResolventContext,
     alpha,
     alpha_gradient_field,
+    alpha_of,
     alpha_series,
     assemble_resolvent,
     free_diagonal_constant,
     green_diagonal,
     green_diagonal_series,
+    green_of,
     hs_norm,
     polynomial_invariants,
 )

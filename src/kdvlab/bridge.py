@@ -31,7 +31,7 @@ from .errors import (
     UnderResolvedError,
 )
 from .flows import DEFAULT_BUDGET, FlowSpec, HamiltonianSpec, evolve
-from .greens import assemble_resolvent, green_diagonal
+from .greens import green_of
 from .spectral import (
     LineField,
     PeriodicField,
@@ -502,8 +502,7 @@ def localized_smoothing_check(q, chi, kappa):
     xp = x_start + np.arange(n_pad) * (field.grid.length / n_pad)
     chi_pad = chi(xp) if callable(chi) else np.asarray(chi, dtype=float)
 
-    g = green_diagonal(assemble_resolvent(field, kappa)).g
-    gprime = derivative(g, 1)
+    gprime = derivative(green_of(field, kappa).g, 1)
     prod = chi_pad * gprime.samples_values(n_pad)
     lhs = math.sqrt(field.grid.length * float(np.mean(prod ** 2)))
 

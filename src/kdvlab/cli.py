@@ -24,7 +24,8 @@ the default of squeeze.SearchBudget or squeeze.image_area:
            fraction of R, dt: time step, directions: modes tried per round}
   area     (area) {resolution: occupancy cells per side, rings, angles: the
            polar slice samples (default resolution//2 + 1 and
-           ceil(pi * resolution)), dt: time step}
+           ceil(pi * resolution)), dt: time step}; on a nonlinear flow
+           1 + rings * angles may not exceed squeeze.MAX_EVOLVED_SAMPLES
 
 Exit codes: 0 success, 2 precondition failure (such as a mode with |j| > K,
 a mode entry without j, a missing required block or key, a value of the
@@ -53,7 +54,7 @@ from .flows import (
     kappa_sweep,
     monitors,
 )
-from .greens import alpha, assemble_resolvent, green_diagonal
+from .greens import alpha_of, green_of
 from .reporting import RunManifest, run_report, write_csv
 from .spectral import lp_project, sobolev_norm
 from .squeeze import (
@@ -135,7 +136,7 @@ def cmd_greens(cfg, out):
     q = _field_from(cfg, grid)
     rows = []
     for kap in _numbers(cfg, "kappas", [2.0]):
-        res = green_diagonal(assemble_resolvent(q, kap))
+        res = green_of(q, kap)
         xs = grid.points
         gs = res.g.samples_values()
         rows += [[kap, x, g] for x, g in zip(xs, gs)]
@@ -148,8 +149,7 @@ def cmd_alpha(cfg, out):
     q = _field_from(cfg, grid)
     rows = []
     for kap in _numbers(cfg, "kappas", [2.0, 4.0, 8.0]):
-        ctx = assemble_resolvent(q, kap)
-        a = alpha(ctx)
+        a = alpha_of(q, kap)
         rows.append([kap, a.value, a.hs_norm])
     p = write_csv(os.path.join(out, "alpha.csv"), ["kappa", "alpha", "hs_norm"], rows)
     return _manifest(cfg, [p], out)

@@ -22,7 +22,11 @@ c(-j) = conj c(j), so the stack holds only modes 0..K of each row (the rfft
 layout); full rows are built for saves, results and per-row ``rhs`` calls.
 The KdV remainder 3 d/dx (q^2) is computed for the whole stack from that half
 by one inverse and one forward real FFT of length next_fast_len(3K+1) (no
-aliasing onto |j| <= K); other kinds call ``rhs`` per row.  A row whose
+aliasing onto |j| <= K); other kinds call ``rhs`` per row.  The H_kappa
+``rhs`` takes g from ``greens.green_of``, which solves the Riccati equation
+when K >= greens.RICCATI_MIN_CUTOFF and inverts the dense resolvent below it;
+``hamiltonian_value`` and the alpha monitors take alpha from ``alpha_of`` on
+the same route, so the flow conserves the alpha its g belongs to.  A row whose
 ``rhs`` raises or whose L^2 norm doubles in a step stops with its error
 while the other rows go on.
 """
@@ -36,10 +40,11 @@ import numpy as np
 
 from .errors import BlowUpError, KdvLabError, PreconditionError
 from .greens import (
-    alpha,
+    alpha_of,
     assemble_resolvent,
     first_order_green,
     green_diagonal,
+    green_of,
     hs_norm,
     polynomial_invariants,
 )
@@ -201,8 +206,7 @@ def rhs(q, ham):
         return transport
     w = _band_values(ham, grid)
     qin = PeriodicField(grid, q.coeffs * w)
-    g = green_diagonal(assemble_resolvent(qin, kap)).g
-    gp = derivative(g, 1)
+    gp = derivative(green_of(qin, kap).g, 1)
     return transport + 16.0 * kap ** 5 * PeriodicField(grid, gp.coeffs * w)
 
 
@@ -217,7 +221,7 @@ def hamiltonian_value(q, ham):
     if ham.kind == "hkappa_linear":
         return 4.0 * kap ** 2 * momentum
     qin = PeriodicField(q.grid, q.coeffs * _band_values(ham, q.grid))
-    a = alpha(assemble_resolvent(qin, kap)).value
+    a = alpha_of(qin, kap).value
     return -16.0 * kap ** 5 * a + 4.0 * kap ** 2 * momentum
 
 
@@ -283,10 +287,9 @@ def _monitor_state(q, probes):
     mass, momentum, energy = polynomial_invariants(q)
     out = {"M": mass, "P": momentum, "H_kdv": energy}
     for kap in probes:
-        ctx = assemble_resolvent(q, kap)
-        norm = hs_norm(ctx)
-        out[f"alpha({kap:g})"] = alpha(ctx).value
-        out[f"hs({kap:g})"] = norm
+        a = alpha_of(q, kap)
+        out[f"alpha({kap:g})"] = a.value
+        out[f"hs({kap:g})"] = a.hs_norm
     return out
 
 

@@ -393,6 +393,11 @@ def linear_oracle(scenario):
 # image area of a symplectic 2-plane slice
 # ---------------------------------------------------------------------------
 
+# Most slice samples image_area evolves on a nonlinear flow, one trajectory
+# each; the default resolution=512 would ask for 413,514.
+MAX_EVOLVED_SAMPLES = 20_000
+
+
 def hilbert_partner(f):
     """Hilbert-transform partner: fhat(k) -> -i sign(k) fhat(k) (real field)."""
     sgn = np.sign(f.grid.modes).astype(float)
@@ -443,12 +448,19 @@ def image_area(scenario, resolution=512, rings=None, angles=None, dt=1e-3):
     pairs against l and its Hilbert-transform partner.  For linear flows the
     adjoint identity <l, U(T)q> = <U(-T)l, q> evaluates samples exactly; for
     the others each ring of samples (the first with the center) is evolved as
-    one batch, and the first failed sample's error is raised.
+    one batch, and the first failed sample's error is raised.  A nonlinear
+    flow refuses more than MAX_EVOLVED_SAMPLES samples before evolving any.
     """
-    e1, e2 = slice_basis(scenario)
-    l_h = hilbert_partner(scenario.observable)
     n_r = rings if rings is not None else resolution // 2 + 1
     n_t = angles if angles is not None else int(math.ceil(math.pi * resolution))
+    count = 1 + n_r * n_t
+    if not scenario.flow.is_linear and count > MAX_EVOLVED_SAMPLES:
+        raise PreconditionError(
+            f"image_area would evolve {count} slice samples (rings={n_r} x angles={n_t} + 1, "
+            f"from resolution={resolution}); a nonlinear flow allows at most "
+            f"{MAX_EVOLVED_SAMPLES}: lower resolution, or set rings and angles")
+    e1, e2 = slice_basis(scenario)
+    l_h = hilbert_partner(scenario.observable)
     radii = scenario.R * np.arange(1, n_r + 1) / n_r * 0.999
     thetas = 2.0 * math.pi * np.arange(n_t) / n_t
 

@@ -303,12 +303,15 @@ class TestCompareLocal:
         assert errs[0] == pytest.approx(expected, rel=2e-3)
 
     def test_error_decreases_under_joint_scaling(self):
-        # light two-level version; the acceptance suite runs three levels
-        u0a, plana, banda = self.setup_run(16.0, 32, 0.25, 2.0, 64, 512)
-        _, ea, _ = compare_local(u0a, plana, 1.0, banda, T=0.04, dt=1e-3, saves=2)
-        u0b, planb, bandb = self.setup_run(32.0, 64, 0.125, 2.0, 128, 1024)
-        _, eb, _ = compare_local(u0b, planb, 1.0, bandb, T=0.04, dt=1e-3, saves=2)
-        assert np.max(eb) < np.max(ea)
+        # three levels: circle length, window count and mode cutoff double
+        # while the band floor m halves
+        errors = []
+        for level in [(16.0, 32, 0.25, 2.0, 64, 512), (32.0, 64, 0.125, 2.0, 128, 1024),
+                      (64.0, 128, 0.0625, 2.0, 256, 2048)]:
+            u0, plan, band = self.setup_run(*level)
+            _, errs, _ = compare_local(u0, plan, 1.0, band, T=0.04, dt=1e-3, saves=2)
+            errors.append(np.max(errs))
+        assert errors[0] > errors[1] > errors[2], errors
 
     def test_rejects_data_outside_band(self):
         u0, plan, _ = self.setup_run(16.0, 32, 0.25, 2.0, 64, 512)

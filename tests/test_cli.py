@@ -149,6 +149,20 @@ def test_area_linear(tmp_path):
     assert (out / "area.csv").exists()
 
 
+def test_area_refuses_default_resolution_on_nonlinear_flow(tmp_path, monkeypatch, capsys):
+    # resolution 512 asks for 1 + 257 * 1609 = 413,514 evolved slice samples
+    def never(*args, **kwargs):
+        raise AssertionError("evolve_batch must not run")
+
+    monkeypatch.setattr("kdvlab.squeeze.evolve_batch", never)
+    cfg = {"scenario": dict(SCENARIO, flow={"kind": "kdv"})}
+    code, out = run_cli(tmp_path, "area", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "413514" in err and "resolution=512" in err
+    assert not (out / "area.csv").exists()
+
+
 def test_report_collects_digests(tmp_path):
     f = tmp_path / "data.csv"
     f.write_text("x\n1.0\n")

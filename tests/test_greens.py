@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from kdvlab import (
+    FlowSpec,
+    HamiltonianSpec,
     TorusGrid,
     alpha,
     alpha_gradient_field,
+    alpha_of,
     alpha_series,
     assemble_resolvent,
     derivative,
@@ -16,15 +19,23 @@ from kdvlab import (
     free_diagonal_constant,
     green_diagonal,
     green_diagonal_series,
+    green_of,
     hs_norm,
     make_field,
     pairing,
     polynomial_invariants,
     sobolev_norm,
+    truncate_field,
     zero_field,
 )
-from kdvlab.errors import LogDetBranchError, PreconditionError, SingularResolventError
-from kdvlab.greens import _lag_sums, _pair_sums
+from kdvlab.errors import (
+    CertificationError,
+    LogDetBranchError,
+    PreconditionError,
+    SingularResolventError,
+)
+from kdvlab.flows import evolve, rhs
+from kdvlab.greens import RICCATI_MIN_CUTOFF, ResolventContext, _lag_sums, _pair_sums
 from kdvlab.spectral import PeriodicField, product_coeffs
 
 from conftest import random_field
@@ -416,3 +427,85 @@ class TestPolynomialInvariants:
         q = make_field(grid, samples=-2 * k0 ** 2 / np.cosh(k0 * y) ** 2)
         m, _, _ = polynomial_invariants(q)
         assert abs(m - (-4 * k0)) < 1e-10
+
+
+K_STAR = RICCATI_MIN_CUTOFF
+
+
+class TestRiccatiRoute:
+    """g and alpha at K >= K*, against the dense route at 4K as the reference."""
+
+    @pytest.mark.parametrize("length, cutoff, kappa, decay, target_hs", [
+        (2 * math.pi, K_STAR, 4.0, 1.5, 0.9),       # rough: |qhat| ~ |j|^-1.5
+        (2 * math.pi, 64, 1.0, 1.5, 0.99),
+        (16.0, K_STAR, 4.0, 2.0, 0.5),
+        (32.0, 128, 1.0, 2.0, 0.5),
+    ])
+    def test_closer_to_dense_at_4k_than_dense_at_k(self, length, cutoff, kappa, decay,
+                                                   target_hs):
+        grid = TorusGrid.make(length, cutoff)
+        f = random_field(grid, np.random.default_rng(cutoff), decay=decay)
+        q = f * (target_hs / hs_norm(assemble_resolvent(f, kappa)))
+        wide = assemble_resolvent(truncate_field(q, 4 * cutoff), kappa)
+        ref_g = green_diagonal(wide).g.coeffs[3 * cutoff:5 * cutoff + 1]
+        ref_a = alpha(wide).value
+        ctx = assemble_resolvent(q, kappa)
+        dense_g, dense_a = green_diagonal(ctx).g.coeffs, alpha(ctx).value
+        res_g, res_a = green_of(q, kappa), alpha_of(q, kappa)
+        assert (res_g.method, res_a.method) == ("riccati", "hill")
+        assert np.linalg.norm(res_g.g.coeffs - ref_g) <= np.linalg.norm(dense_g - ref_g)
+        assert abs(res_a.value - ref_a) <= abs(dense_a - ref_a)
+        assert res_a.hs_norm == hs_norm(ctx)
+
+    @pytest.mark.parametrize("kappa", [1.0, 4.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("target_hs", [0.25, 0.5, 0.9, 0.99])
+    def test_newton_converges_inside_the_unit_ball(self, kappa, sign, target_hs):
+        grid = TorusGrid.make(2 * math.pi, K_STAR)
+        q = small_random(grid, np.random.default_rng(7), sign * target_hs, kappa)
+        dense = alpha(assemble_resolvent(q, kappa)).value
+        assert abs(alpha_of(q, kappa).value - dense) <= 1e-4 * abs(dense)
+        g = green_of(q, kappa).g.coeffs
+        assert np.all(np.isfinite(g))
+
+    def test_zero_potential_is_exactly_free(self):
+        grid = TorusGrid.make(2 * math.pi, K_STAR)
+        res = green_of(zero_field(grid), 4.0)
+        expected = np.zeros(2 * K_STAR + 1, dtype=complex)
+        expected[K_STAR] = free_diagonal_constant(4.0, grid.length)
+        assert np.array_equal(res.g.coeffs, expected)
+        assert alpha_of(zero_field(grid), 4.0).value == 0.0
+
+    def test_negative_operator_raises_through_evolve(self):
+        # q = -2 kappa^2 makes -d^2 + q + kappa^2 negative: no periodic branch exists
+        kappa = 2.0
+        grid = TorusGrid.make(2 * math.pi, K_STAR)
+        q0 = field_from_modes(grid, [(0, -2.0 * kappa ** 2), (1, 0.01), (-1, 0.01)])
+        spec = FlowSpec(HamiltonianSpec.hkappa(kappa), dt=1e-3, T=1e-3, saves=1)
+        with pytest.raises(CertificationError):
+            evolve(q0, spec, budget=None)
+
+    @pytest.mark.parametrize("cutoff, dense", [(K_STAR - 1, True), (K_STAR, False)])
+    def test_route_switches_at_k_star(self, monkeypatch, cutoff, dense):
+        calls = []
+        original = ResolventContext.inv_ib
+
+        def counted(ctx):
+            calls.append(ctx)
+            return original(ctx)
+
+        monkeypatch.setattr(ResolventContext, "inv_ib", counted)
+        grid = TorusGrid.make(2 * math.pi, cutoff)
+        q = small_random(grid, np.random.default_rng(3), 0.3, 2.0)
+        rhs(q, HamiltonianSpec.hkappa(2.0))
+        assert bool(calls) == dense
+
+    def test_non_real_potential_refused(self):
+        grid = TorusGrid.make(2 * math.pi, K_STAR)
+        c = np.zeros(2 * K_STAR + 1, dtype=complex)
+        c[K_STAR + 1] = 0.1
+        q = PeriodicField(grid, c)
+        with pytest.raises(PreconditionError):
+            green_of(q, 2.0)
+        with pytest.raises(PreconditionError):
+            alpha_of(q, 2.0)
