@@ -26,9 +26,13 @@ aliasing onto |j| <= K); other kinds call ``rhs`` per row.  The H_kappa
 ``rhs`` takes g from ``greens.green_of``, which solves the Riccati equation
 when K >= greens.RICCATI_MIN_CUTOFF and inverts the dense resolvent below it;
 ``hamiltonian_value`` and the alpha monitors take alpha from ``alpha_of`` on
-the same route, so the flow conserves the alpha its g belongs to.  A row whose
-``rhs`` raises or whose L^2 norm doubles in a step stops with its error
-while the other rows go on.
+the same route, so the flow conserves the alpha its g belongs to.  Each row
+keeps a small state, a dict that ``rhs`` hands to ``green_of``: the Riccati
+solve of one stage warm-starts the next stage of the same row, and the state
+is dropped with its row.  Every other caller of ``rhs`` and ``green_of`` (the
+alpha monitors, ``hamiltonian_value``, the bridge, the CLI) passes none and
+gets a cold solve.  A row whose ``rhs`` raises or whose L^2 norm doubles in a
+step stops with its error while the other rows go on.
 """
 
 from __future__ import annotations
@@ -192,8 +196,12 @@ def _kdv_nonlinear(grid):
     return term
 
 
-def rhs(q, ham):
-    """The right-hand side of the selected evolution at state q."""
+def rhs(q, ham, state=None):
+    """The right-hand side of the selected evolution at state q.
+
+    ``state`` is passed on to ``green_of`` by the H_kappa flows, to warm-start
+    g from the previous call with the same dict; the default is a cold start.
+    """
     grid = q.grid
     if ham.kind == "kdv":
         nonlinear = _kdv_nonlinear(grid)(q.coeffs[grid.cutoff:])
@@ -206,7 +214,7 @@ def rhs(q, ham):
         return transport
     w = _band_values(ham, grid)
     qin = PeriodicField(grid, q.coeffs * w)
-    gp = derivative(green_of(qin, kap).g, 1)
+    gp = derivative(green_of(qin, kap, state).g, 1)
     return transport + 16.0 * kap ** 5 * PeriodicField(grid, gp.coeffs * w)
 
 
@@ -329,7 +337,8 @@ def _lawson_rk4(q0s, spec, on_save=None):
             for i, row in enumerate(_full_rows(c)):
                 if i not in failed:
                     try:
-                        out[i] = rhs(PeriodicField(grid, row), ham).coeffs[k:] - lam * c[i]
+                        out[i] = (rhs(PeriodicField(grid, row), ham, states[i]).coeffs[k:]
+                                  - lam * c[i])
                     except KdvLabError as exc:
                         failed[i] = exc
             return out
@@ -341,6 +350,7 @@ def _lawson_rk4(q0s, spec, on_save=None):
 
     c = _hermitize(np.array([q.coeffs for q in q0s], dtype=complex))[:, k:].copy()
     members = np.arange(len(q0s))
+    states = [{} for _ in q0s]  # per row: the warm start of its next g (see ``rhs``)
     results = [None] * len(q0s)
     if on_save is not None:
         on_save(0.0, _full_rows(c))
@@ -366,6 +376,7 @@ def _lawson_rk4(q0s, spec, on_save=None):
                 results[members[i]] = exc
             keep = [i not in failed for i in range(len(c))]
             c, members, norm_after = c[keep], members[keep], norm_after[keep]
+            states = [st for st, kept in zip(states, keep) if kept]
             if not len(c):
                 break
         norm_before = norm_after

@@ -61,15 +61,53 @@ Then g = coth(theta l / 2) / (m_- - m_+), and Hill's formula gives
     alpha = -[(theta - kappa) l + 2 log1p(-e^{-theta l}) - 2 log1p(-e^{-kappa l})]
             + l qhat(0) coth(kappa l / 2) / (2 kappa).
 
-Newton runs on the deviations w = m -/+ kappa of both branches at once, from
-w = 0; each correction solves delta' + 2 m delta = -F exactly: with
-Phi = d^{-1}[2 (m - mean m)] periodic, y = e^Phi delta solves
-y' + 2 mean(m) y = -e^Phi F, which is diagonal in Fourier space.  w keeps
-modes 0..M, M = floor(3K/2), on n = next_fast_len(3M + 1) points, so the
-residual's modes 0..M are alias-free.  With M = K the Riccati g on rough data
+The solve runs on the deviations w = m -/+ kappa of both branches at once, as
+one (2, M + 1) stack of w-hat.  w keeps modes 0..M, M = floor(3K/2), on
+n = next_fast_len(3M + 1) points, so the residual
+
+    F-hat = (ik +- 2 kappa) w-hat - qhat + P_M rfft(w^2)
+
+is alias-free and costs two transforms.  With M = K the Riccati g on rough data
 (kappa = 1, ||B||_HS = 0.99, K = 64) was further from the dense g at 4K than
 the dense g at K; with M = 3K/2 it was closer by 900x or more in all 18 cases
 tried (l = 2 pi, 16, 32; K = 48, 64, 128; kappa = 1, 4; rough and smooth q).
+n, M, ik and the other operators are cached per (grid, kappa).
+
+The cold start is the linear response w' +- 2 kappa w = q, in closed form.  A
+warm start (``green_of``'s ``state``, one per Lawson-RK4 row) is the linear
+response of the new q plus the previous solve's nonlinear part, its w-hat less
+the linear response of its q.  RK stages are transported at speed ~4 kappa^2,
+which the linear response absorbs.  On the ``hkappa_evolve`` stages (seed 7)
+the relative start residual is 7.0e-4 cold, 4.4e-3 (median) when the old
+w-hat is reused as it is, and 1.9e-12 to 4.4e-6 warm.  A warm start that fails
+to certify is retried cold.
+
+Each correction delta solves delta' + 2 m delta = -F.  First with m replaced
+by its mean, delta-hat = -F-hat / (ik + 2 mean m), which needs no transform;
+such a step is kept while it cuts the residual to DIAGONAL_CUT = 1/4 or less.
+The first that does not is taken again as the exact Newton correction: with
+Phi = d^{-1}[2 (m - mean m)] periodic, y = e^Phi delta solves
+y' + 2 mean(m) y = -e^Phi F, which is diagonal in Fourier space (four more
+transforms).  On the stage inputs of ``hkappa_evolve`` and ``cut_compare``
+(seed 7) every diagonal step cut the residual 11x or more (median 2000x and
+110x).  Transforms per g there are the same for every cut from 0.1 to 0.5:
+11.0 cold and 7.9 warm on ``hkappa_evolve`` (9.0 warm at a cut of 0.003, and
+16.0 for the Newton-only cold solve this replaced), 15.0 and 10.1 on
+``cut_compare`` (22.0 before).  The cut was chosen on a sweep of 1296 cold
+solves (K = 64; l = 2 pi, 16, 32, 64; kappa = 1, 2, 4; three decays and seeds;
+||B||_HS = +-0.9, +-0.99, +-1.5): 1/4 is the smallest of 0.1, 0.2, 0.25, 0.3
+and 0.5 that certifies every case whose I + B is positive definite (0.1
+misses 5, at l = 64, kappa = 4, ||B||_HS = 1.5, where Newton diverges from
+the end of the shorter diagonal phase), at 31-32 transforms per solve at
+||B||_HS = 0.9-0.99 against 28 at 0.1 and 37-39 at 0.5.
+
+The solve stops at a residual (modes 0..M of F) of
+ROUNDING_RTOL = 4 eps max |qhat|; once in the Newton phase also when the
+residual stops halving at an accepted level (NEWTON_RTOL max |qhat|), or
+after NEWTON_PATIENCE = 3 steps without a new smallest residual, and it keeps
+the iterate with the smallest residual.  On hard data (l = 64, kappa = 4,
+||B||_HS = 1.5) Newton's residual does not fall every step, and stopping at
+the first rise left cases uncertified that the dense route shows positive.
 Averaging the equation of w_- gives, exactly,
 
     theta - kappa = (qhat(0) - mean(w_-^2)) / (2 kappa),
@@ -81,19 +119,24 @@ form g0 at d = 0, so q = 0 gives g0 and exact zeros.  The route raises
 ``CertificationError`` unless Newton converged, m_- - m_+ > 0 everywhere and
 theta > 0; those certify -d^2 + q + kappa^2 > 0 on T_l.
 
-K* is where the routes' costs cross: ms per g, one BLAS thread, medians of
-15 alternating rounds on a 2 vCPU Xeon, data shaped like the ``hkappa_evolve``
-input (||q||_{H^-1} = 0.1):
+K* is where the routes' costs cross: ms per g, one BLAS thread, on the 20
+stage inputs of a 5-step H_kappa run from data shaped like the
+``hkappa_evolve`` input (||q||_{H^-1} = 0.1, dt = 1e-3), cold (no state) and
+warm (one state along the run); per cell the median of three runs, each the
+median of 15 alternating rounds, on a 2 vCPU Xeon:
 
     K                    12    24    32    48    64    96   128   288
     l = 2 pi, kappa = 4
-      dense            0.19  0.22  0.28  0.45  0.71  1.82  3.00  18.6
-      Riccati          0.38  0.37  0.39  0.43  0.48  0.60  0.56  0.85
+      dense            0.12  0.25  0.33  0.35  0.74  2.14  3.75  23.5
+      Riccati, cold    0.19  0.25  0.41  0.26  0.45  0.46  0.38  0.53
+      Riccati, warm    0.14  0.20  0.32  0.20  0.34  0.33  0.32  0.40
     l = 32, kappa = 1
-      dense            0.15  0.24  0.30  0.47  0.60  1.22  2.30  21.5
-      Riccati          0.38  0.52  0.44  0.51  0.45  0.62  0.57  1.37
+      dense            0.14  0.19  0.29  0.42  0.63  1.43  2.69  24.5
+      Riccati, cold    0.27  0.31  0.51  0.46  0.54  0.61  0.60  0.86
+      Riccati, warm    0.14  0.18  0.35  0.27  0.35  0.38  0.36  0.51
 
-so K* = 64, the smallest K listed at which the Riccati route wins in both rows.
+K* = 64 is the smallest K listed at which the cold Riccati route wins in both
+rows; warm, it wins from K = 48.
 """
 
 from __future__ import annotations
@@ -278,7 +321,16 @@ def assemble_resolvent(q, kappa):
 
 def hs_norm(ctx):
     """Hilbert-Schmidt (Frobenius) norm of the normalized perturbation B."""
-    return float(np.linalg.norm(ctx.B_r))
+    return _hs_norm(ctx.q, ctx.kappa)
+
+
+def _hs_norm(q, kappa):
+    """||B||_HS of a real q in O(K): ||B||^2_HS = sum_{|d|<=K} |qhat(d)|^2 S_K(d)."""
+    k = q.grid.cutoff
+    c = q.coeffs[k:]
+    s_in = _pair_sums(q.grid, kappa)[0][k:]  # S_K(d) = S_K(-d), d = 0..K
+    rest = float(np.sum((c.real[1:] ** 2 + c.imag[1:] ** 2) * s_in[1:]))
+    return math.sqrt(float(c[0].real) ** 2 * s_in[0] + 2.0 * rest)
 
 
 # ---------------------------------------------------------------------------
@@ -438,64 +490,132 @@ def alpha_series(ctx, l_max):
 RICCATI_MIN_CUTOFF = 64  # K*: from the crossover table in the module docstring
 NEWTON_MAX_STEPS = 40
 NEWTON_RTOL = 1e-12      # converged: residual <= NEWTON_RTOL * max |qhat|
+ROUNDING_RTOL = 4 * EPS  # done: residual <= ROUNDING_RTOL * max |qhat|, rounding level
+DIAGONAL_CUT = 0.25      # a diagonal correction is kept while it cuts the residual this much
+NEWTON_PATIENCE = 3      # Newton stops after this many steps with no new smallest residual
 
 
-def _riccati(q, kappa):
-    """(samples of m_- - m_+, theta - kappa, mean w_-^2): see the module docstring."""
-    _check_domain(q, kappa)
-    k, length = q.grid.cutoff, q.grid.length
+@lru_cache(maxsize=64)
+def _riccati_plan(grid, kappa):
+    """(M, n, ik on the rfft modes, ik +- 2 kappa on modes 0..M, the Phi operator 2/ik,
+    +-2 kappa) for one (grid, kappa); the arrays are read-only."""
+    k = grid.cutoff
     m = 3 * k // 2
     n = next_fast_len(3 * m + 1)
-    ik = (2j * math.pi / length) * np.arange(n // 2 + 1)
+    ik = (2j * math.pi / grid.length) * np.arange(n // 2 + 1)
     ik[n // 2] *= n % 2  # an even n's Nyquist mode has no derivative
     anti = np.zeros(m + 1, dtype=complex)
     anti[1:] = 2.0 / ik[1:m + 1]
-    ops = np.stack((np.ones(m + 1), ik[:m + 1], anti))[:, None]  # w-hat -> w, w', Phi
     two_kappa = np.array([[2.0 * kappa], [-2.0 * kappa]])
-    qx = np.fft.irfft(q.coeffs[k:], n, norm="forward")
-    # the first Newton step from w = 0, in closed form: w' +- 2 kappa w = q
-    wh = np.zeros((2, m + 1), dtype=complex)
-    wh[:, :k + 1] = q.coeffs[k:] / (ik[:k + 1] + two_kappa)
-    scale = prev = float(np.abs(q.coeffs[k:]).max())  # the residual at w = 0
+    lin = ik[:m + 1] + two_kappa
+    for a in (ik, lin, anti, two_kappa):
+        a.setflags(write=False)
+    return m, n, ik, lin, anti, two_kappa
+
+
+def _newton_correction(plan, wh, fh, mean_m):
+    """The Newton correction from w-hat with residual F-hat: delta' + 2 m delta = -F
+    <=> y' + 2 mean(m) y = -e^Phi F with y = e^Phi delta, diagonal in Fourier space."""
+    m, n, ik, _, anti, _ = plan
+    phi, f = np.fft.irfft(np.stack((anti * wh, fh)), n, norm="forward")
+    e = np.exp(phi)
+    yh = np.fft.rfft(e * f, norm="forward") / (ik + 2.0 * mean_m)
+    return np.fft.rfft(np.fft.irfft(yh, n, norm="forward") / e, norm="forward")[:, :m + 1]
+
+
+def _newton(plan, qh, wh, scale):
+    """Correct w-hat from the start wh: (w-hat, samples of w, residual) of the iterate
+    with the smallest residual.  See the module docstring."""
+    m, n, _, lin, _, two_kappa = plan
+    k = len(qh) - 1
+
+    def residual(wh):
+        w = np.fft.irfft(wh, n, norm="forward")
+        fh = np.fft.rfft(w * w, norm="forward")[:, :m + 1]
+        fh += lin * wh
+        fh[:, :k + 1] -= qh
+        return w, fh, float(np.abs(fh).max())
+
+    w, fh, res = residual(wh)
+    best = wh, w, res
+    diagonal, stale = True, 0
     for _ in range(NEWTON_MAX_STEPS):
-        w, wp, phi = np.fft.irfft(ops * wh, n, norm="forward")
-        fh = np.fft.rfft(wp + two_kappa * w + w * w - qx, norm="forward")[:, :m + 1]
-        res = float(np.abs(fh).max())
-        # stop at rounding level; else, once the residual stops halving, if it
-        # is at an accepted level or no longer falls (a nan falls no longer)
-        if res <= EPS * scale or not res <= 0.5 * prev and (
-                res <= NEWTON_RTOL * scale or not res < prev):
+        if res <= ROUNDING_RTOL * scale:
             break
-        prev = res
         mean_m = 0.5 * two_kappa + wh[:, :1].real  # (theta, -theta) at a solution
         if not mean_m[0, 0] > 0.0 > mean_m[1, 0]:
-            break  # the step below is singular at mean(m) = 0
-        # delta' + 2 m delta = -F  <=>  y' + 2 mean(m) y = -e^Phi F with y = e^Phi delta
-        e = np.exp(phi)
-        yh = np.fft.rfft(e * np.fft.irfft(fh, n, norm="forward"), norm="forward")
-        y = np.fft.irfft(yh / (ik + 2.0 * mean_m), n, norm="forward")
-        wh -= np.fft.rfft(y / e, norm="forward")[:, :m + 1]
-    sq = float(np.mean(w[0] ** 2))
-    dtheta = (float(q.mean) - sq) / (2.0 * kappa)
-    d = two_kappa[0] + w[0] - w[1]
-    if not res <= NEWTON_RTOL * scale:
-        raise CertificationError(
-            f"Riccati Newton did not converge at kappa={kappa:g}, K={k} "
-            f"(residual {res:.3e} against max |qhat| {scale:.3e})")
-    if not (kappa + dtheta > 0.0 and d.min() > 0.0):
+            break  # both corrections are singular at mean(m) = 0
+        if diagonal:
+            # delta' + 2 mean(m) delta = -F, no transform: ik + 2 mean(m) = lin + 2 mean(w)
+            new = wh - fh / (lin + 2.0 * wh[:, :1].real)
+        else:
+            new = wh - _newton_correction(plan, wh, fh, mean_m)
+        new_w, new_fh, new_res = residual(new)
+        if diagonal and not new_res <= DIAGONAL_CUT * res:
+            diagonal = False  # retake the step from wh as a Newton correction
+            continue
+        halved = new_res <= 0.5 * best[2]
+        wh, w, fh, res = new, new_w, new_fh, new_res
+        if res < best[2]:
+            best, stale = (wh, w, res), 0
+        else:
+            stale += 1  # Newton need not decrease the residual every step (a nan never does)
+        if not halved and best[2] <= NEWTON_RTOL * scale or stale == NEWTON_PATIENCE:
+            break
+    return best
+
+
+def _riccati(q, kappa, state=None):
+    """(samples of m_- - m_+, theta - kappa, mean w_-^2): see the module docstring.
+
+    ``state`` (a dict, or None for a cold start) carries one row's last solve
+    into its next: read as the warm start, and overwritten by this solve.  A
+    warm start that does not certify is retried cold.
+    """
+    _check_domain(q, kappa)
+    plan = _riccati_plan(q.grid, kappa)
+    m, _, _, lin, _, two_kappa = plan
+    k = q.grid.cutoff
+    qh = q.coeffs[k:]
+    scale = float(np.abs(qh).max())
+    # the linear response, w' +- 2 kappa w = q, is the cold start
+    cold = np.zeros((2, m + 1), dtype=complex)
+    cold[:, :k + 1] = qh / lin[:, :k + 1]
+    starts = [cold]
+    if state is not None and state.get("plan") is plan:
+        starts.insert(0, cold + state["nonlinear"])
+    for start in starts:
+        wh, w, res = _newton(plan, qh, start, scale)
+        sq = float(w[0] @ w[0]) / len(w[0])
+        dtheta = (float(q.mean) - sq) / (2.0 * kappa)
+        d = two_kappa[0] + w[0] - w[1]
+        converged = res <= NEWTON_RTOL * scale
+        if converged and kappa + dtheta > 0.0 and d.min() > 0.0:
+            break
+    else:
+        if not converged:
+            raise CertificationError(
+                f"Riccati Newton did not converge at kappa={kappa:g}, K={k} "
+                f"(residual {res:.3e} against max |qhat| {scale:.3e})")
         raise CertificationError(
             f"Riccati branches do not certify -d^2 + q + kappa^2 > 0 at kappa={kappa:g}: "
             f"theta = {kappa + dtheta:.3e}, min(m_- - m_+) = {d.min():.3e}")
+    if state is not None:
+        state.update(plan=plan, nonlinear=wh - cold)
     return d, dtheta, sq
 
 
-def green_of(q, kappa):
+def green_of(q, kappa, state=None):
     """The diagonal Green's function of a real q: by the Riccati route when the
-    mode cutoff is at least RICCATI_MIN_CUTOFF, else by ``green_diagonal``."""
+    mode cutoff is at least RICCATI_MIN_CUTOFF, else by ``green_diagonal``.
+
+    ``state`` is a dict that warm-starts the Riccati solve from the previous
+    call with the same dict (see ``_riccati``); the dense route ignores it.
+    """
     grid = q.grid
     if grid.cutoff < RICCATI_MIN_CUTOFF:
         return green_diagonal(assemble_resolvent(q, kappa))
-    d, dtheta, _ = _riccati(q, kappa)
+    d, dtheta, _ = _riccati(q, kappa, state)
     half = 0.5 * grid.length
     gx = (1.0 / math.tanh((kappa + dtheta) * half) / d
           - 1.0 / math.tanh(kappa * half) / (2.0 * kappa))
@@ -519,7 +639,7 @@ def alpha_of(q, kappa):
              + 2.0 * math.log1p(-math.exp(-kappa * length))
              - 2.0 * math.log1p(-math.exp(-(kappa + dtheta) * length)))
     return AlphaResult(value=value, kappa=float(kappa), method="hill",
-                       hs_norm=hs_norm(assemble_resolvent(q, kappa)))
+                       hs_norm=_hs_norm(q, kappa))
 
 
 def alpha_gradient_field(ctx):

@@ -42,6 +42,21 @@ def test_evolve_writes_trajectory_and_monitors(tmp_path):
     assert set(manifest["outputs"]) == {"trajectory.csv", "monitors.csv"}
 
 
+def test_hkappa_evolve_repeats_byte_identically_in_one_process(tmp_path):
+    # K = 64 takes the warm-started Riccati route: no warm start may leak from
+    # one run into the next
+    cfg = {
+        "grid": {"length": 6.283185307179586, "cutoff": 64},
+        "initial": MODES,
+        "flow": {"kind": "hkappa", "kappa": 4.0},
+        "time": {"dt": 1e-3, "T": 0.004, "saves": 2},
+    }
+    outs = [run_cli(tmp_path, "evolve", cfg, out=tag) for tag in ("a", "b")]
+    assert [code for code, _ in outs] == [0, 0]
+    a, b = ((out / "trajectory.csv").read_bytes() for _, out in outs)
+    assert a == b
+
+
 EVOLVE = {
     "grid": GRID,
     "initial": MODES,

@@ -34,6 +34,7 @@ from kdvlab.errors import (
     PreconditionError,
     SingularResolventError,
 )
+from kdvlab import flows, greens
 from kdvlab.flows import evolve, rhs
 from kdvlab.greens import RICCATI_MIN_CUTOFF, ResolventContext, _lag_sums, _pair_sums
 from kdvlab.spectral import PeriodicField, product_coeffs
@@ -225,6 +226,12 @@ class TestHsNorm:
         h1 = hs_norm(assemble_resolvent(q, 3.0))
         h2 = hs_norm(assemble_resolvent(q * 2.0, 3.0))
         assert abs(h2 - 2 * h1) < 1e-12 * h1
+
+    @pytest.mark.parametrize("cutoff", [1, 12, 64, 128])
+    def test_matches_frobenius_norm_of_real_matrix(self, cutoff, rng):
+        ctx = assemble_resolvent(random_field(TorusGrid.make(2 * math.pi, cutoff), rng), 1.5)
+        expected = np.linalg.norm(ctx.B_r)
+        assert abs(hs_norm(ctx) - expected) <= 1e-14 * expected
 
 
 class TestGreenDiagonal:
@@ -499,6 +506,60 @@ class TestRiccatiRoute:
         q = small_random(grid, np.random.default_rng(3), 0.3, 2.0)
         rhs(q, HamiltonianSpec.hkappa(2.0))
         assert bool(calls) == dense
+
+    @pytest.mark.parametrize("length", [2 * math.pi, 64.0])
+    def test_newton_correction_reached_and_certifies(self, monkeypatch, length):
+        # kappa = 1, ||B||_HS = 0.99: replacing m by its mean stops cutting the
+        # residual fourfold, so the integrating-factor correction must finish
+        calls = []
+        original = greens._newton_correction
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(greens, "_newton_correction", counted)
+        grid = TorusGrid.make(length, K_STAR)
+        q = small_random(grid, np.random.default_rng(2), 0.99, 1.0)
+        res_g = green_of(q, 1.0)
+        assert calls
+        wide = green_diagonal(assemble_resolvent(truncate_field(q, 4 * K_STAR), 1.0))
+        ref = wide.g.coeffs[3 * K_STAR:5 * K_STAR + 1]
+        dense = green_diagonal(assemble_resolvent(q, 1.0)).g.coeffs
+        assert np.linalg.norm(res_g.g.coeffs - ref) <= np.linalg.norm(dense - ref)
+
+    def test_warm_starts_match_cold_along_a_trajectory(self, monkeypatch):
+        seen = []
+        original = flows.green_of
+
+        def recording(q, kappa, state=None):
+            res = original(q, kappa, state)
+            seen.append((q, kappa, state, res.g.coeffs))
+            return res
+
+        monkeypatch.setattr(flows, "green_of", recording)
+        grid = TorusGrid.make(2 * math.pi, K_STAR)
+        q0 = small_random(grid, np.random.default_rng(5), 0.3, 4.0)
+        evolve(q0, FlowSpec(HamiltonianSpec.hkappa(4.0), dt=1e-3, T=5e-3, saves=1),
+               budget=None)
+        assert len(seen) == 20 and all(st is seen[0][2] and st for _, _, st, _ in seen)
+        for q, kappa, _, warm in seen:
+            cold = green_of(q, kappa).g.coeffs
+            assert np.linalg.norm(warm - cold) <= 1e-14 * np.linalg.norm(cold)
+
+    @pytest.mark.parametrize("spoil", [1.0, 1e3])
+    def test_stale_state_gives_the_cold_answer(self, spoil):
+        grid = TorusGrid.make(2 * math.pi, K_STAR)
+        rng = np.random.default_rng(11)
+        state = {}
+        green_of(small_random(grid, rng, -0.9, 2.0), 2.0, state)
+        state["nonlinear"] = state["nonlinear"] * spoil  # 1e3: a start Newton cannot use
+        q = small_random(grid, rng, 0.5, 2.0)
+        cold = green_of(q, 2.0).g.coeffs
+        warm = green_of(q, 2.0, state).g.coeffs
+        assert np.linalg.norm(warm - cold) <= 1e-14 * np.linalg.norm(cold)
+        # a state from another kappa is not used at all
+        assert np.array_equal(green_of(q, 3.0, state).g.coeffs, green_of(q, 3.0).g.coeffs)
 
     def test_non_real_potential_refused(self):
         grid = TorusGrid.make(2 * math.pi, K_STAR)

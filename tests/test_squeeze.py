@@ -267,14 +267,16 @@ class TestReporting:
         man = RunManifest(config={"demo": True}, seeds={"rng": 0})
         man.add_output(p)
         paths = run_report(man, tmp_path)
-        data = json.loads(open(paths[0]).read())
+        with open(paths[0]) as fh:
+            data = json.load(fh)
         assert data["outputs"]["t.csv"] == sha256_digest(p)
         assert data["seeds"] == {"rng": 0}
 
     def test_empty_run_set(self, tmp_path):
         man = RunManifest()
         paths = run_report(man, tmp_path)
-        data = json.loads(open(paths[0]).read())
+        with open(paths[0]) as fh:
+            data = json.load(fh)
         assert data["outputs"] == {}
 
     def test_rerun_reproduces_digests(self, tmp_path, linear_scenario):
