@@ -83,6 +83,11 @@ class RampBump:
     def fourier(self, xi):
         """Line Fourier transform at frequencies xi (exact closed form)."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        return self.centered_fourier(xi) * np.exp(-2j * math.pi * xi * self.center)
+
+    def centered_fourier(self, xi):
+        """Line Fourier transform of this bump moved to center 0 (real, even), at the
+        float array xi; a translate's transform is this times its phase."""
         w = self.ramp_width
         sp = 2.0 * math.pi * xi
         pole = math.pi / w
@@ -96,8 +101,7 @@ class RampBump:
         if np.any(nearp):
             sgn = np.sign(sp[nearp])
             out[nearp] = 0.5 * w * np.sin(sgn * pole * (self.support + self.plateau) / 2.0)
-        phase = np.exp(-2j * math.pi * xi * self.center)
-        return out * phase
+        return out
 
     def derivative_l2(self):
         """||bump'||_{L^2}; the two cosine-squared ramps give pi/(2 sqrt(w))."""
@@ -176,14 +180,17 @@ class WindowTable:
         ]
 
 
-def _window_product_coeffs(u, part, k, out_cutoff):
-    """Exact coefficients of ring(phi^k) * u up to out_cutoff (analytic phi-hat)."""
+def _window_product_coeffs(u, part, out_cutoff):
+    """Per window k, the exact coefficients of ring(phi^k) * u up to out_cutoff
+    (analytic phi-hat: the windows are translates, so only the phase depends on k)."""
     ku = u.grid.cutoff
-    lags = np.arange(-(out_cutoff + ku), out_cutoff + ku + 1)
-    phihat = part.bump(k).fourier(lags / part.L) / part.L
-    conv = np.convolve(phihat, u.coeffs)
-    mid = (len(conv) - 1) // 2
-    return conv[mid - out_cutoff: mid + out_cutoff + 1]
+    xi = np.arange(-(out_cutoff + ku), out_cutoff + ku + 1) / part.L
+    profile = part.bump(0).centered_fourier(xi)
+    mid = out_cutoff + 2 * ku
+    for center in part.centers:
+        phihat = profile * np.exp(-2j * math.pi * xi * center) / part.L
+        conv = np.convolve(phihat, u.coeffs)
+        yield conv[mid - out_cutoff: mid + out_cutoff + 1]
 
 
 def localized_norms(u, part):
@@ -207,8 +214,7 @@ def localized_norms(u, part):
     half = np.empty(part.N)
     one = np.empty(part.N)
     integrals = np.empty(part.N)
-    for k in range(part.N):
-        c = _window_product_coeffs(u, part, k, D)
+    for k, c in enumerate(_window_product_coeffs(u, part, D)):
         p2 = np.abs(c) ** 2
         half[k] = math.sqrt(L * float(np.sum(w_half * p2)))
         one[k] = math.sqrt(L * float(np.sum(w_one * p2)))

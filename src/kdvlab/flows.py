@@ -20,9 +20,28 @@ One RK4 loop steps a stack of coefficient rows: ``evolve`` is the stack of
 one, ``evolve_batch`` runs many initial data side by side.  A real field has
 c(-j) = conj c(j), so the stack holds only modes 0..K of each row (the rfft
 layout); full rows are built for saves, results and per-row ``rhs`` calls.
-The KdV remainder 3 d/dx (q^2) is computed for the whole stack from that half
-by one inverse and one forward real FFT of length next_fast_len(3K+1) (no
-aliasing onto |j| <= K); other kinds call ``rhs`` per row.  The H_kappa
+The KdV remainder 3 d/dx (q^2) is computed for the whole stack from that half,
+on n = next_fast_len(3K+1) points (no aliasing onto |j| <= K); other kinds
+call ``rhs`` per row.  The kernel is built once per grid and has two routes.
+When K <= DFT_MAX_CUTOFF it is two real matrix products on the float view
+(re, im, re, ...) of the (B, K+1) half stack: a (2K+2, n) matrix of weighted
+cos/-sin rows gives the samples of q, and an (n, 2K+2) matrix takes q^2 to
+modes 0..K with the 1/n and the 6 pi i j / l folded in.  Above it, the kernel
+is one inverse and one forward real FFT.  At small K numpy's per-call FFT
+overhead, not arithmetic, sets the cost.  The cutoff is where the routes'
+costs cross: us per kernel call (l = 16, one BLAS thread; per cell the median
+of three runs, each the median of 7 blocks of 1000 calls, on a 2 vCPU Xeon):
+
+    K                16     32     48     64     80     96    128
+    B = 1   FFT     25.6   27.1   30.1   30.7   33.5   34.5   39.7
+            matrix   8.3   10.4   14.0   18.6   23.1   30.5   61.4
+    B = 18  FFT     49.0   68.8   89.0  111.5  125.4  142.5  192.5
+            matrix  13.6   25.2   42.3   76.3  105.8  163.9  319.4
+
+The matrices cost O(B K^2) and the FFTs O(B K log K), so the matrix route's
+lead shrinks with K and B.  DFT_MAX_CUTOFF = 64 is the largest K listed at
+which the matrices are at least a quarter faster in both rows (at K = 80 the
+B = 18 lead is 16%, and at K = 96 the matrices lose at B = 18).  The H_kappa
 ``rhs`` takes g from ``greens.green_of``, which solves the Riccati equation
 when K >= greens.RICCATI_MIN_CUTOFF and inverts the dense resolvent below it;
 ``hamiltonian_value`` and the alpha monitors take alpha from ``alpha_of`` on
@@ -39,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -183,17 +203,53 @@ def _full_rows(h):
     return np.concatenate((np.conj(h[..., :0:-1]), h), axis=-1)
 
 
+DFT_MAX_CUTOFF = 64  # largest K on the matrix route: the crossover table in the module docstring
+
+
+@lru_cache(maxsize=8)
 def _kdv_nonlinear(grid):
-    """h -> dealiased 3 d/dx (q^2) on the nonnegative modes 0..K of each row h of q."""
+    """h -> dealiased 3 d/dx (q^2) on the nonnegative modes 0..K of each row h of q:
+    two real matrix products when K <= DFT_MAX_CUTOFF, else two real FFTs."""
+    return (_kdv_dft if grid.cutoff <= DFT_MAX_CUTOFF else _kdv_fft)(grid)
+
+
+def _fft_term(k, n, mult, h):
+    q = np.fft.irfft(h, n, norm="forward")
+    return mult * np.fft.rfft(q * q, norm="forward")[..., :k + 1]
+
+
+def _dft_term(to_q, to_out, h):
+    q = np.ascontiguousarray(h, dtype=complex).view(float) @ to_q
+    return ((q * q) @ to_out).view(complex)
+
+
+def _kdv_fft(grid):
+    """The kernel of ``_kdv_nonlinear`` as one irfft and one rfft of length n."""
+    k = grid.cutoff
+    mult = (6j * math.pi / grid.length) * np.arange(k + 1)
+    mult.setflags(write=False)
+    return partial(_fft_term, k, next_fast_len(3 * k + 1), mult)
+
+
+def _kdv_dft(grid):
+    """The kernel of ``_kdv_nonlinear`` as two real matrices on the float view of h:
+    (2K+2, n) to the n samples of q (the irfft, Im h_0 row exactly 0) and
+    (n, 2K+2) from q^2 to modes 0..K (rfft, 1/n, 6 pi i j / l; mode 0 exactly 0)."""
     k = grid.cutoff
     n = next_fast_len(3 * k + 1)
-    mult = (6j * math.pi / grid.length) * np.arange(k + 1)
-
-    def term(h):
-        q = np.fft.irfft(h, n, norm="forward")
-        return mult * np.fft.rfft(q * q, norm="forward")[..., :k + 1]
-
-    return term
+    j = np.arange(k + 1)
+    phase = np.exp((2j * math.pi / n) * (np.outer(j, np.arange(n)) % n))
+    to_q = np.empty((2 * k + 2, n))
+    to_q[0::2], to_q[1::2] = phase.real, -phase.imag
+    to_q[2:] *= 2.0
+    to_q[1] = 0.0
+    scaled = ((6.0 * math.pi / (grid.length * n)) * j)[:, None] * phase
+    to_out = np.empty((n, 2 * k + 2))
+    to_out[:, 0::2], to_out[:, 1::2] = scaled.imag.T, scaled.real.T
+    to_out[:, :2] = 0.0
+    for a in (to_q, to_out):
+        a.setflags(write=False)
+    return partial(_dft_term, to_q, to_out)
 
 
 def rhs(q, ham, state=None):

@@ -39,6 +39,8 @@ and the renormalized log-determinant
 
 are taken from B_r as well.  The complex B, A and ``apply_operator`` are
 built only on first use: they are oracles for the tests and the series routes.
+LAPACK (``scipy.linalg``) is imported on the first dense inverse, so a run
+that stays on the Riccati route, or runs no H_kappa flow, never loads it.
 
 Two exactness conventions: the free diagonal constant on the circle is the
 closed form g0 = coth(kappa l / 2) / (2 kappa) rather than the truncated
@@ -146,7 +148,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     CertificationError,
@@ -243,6 +244,8 @@ class ResolventContext:
         triangle only; outside it we fall back to LU so diagnostics still work.
         """
         if self._inv_ib is None:
+            from scipy.linalg import lapack  # LAPACK loads on the first dense inverse
+
             n = len(self.B_r)
             a = self.B_r.copy()
             a.flat[::n + 1] += 1.0

@@ -237,6 +237,41 @@ def test_cli_import_leaves_out_scipy_signal():
     assert run.returncode == 0 and run.stdout.strip() == "", run.stdout + run.stderr
 
 
+LAZY_LAPACK = """
+import json, sys
+import kdvlab.cli
+from kdvlab import (FlowSpec, HamiltonianSpec, TorusGrid, assemble_resolvent, evolve,
+                    field_from_modes, green_diagonal)
+modes = [(1, 0.02), (-1, 0.02), (2, 0.01j), (-2, -0.01j)]
+loaded = ["scipy.linalg" in sys.modules]
+for k, ham in ((32, HamiltonianSpec.kdv()), (64, HamiltonianSpec.hkappa(2.0))):
+    evolve(field_from_modes(TorusGrid.make(6.0, k), modes), FlowSpec(ham, dt=1e-3, T=2e-3))
+    loaded.append("scipy.linalg" in sys.modules)
+q = field_from_modes(TorusGrid.make(6.0, 12), modes)
+g = green_diagonal(assemble_resolvent(q, 2.0)).g
+loaded.append("scipy.linalg" in sys.modules)
+print(json.dumps({"loaded": loaded, "g": g.coeffs.view(float).tolist()}))
+"""
+
+
+def test_scipy_linalg_loads_only_on_the_dense_route():
+    from kdvlab import TorusGrid, assemble_resolvent, field_from_modes, green_diagonal
+
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    run = subprocess.run([sys.executable, "-c", LAZY_LAPACK], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    # import, KdV evolve at K = 32, H_kappa evolve at K = 64, dense g at K = 12
+    assert out["loaded"] == [False, False, False, True]
+    q = field_from_modes(TorusGrid.make(6.0, 12), [(1, 0.02), (-1, 0.02), (2, 0.01j),
+                                                   (-2, -0.01j)])
+    g = green_diagonal(assemble_resolvent(q, 2.0)).g
+    assert g.coeffs.view(float).tolist() == out["g"]
+
+
 @pytest.mark.parametrize("command, cfg, key", [
     ("evolve", dict(EVOLVE, time={"dt": "0.001", "T": 0.002}), '"dt"'),
     ("squeeze", {"scenario": SCENARIO, "search": {"starts": "16"}}, '"starts"'),

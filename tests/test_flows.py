@@ -33,7 +33,14 @@ from kdvlab import (
     zero_field,
 )
 from kdvlab.errors import BlowUpError, PreconditionError
-from kdvlab.flows import _kdv_nonlinear
+from kdvlab.flows import (
+    DFT_MAX_CUTOFF,
+    _dft_term,
+    _fft_term,
+    _kdv_dft,
+    _kdv_fft,
+    _kdv_nonlinear,
+)
 from kdvlab.greens import assemble_resolvent
 from kdvlab.spectral import PeriodicField, product_coeffs
 
@@ -187,6 +194,37 @@ class TestKdvNonlinear:
         for row, q in zip(out, qs):
             single = term(q.coeffs[8:])
             assert np.linalg.norm(row - single) <= 1e-15 * np.linalg.norm(single)
+
+    @pytest.mark.parametrize("b", [1, 18])
+    @pytest.mark.parametrize("k", [1, 8, 32, DFT_MAX_CUTOFF])
+    def test_matrix_route_matches_fft_route(self, k, b, rng):
+        grid = TorusGrid.make(TWO_PI, k)
+        h = rng.standard_normal((b, k + 1)) + 1j * rng.standard_normal((b, k + 1))
+        h = h[0] if b == 1 else h
+        ref = _kdv_fft(grid)(h)
+        out = _kdv_dft(grid)(h)
+        assert out.shape == ref.shape
+        assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("route", [_kdv_dft, _kdv_fft], ids=["matrix", "fft"])
+    def test_mode_zero_is_zero_and_im_h0_is_ignored(self, route, rng):
+        grid = TorusGrid.make(TWO_PI, 16)
+        h = rng.standard_normal((3, 17)) + 1j * rng.standard_normal((3, 17))
+        real_h0 = h.copy()
+        real_h0[:, 0] = real_h0[:, 0].real
+        term = route(grid)
+        out = term(h)
+        assert np.all(out[:, 0] == 0.0)
+        assert np.array_equal(out, term(real_h0))
+
+    def test_kernel_is_cached_and_read_only(self):
+        for k, func in ((32, _dft_term), (DFT_MAX_CUTOFF, _dft_term),
+                        (DFT_MAX_CUTOFF + 1, _fft_term)):
+            term = _kdv_nonlinear(TorusGrid.make(TWO_PI, k))
+            assert term is _kdv_nonlinear(TorusGrid.make(TWO_PI, k))
+            assert term.func is func
+            arrays = [a for a in term.args if isinstance(a, np.ndarray)]
+            assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 def _rel(a, b):
