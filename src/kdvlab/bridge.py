@@ -182,15 +182,18 @@ class WindowTable:
 
 def _window_product_coeffs(u, part, out_cutoff):
     """Per window k, the exact coefficients of ring(phi^k) * u up to out_cutoff
-    (analytic phi-hat: the windows are translates, so only the phase depends on k)."""
+    (analytic phi-hat: the windows are translates, so only the phase depends on k).
+    Each convolution phi-hat^k * u-hat is an FFT product of length
+    P > 2 out_cutoff + 2 K_u, which keeps the wrapped terms off the kept modes;
+    u-hat is transformed once.  One window at a time keeps the memory of a row."""
     ku = u.grid.cutoff
     xi = np.arange(-(out_cutoff + ku), out_cutoff + ku + 1) / part.L
-    profile = part.bump(0).centered_fourier(xi)
-    mid = out_cutoff + 2 * ku
+    profile = part.bump(0).centered_fourier(xi) / part.L
+    p = next_fast_len(2 * out_cutoff + 2 * ku + 1)
+    uh = np.fft.fft(u.coeffs, p)
     for center in part.centers:
-        phihat = profile * np.exp(-2j * math.pi * xi * center) / part.L
-        conv = np.convolve(phihat, u.coeffs)
-        yield conv[mid - out_cutoff: mid + out_cutoff + 1]
+        phihat = profile * np.exp(-2j * math.pi * xi * center)
+        yield np.fft.ifft(np.fft.fft(phihat, p) * uh)[2 * ku:2 * ku + 2 * out_cutoff + 1]
 
 
 def localized_norms(u, part):

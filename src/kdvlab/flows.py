@@ -19,18 +19,18 @@ sizes are set by accuracy on the data's own frequencies, not by the grid.
 One RK4 loop steps a stack of coefficient rows: ``evolve`` is the stack of
 one, ``evolve_batch`` runs many initial data side by side.  A real field has
 c(-j) = conj c(j), so the stack holds only modes 0..K of each row (the rfft
-layout); full rows are built for saves, results and per-row ``rhs`` calls.
-The KdV remainder 3 d/dx (q^2) is computed for the whole stack from that half,
-on n = next_fast_len(3K+1) points (no aliasing onto |j| <= K); other kinds
-call ``rhs`` per row.  The kernel is built once per grid and has two routes.
-When K <= DFT_MAX_CUTOFF it is two real matrix products on the float view
-(re, im, re, ...) of the (B, K+1) half stack: a (2K+2, n) matrix of weighted
-cos/-sin rows gives the samples of q, and an (n, 2K+2) matrix takes q^2 to
-modes 0..K with the 1/n and the 6 pi i j / l folded in.  Above it, the kernel
-is one inverse and one forward real FFT.  At small K numpy's per-call FFT
-overhead, not arithmetic, sets the cost.  The cutoff is where the routes'
-costs cross: us per kernel call (l = 16, one BLAS thread; per cell the median
-of three runs, each the median of 7 blocks of 1000 calls, on a 2 vCPU Xeon):
+layout); full rows are built for saves and results.  The KdV remainder
+3 d/dx (q^2) is computed for the whole stack from that half, on
+n = next_fast_len(3K+1) points (no aliasing onto |j| <= K).  The kernel is
+built once per grid and has two routes.  When K <= DFT_MAX_CUTOFF it is two
+real matrix products on the float view (re, im, re, ...) of the (B, K+1) half
+stack: a (2K+2, n) matrix of weighted cos/-sin rows gives the samples of q,
+and an (n, 2K+2) matrix takes q^2 to modes 0..K with the 1/n and the
+6 pi i j / l folded in.  Above it, the kernel is one inverse and one forward
+real FFT.  At small K numpy's per-call FFT overhead, not arithmetic, sets the
+cost.  The cutoff is where the routes' costs cross: us per kernel call
+(l = 16, one BLAS thread; per cell the median of three runs, each the median
+of 7 blocks of 1000 calls, on a 2 vCPU Xeon):
 
     K                16     32     48     64     80     96    128
     B = 1   FFT     25.6   27.1   30.1   30.7   33.5   34.5   39.7
@@ -41,17 +41,20 @@ of three runs, each the median of 7 blocks of 1000 calls, on a 2 vCPU Xeon):
 The matrices cost O(B K^2) and the FFTs O(B K log K), so the matrix route's
 lead shrinks with K and B.  DFT_MAX_CUTOFF = 64 is the largest K listed at
 which the matrices are at least a quarter faster in both rows (at K = 80 the
-B = 18 lead is 16%, and at K = 96 the matrices lose at B = 18).  The H_kappa
-``rhs`` takes g from ``greens.green_of``, which solves the Riccati equation
-when K >= greens.RICCATI_MIN_CUTOFF and inverts the dense resolvent below it;
+B = 18 lead is 16%, and at K = 96 the matrices lose at B = 18).
+
+The H_kappa remainder takes one of two routes by K* = greens.RICCATI_MIN_CUTOFF.
+At K >= K* it is ``_hkappa_nonlinear``, cached per (grid, flow), once per half
+row and stage: one Riccati solve for P_band q, then g less g0 and less its
+first-order part, times 16 kappa^5 (2 pi i j / l) P_band; the transport term
+and the first-order part of g are in the exactly propagated symbol.  Each row
+keeps a dict that warm-starts its next Riccati solve and is dropped with it.
+Below K* (and for the linear kinds) it is ``rhs`` on the full row less the
+linear symbol's part, with g from ``greens.green_of`` (dense below K*).
 ``hamiltonian_value`` and the alpha monitors take alpha from ``alpha_of`` on
-the same route, so the flow conserves the alpha its g belongs to.  Each row
-keeps a small state, a dict that ``rhs`` hands to ``green_of``: the Riccati
-solve of one stage warm-starts the next stage of the same row, and the state
-is dropped with its row.  Every other caller of ``rhs`` and ``green_of`` (the
-alpha monitors, ``hamiltonian_value``, the bridge, the CLI) passes none and
-gets a cold solve.  A row whose ``rhs`` raises or whose L^2 norm doubles in a
-step stops with its error while the other rows go on.
+the route of g, so the flow conserves the alpha its g belongs to.  A row whose
+remainder raises or whose L^2 norm doubles in a step stops with its error
+while the other rows go on.
 """
 
 from __future__ import annotations
@@ -64,6 +67,9 @@ import numpy as np
 
 from .errors import BlowUpError, KdvLabError, PreconditionError
 from .greens import (
+    RICCATI_MIN_CUTOFF,
+    _riccati_green_hat,
+    _riccati_half,
     alpha_of,
     assemble_resolvent,
     first_order_green,
@@ -252,12 +258,29 @@ def _kdv_dft(grid):
     return partial(_dft_term, to_q, to_out)
 
 
-def rhs(q, ham, state=None):
-    """The right-hand side of the selected evolution at state q.
+@lru_cache(maxsize=8)
+def _hkappa_nonlinear(grid, ham):
+    """(h, state) -> the H_kappa (or band) remainder 16 kappa^5 d/dx P_band (g - g0 -
+    m P_band q) on modes 0..K of one half row h, m the first-order symbol of g, by one
+    Riccati solve warm-started from ``state``; for K >= RICCATI_MIN_CUTOFF."""
+    k = grid.cutoff
+    w = np.ones(k + 1) if ham.band is None else ham.band.values(grid.frequencies[k:])
+    amp = (16.0 * ham.kappa ** 5 * 2j * math.pi / grid.length) * np.arange(k + 1) * w
+    m_lin = first_order_green(grid, ham.kappa)[k:] * w
+    for a in (w, amp, m_lin):
+        a.setflags(write=False)
+    return partial(_hkappa_term, grid, ham.kappa, w, amp, m_lin)
 
-    ``state`` is passed on to ``green_of`` by the H_kappa flows, to warm-start
-    g from the previous call with the same dict; the default is a cold start.
-    """
+
+def _hkappa_term(grid, kappa, w, amp, m_lin, h, state):
+    if h[0].imag != 0.0:
+        raise PreconditionError("q is not real: Im qhat(0) of its half row is not 0")
+    d, dtheta, _ = _riccati_half(grid, w * h, kappa, state)
+    return amp * (_riccati_green_hat(grid, kappa, d, dtheta) - m_lin * h)
+
+
+def rhs(q, ham):
+    """The right-hand side of the selected evolution at state q."""
     grid = q.grid
     if ham.kind == "kdv":
         nonlinear = _kdv_nonlinear(grid)(q.coeffs[grid.cutoff:])
@@ -270,7 +293,7 @@ def rhs(q, ham, state=None):
         return transport
     w = _band_values(ham, grid)
     qin = PeriodicField(grid, q.coeffs * w)
-    gp = derivative(green_of(qin, kap, state).g, 1)
+    gp = derivative(green_of(qin, kap).g, 1)
     return transport + 16.0 * kap ** 5 * PeriodicField(grid, gp.coeffs * w)
 
 
@@ -364,11 +387,11 @@ def _columns(records):
 
 def _lawson_rk4(q0s, spec, on_save=None):
     """Per member of q0s (one shared grid): its final coefficient row, or the
-    ``KdvLabError`` (rhs failure or ``BlowUpError``) that dropped it from the
-    stack.  ``on_save(t, c)`` gets the running stack as full rows at t = 0 and
-    each save.  The stack holds modes 0..K of each row with Im c_0 = 0, so the
-    full rows are exactly Hermitian; a step's row norms (weights 1, 2, 2, ...
-    on |c_j|^2) are the next step's pre-step norms.
+    ``KdvLabError`` (raised by its nonlinear term, or a ``BlowUpError``) that
+    dropped it from the stack.  ``on_save(t, c)`` gets the running stack as
+    full rows at t = 0 and each save.  The stack holds modes 0..K of each row
+    with Im c_0 = 0, so the full rows are exactly Hermitian; a step's row norms
+    (weights 1, 2, 2, ... on |c_j|^2) are the next step's pre-step norms.
     """
     grid = q0s[0].grid
     if any(q.grid != grid for q in q0s):
@@ -388,13 +411,18 @@ def _lawson_rk4(q0s, spec, on_save=None):
     if ham.kind == "kdv":
         nonlinear = _kdv_nonlinear(grid)
     else:
+        if not ham.is_linear and k >= RICCATI_MIN_CUTOFF:
+            row_term = _hkappa_nonlinear(grid, ham)
+        else:
+            def row_term(h, _):
+                return rhs(PeriodicField(grid, _full_rows(h)), ham).coeffs[k:] - lam * h
+
         def nonlinear(c):
             out = np.zeros_like(c)
-            for i, row in enumerate(_full_rows(c)):
+            for i, h in enumerate(c):
                 if i not in failed:
                     try:
-                        out[i] = (rhs(PeriodicField(grid, row), ham, states[i]).coeffs[k:]
-                                  - lam * c[i])
+                        out[i] = row_term(h, states[i])
                     except KdvLabError as exc:
                         failed[i] = exc
             return out
@@ -406,7 +434,7 @@ def _lawson_rk4(q0s, spec, on_save=None):
 
     c = _hermitize(np.array([q.coeffs for q in q0s], dtype=complex))[:, k:].copy()
     members = np.arange(len(q0s))
-    states = [{} for _ in q0s]  # per row: the warm start of its next g (see ``rhs``)
+    states = [{} for _ in q0s]  # per row: the warm start of its next Riccati solve
     results = [None] * len(q0s)
     if on_save is not None:
         on_save(0.0, _full_rows(c))

@@ -75,14 +75,16 @@ the dense g at K; with M = 3K/2 it was closer by 900x or more in all 18 cases
 tried (l = 2 pi, 16, 32; K = 48, 64, 128; kappa = 1, 4; rough and smooth q).
 n, M, ik and the other operators are cached per (grid, kappa).
 
-The cold start is the linear response w' +- 2 kappa w = q, in closed form.  A
-warm start (``green_of``'s ``state``, one per Lawson-RK4 row) is the linear
+The cold start is the linear response w' +- 2 kappa w = q, in closed form.
+``green_of`` and ``alpha_of`` always start cold.  A warm start is the linear
 response of the new q plus the previous solve's nonlinear part, its w-hat less
-the linear response of its q.  RK stages are transported at speed ~4 kappa^2,
-which the linear response absorbs.  On the ``hkappa_evolve`` stages (seed 7)
-the relative start residual is 7.0e-4 cold, 4.4e-3 (median) when the old
-w-hat is reused as it is, and 1.9e-12 to 4.4e-6 warm.  A warm start that fails
-to certify is retried cold.
+the linear response of its q; ``_riccati_half`` reads and rewrites it in a
+``state`` dict, which the H_kappa flow kernel keeps, one per Lawson-RK4 row.
+RK stages are transported at speed ~4 kappa^2, which the linear response
+absorbs.  On the ``hkappa_evolve`` stages (seed 7) the relative start
+residual is 7.0e-4 cold, 4.4e-3 (median) when the old w-hat is reused as it
+is, and 1.9e-12 to 4.4e-6 warm.  A warm start that fails to certify is
+retried cold.
 
 Each correction delta solves delta' + 2 m delta = -F.  First with m replaced
 by its mean, delta-hat = -F-hat / (ik + 2 mean m), which needs no transform;
@@ -211,6 +213,7 @@ class ResolventContext:
     omega: np.ndarray  # omega_j for j = -K..K
     B_r: np.ndarray    # real symmetric, basis (e_0, cos_1..cos_K, sin_1..sin_K)
     _inv_ib: np.ndarray | None = None
+    positive_definite: bool | None = None  # set by inv_ib: whether dpotrf/dpotri succeeded
 
     @property
     def grid(self):
@@ -241,7 +244,8 @@ class ResolventContext:
 
         I + B_r is symmetric positive definite throughout the certified regime
         (||B|| < 1), where dpotrf/dpotri is the cheapest inverse and fills one
-        triangle only; outside it we fall back to LU so diagnostics still work.
+        triangle only; outside it we fall back to LU so diagnostics still work,
+        and ``positive_definite`` records which of the two ran.
         """
         if self._inv_ib is None:
             from scipy.linalg import lapack  # LAPACK loads on the first dense inverse
@@ -255,8 +259,10 @@ class ResolventContext:
             if info == 0:
                 inv, info = lapack.dpotri(cf, lower=1, overwrite_c=1)
                 if info == 0:
+                    self.positive_definite = True
                     self._inv_ib = inv.T
                     return self._inv_ib
+            self.positive_definite = False
             try:
                 self._inv_ib = np.triu(np.linalg.inv(a))
             except np.linalg.LinAlgError as exc:
@@ -364,7 +370,8 @@ def _lag_sums(x):
 
 
 def green_diagonal(ctx):
-    """Diagonal Green's function x -> G(x, x; kappa; q) by direct dense solve."""
+    """Diagonal Green's function x -> G(x, x; kappa; q) by direct dense solve;
+    certified only if I + B is positive definite (the Cholesky inverse ran)."""
     grid = ctx.grid
     k = grid.cutoff
     inv_sq = _real_basis_inv_sqrt(ctx.omega)
@@ -396,7 +403,8 @@ def green_diagonal(ctx):
     c[k] += free - sum_inv_omega / grid.length
     c -= ctx.q.coeffs * (s_full - s_in) / grid.length  # first-order lattice tail
     g = PeriodicField(grid, _hermitize(c))
-    return GreenResult(g=g, kappa=ctx.kappa, method="direct", free_constant=free)
+    return GreenResult(g=g, kappa=ctx.kappa, method="direct", free_constant=free,
+                       certified=ctx.positive_definite)
 
 
 def green_diagonal_series(q, kappa, l_max):
@@ -568,18 +576,23 @@ def _newton(plan, qh, wh, scale):
     return best
 
 
-def _riccati(q, kappa, state=None):
-    """(samples of m_- - m_+, theta - kappa, mean w_-^2): see the module docstring.
+def _riccati(q, kappa):
+    """``_riccati_half`` of a real q, cold, after the checks of ``_check_domain``."""
+    _check_domain(q, kappa)
+    return _riccati_half(q.grid, q.coeffs[q.grid.cutoff:], kappa)
+
+
+def _riccati_half(grid, qh, kappa, state=None):
+    """(samples of m_- - m_+, theta - kappa, mean w_-^2) from qhat on modes 0..K
+    (the mean is Re qhat(0)): see the module docstring.
 
     ``state`` (a dict, or None for a cold start) carries one row's last solve
     into its next: read as the warm start, and overwritten by this solve.  A
     warm start that does not certify is retried cold.
     """
-    _check_domain(q, kappa)
-    plan = _riccati_plan(q.grid, kappa)
+    plan = _riccati_plan(grid, kappa)
     m, _, _, lin, _, two_kappa = plan
-    k = q.grid.cutoff
-    qh = q.coeffs[k:]
+    k = grid.cutoff
     scale = float(np.abs(qh).max())
     # the linear response, w' +- 2 kappa w = q, is the cold start
     cold = np.zeros((2, m + 1), dtype=complex)
@@ -590,7 +603,7 @@ def _riccati(q, kappa, state=None):
     for start in starts:
         wh, w, res = _newton(plan, qh, start, scale)
         sq = float(w[0] @ w[0]) / len(w[0])
-        dtheta = (float(q.mean) - sq) / (2.0 * kappa)
+        dtheta = (float(qh[0].real) - sq) / (2.0 * kappa)
         d = two_kappa[0] + w[0] - w[1]
         converged = res <= NEWTON_RTOL * scale
         if converged and kappa + dtheta > 0.0 and d.min() > 0.0:
@@ -608,21 +621,22 @@ def _riccati(q, kappa, state=None):
     return d, dtheta, sq
 
 
-def green_of(q, kappa, state=None):
-    """The diagonal Green's function of a real q: by the Riccati route when the
-    mode cutoff is at least RICCATI_MIN_CUTOFF, else by ``green_diagonal``.
-
-    ``state`` is a dict that warm-starts the Riccati solve from the previous
-    call with the same dict (see ``_riccati``); the dense route ignores it.
-    """
-    grid = q.grid
-    if grid.cutoff < RICCATI_MIN_CUTOFF:
-        return green_diagonal(assemble_resolvent(q, kappa))
-    d, dtheta, _ = _riccati(q, kappa, state)
+def _riccati_green_hat(grid, kappa, d, dtheta):
+    """g - g0 on modes 0..K from a Riccati solve's (m_- - m_+, theta - kappa)."""
     half = 0.5 * grid.length
     gx = (1.0 / math.tanh((kappa + dtheta) * half) / d
           - 1.0 / math.tanh(kappa * half) / (2.0 * kappa))
-    gh = np.fft.rfft(gx, norm="forward")[:grid.cutoff + 1]
+    return np.fft.rfft(gx, norm="forward")[:grid.cutoff + 1]
+
+
+def green_of(q, kappa):
+    """The diagonal Green's function of a real q: by the Riccati route when the
+    mode cutoff is at least RICCATI_MIN_CUTOFF, else by ``green_diagonal``."""
+    grid = q.grid
+    if grid.cutoff < RICCATI_MIN_CUTOFF:
+        return green_diagonal(assemble_resolvent(q, kappa))
+    d, dtheta, _ = _riccati(q, kappa)
+    gh = _riccati_green_hat(grid, kappa, d, dtheta)
     free = free_diagonal_constant(kappa, grid.length)
     gh[0] += free
     g = PeriodicField(grid, np.concatenate((np.conj(gh[:0:-1]), gh)))

@@ -21,7 +21,7 @@ from kdvlab import (
     truncate_field,
     unwrap,
 )
-from kdvlab.bridge import CutPolicy, RampBump, fattened_cutoff
+from kdvlab.bridge import CutPolicy, RampBump, _window_product_coeffs, fattened_cutoff
 from kdvlab.errors import (
     NoAdmissibleWindowError,
     PreconditionError,
@@ -139,6 +139,19 @@ class TestLocalizedNorms:
         u = make_field(grid, coeffs=np.zeros(129, dtype=complex))
         with pytest.raises(UnderResolvedError):
             localized_norms(u, partition)
+
+    @pytest.mark.parametrize("out_cutoff", [NSAMP, 7])
+    def test_window_coeffs_match_direct_convolution(self, partition, out_cutoff):
+        u = admissible_field(2)
+        ku = u.grid.cutoff
+        xi = np.arange(-(out_cutoff + ku), out_cutoff + ku + 1) / L
+        mid = out_cutoff + 2 * ku
+        rows = list(_window_product_coeffs(u, partition, out_cutoff))
+        assert len(rows) == N
+        for k, row in enumerate(rows):
+            direct = np.convolve(partition.bump(k).fourier(xi) / L, u.coeffs)
+            ref = direct[mid - out_cutoff:mid + out_cutoff + 1]
+            assert np.linalg.norm(row - ref) <= 1e-11 * np.linalg.norm(ref)
 
     def test_integrals_match_quadrature(self, partition):
         u = admissible_field(1)

@@ -32,16 +32,19 @@ from kdvlab import (
     translate,
     zero_field,
 )
-from kdvlab.errors import BlowUpError, PreconditionError
+from kdvlab.errors import BlowUpError, CertificationError, PreconditionError
 from kdvlab.flows import (
     DFT_MAX_CUTOFF,
     _dft_term,
     _fft_term,
+    _hkappa_nonlinear,
+    _hkappa_term,
     _kdv_dft,
     _kdv_fft,
     _kdv_nonlinear,
+    linear_symbol,
 )
-from kdvlab.greens import assemble_resolvent
+from kdvlab.greens import RICCATI_MIN_CUTOFF, assemble_resolvent
 from kdvlab.spectral import PeriodicField, product_coeffs
 
 TWO_PI = 2 * math.pi
@@ -282,6 +285,78 @@ class TestEvolveBatch:
         q0s = [zero_field(TorusGrid.make(TWO_PI, 8)), zero_field(TorusGrid.make(TWO_PI, 9))]
         with pytest.raises(PreconditionError):
             evolve_batch(q0s, spec)
+
+
+K_STAR = RICCATI_MIN_CUTOFF
+RICCATI_HAMS = [HamiltonianSpec.hkappa(2.0), HamiltonianSpec.hkappa_band(2.0, 0.25, 2.0)]
+
+
+def rough_small(grid, rng, hm1=0.05):
+    k = grid.cutoff
+    f = make_field(grid, coeffs=rng.standard_normal(2 * k + 1)
+                   + 1j * rng.standard_normal(2 * k + 1))
+    return f * (hm1 / sobolev_norm(f, -1.0))
+
+
+class TestHkappaNonlinear:
+    """The H_kappa kernel of the Lawson loop at K = K*, against per-row ``rhs``."""
+
+    @pytest.mark.parametrize("ham", RICCATI_HAMS, ids=lambda h: h.kind)
+    def test_matches_rhs_less_linear_symbol(self, ham, rng):
+        grid = TorusGrid.make(TWO_PI, K_STAR)
+        term = _hkappa_nonlinear(grid, ham)
+        lam = linear_symbol(grid, ham)[K_STAR:]
+        for q in (small_smooth(grid, scale=5.0), rough_small(grid, rng)):
+            full = rhs(q, ham).coeffs
+            h = q.coeffs[K_STAR:]
+            ref = full[K_STAR:] - lam * h
+            assert np.linalg.norm(term(h, None) - ref) <= 1e-12 * np.linalg.norm(full)
+
+    def test_refuses_a_half_row_with_complex_mean(self):
+        grid = TorusGrid.make(TWO_PI, K_STAR)
+        h = small_smooth(grid).coeffs[K_STAR:].copy()
+        h[0] = 1e-3j
+        with pytest.raises(PreconditionError):
+            _hkappa_nonlinear(grid, RICCATI_HAMS[0])(h, None)
+
+    @pytest.mark.parametrize("ham", RICCATI_HAMS, ids=lambda h: h.kind)
+    def test_batch_matches_serial_and_states_are_hermitian(self, ham, rng):
+        grid = TorusGrid.make(TWO_PI, K_STAR)
+        spec = FlowSpec(ham, dt=1e-3, T=5e-3, saves=5)
+        q0s = [small_smooth(grid), rough_small(grid, rng),
+               translate(small_smooth(grid, scale=2.0), 0.5)]
+        serial = [evolve(q0, spec) for q0 in q0s]
+        batch = evolve_batch(q0s, spec)
+        for got, traj in zip(batch, serial):
+            assert _rel(got, traj.final()) <= 1e-13
+        states = [q for traj in serial for q in traj.states] + batch
+        for q in states:
+            c = q.coeffs
+            assert np.array_equal(c[K_STAR - 1::-1], np.conj(c[K_STAR + 1:]))
+            assert c[K_STAR].imag == 0.0
+
+    def test_uncertified_row_is_dropped_alone(self):
+        # -20 cos x against kappa^2 = 4: -d^2 + q + kappa^2 is not positive
+        grid = TorusGrid.make(TWO_PI, K_STAR)
+        spec = FlowSpec(HamiltonianSpec.hkappa(2.0), dt=1e-3, T=5e-3, saves=1)
+        large = field_from_modes(grid, [(1, -10.0), (-1, -10.0)])
+        q0s = [small_smooth(grid), large, small_smooth(grid, scale=2.0)]
+        out = evolve_batch(q0s, spec)
+        with pytest.raises(CertificationError) as serial:
+            evolve(large, spec, budget=None)
+        assert isinstance(out[1], CertificationError)
+        assert str(out[1]) == str(serial.value)
+        for i in (0, 2):
+            assert _rel(out[i], evolve(q0s[i], spec).final()) <= 1e-13
+
+    def test_kernel_is_cached_and_read_only(self):
+        grid = TorusGrid.make(TWO_PI, K_STAR)
+        for ham in RICCATI_HAMS:
+            term = _hkappa_nonlinear(grid, ham)
+            assert term is _hkappa_nonlinear(TorusGrid.make(TWO_PI, K_STAR), replace(ham))
+            assert term.func is _hkappa_term
+            arrays = [a for a in term.args if isinstance(a, np.ndarray)]
+            assert len(arrays) == 3 and not any(a.flags.writeable for a in arrays)
 
 
 class TestMonitors:

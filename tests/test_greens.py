@@ -36,7 +36,14 @@ from kdvlab.errors import (
 )
 from kdvlab import flows, greens
 from kdvlab.flows import evolve, rhs
-from kdvlab.greens import RICCATI_MIN_CUTOFF, ResolventContext, _lag_sums, _pair_sums
+from kdvlab.greens import (
+    RICCATI_MIN_CUTOFF,
+    ResolventContext,
+    _lag_sums,
+    _pair_sums,
+    _riccati_green_hat,
+    _riccati_half,
+)
 from kdvlab.spectral import PeriodicField, product_coeffs
 
 from conftest import random_field
@@ -184,6 +191,19 @@ class TestResolventFallbacks:
         assert np.min(np.linalg.eigvalsh(np.eye(n) + ctx.B_r)) < 0
         expected = dense_green_coeffs(ctx, np.linalg.inv(np.eye(n) + ctx.B))
         assert relative_error(green_diagonal(ctx).g.coeffs, expected) <= 1e-13
+
+    @pytest.mark.parametrize("mean, definite", [(-2.0, False), (0.0, True)])
+    def test_certified_only_when_cholesky_ran(self, rng, mean, definite):
+        # K = 12, kappa = 1: a mean of -2 makes I + B indefinite, a mean of 0
+        # with small oscillation leaves it positive definite
+        grid = TorusGrid.make(1.0, 12)
+        ctx = assemble_resolvent(with_mean(random_field(grid, rng, amplitude=0.05), mean), 1.0)
+        n = len(ctx.omega)
+        assert (np.min(np.linalg.eigvalsh(np.eye(n) + ctx.B_r)) > 0) == definite
+        assert ctx.positive_definite is None  # nothing inverted yet
+        res = green_diagonal(ctx)
+        assert ctx.positive_definite is definite
+        assert res.certified is definite
 
     def test_singular_raises(self, unit_grid):
         # q = -kappa^2 annihilates the constants: I + B_r has an exact zero row
@@ -439,6 +459,13 @@ class TestPolynomialInvariants:
 K_STAR = RICCATI_MIN_CUTOFF
 
 
+def riccati_g(grid, kappa, solve):
+    """g on modes 0..K from a ``_riccati_half`` result."""
+    gh = _riccati_green_hat(grid, kappa, *solve[:2])
+    gh[0] += free_diagonal_constant(kappa, grid.length)
+    return gh
+
+
 class TestRiccatiRoute:
     """g and alpha at K >= K*, against the dense route at 4K as the reference."""
 
@@ -530,21 +557,22 @@ class TestRiccatiRoute:
 
     def test_warm_starts_match_cold_along_a_trajectory(self, monkeypatch):
         seen = []
-        original = flows.green_of
+        original = flows._riccati_half
 
-        def recording(q, kappa, state=None):
-            res = original(q, kappa, state)
-            seen.append((q, kappa, state, res.g.coeffs))
+        def recording(grid, qh, kappa, state=None):
+            res = original(grid, qh, kappa, state)
+            seen.append((qh, kappa, state, riccati_g(grid, kappa, res)))
             return res
 
-        monkeypatch.setattr(flows, "green_of", recording)
+        monkeypatch.setattr(flows, "_riccati_half", recording)
         grid = TorusGrid.make(2 * math.pi, K_STAR)
         q0 = small_random(grid, np.random.default_rng(5), 0.3, 4.0)
         evolve(q0, FlowSpec(HamiltonianSpec.hkappa(4.0), dt=1e-3, T=5e-3, saves=1),
                budget=None)
         assert len(seen) == 20 and all(st is seen[0][2] and st for _, _, st, _ in seen)
-        for q, kappa, _, warm in seen:
-            cold = green_of(q, kappa).g.coeffs
+        for qh, kappa, _, warm in seen:
+            full = np.concatenate((np.conj(qh[:0:-1]), qh))
+            cold = green_of(PeriodicField(grid, full), kappa).g.coeffs[K_STAR:]
             assert np.linalg.norm(warm - cold) <= 1e-14 * np.linalg.norm(cold)
 
     @pytest.mark.parametrize("spoil", [1.0, 1e3])
@@ -552,14 +580,15 @@ class TestRiccatiRoute:
         grid = TorusGrid.make(2 * math.pi, K_STAR)
         rng = np.random.default_rng(11)
         state = {}
-        green_of(small_random(grid, rng, -0.9, 2.0), 2.0, state)
+        _riccati_half(grid, small_random(grid, rng, -0.9, 2.0).coeffs[K_STAR:], 2.0, state)
         state["nonlinear"] = state["nonlinear"] * spoil  # 1e3: a start Newton cannot use
-        q = small_random(grid, rng, 0.5, 2.0)
-        cold = green_of(q, 2.0).g.coeffs
-        warm = green_of(q, 2.0, state).g.coeffs
+        qh = small_random(grid, rng, 0.5, 2.0).coeffs[K_STAR:]
+        cold = riccati_g(grid, 2.0, _riccati_half(grid, qh, 2.0))
+        warm = riccati_g(grid, 2.0, _riccati_half(grid, qh, 2.0, state))
         assert np.linalg.norm(warm - cold) <= 1e-14 * np.linalg.norm(cold)
         # a state from another kappa is not used at all
-        assert np.array_equal(green_of(q, 3.0, state).g.coeffs, green_of(q, 3.0).g.coeffs)
+        assert np.array_equal(riccati_g(grid, 3.0, _riccati_half(grid, qh, 3.0, state)),
+                              riccati_g(grid, 3.0, _riccati_half(grid, qh, 3.0)))
 
     def test_non_real_potential_refused(self):
         grid = TorusGrid.make(2 * math.pi, K_STAR)
