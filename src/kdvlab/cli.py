@@ -20,8 +20,10 @@ and each an optional block whose keys are all optional; a key left out takes
 the default of squeeze.SearchBudget or squeeze.image_area:
 
   search   (squeeze) {starts: seeded ball samples (2 informed starts are
-           added), rounds: ascent rounds, step: first ascent step as a
-           fraction of R, dt: time step, directions: modes tried per round}
+           added; all evolved as one batch), rounds: Jacobi ascent rounds,
+           one batch each, step: first ascent step as a fraction of R, dt:
+           time step, directions: modes tried per round}; starts >= 1,
+           rounds and directions >= 0, step and dt > 0
   area     (area) {resolution: occupancy cells per side, rings, angles: the
            polar slice samples (default resolution//2 + 1 and
            ceil(pi * resolution)), dt: time step}; on a nonlinear flow

@@ -50,7 +50,9 @@ first-order part, times 16 kappa^5 (2 pi i j / l) P_band; the transport term
 and the first-order part of g are in the exactly propagated symbol.  Each row
 keeps a dict that warm-starts its next Riccati solve and is dropped with it.
 Below K* (and for the linear kinds) it is ``rhs`` on the full row less the
-linear symbol's part, with g from ``greens.green_of`` (dense below K*).
+linear symbol's part, with g from ``greens.green_of`` (dense below K*);
+``rhs`` raises a CertificationError where the dense I + B is not positive
+definite, as the Riccati route does where -d^2 + q + kappa^2 is not positive.
 ``hamiltonian_value`` and the alpha monitors take alpha from ``alpha_of`` on
 the route of g, so the flow conserves the alpha its g belongs to.  A row whose
 remainder raises or whose L^2 norm doubles in a step stops with its error
@@ -65,7 +67,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import BlowUpError, KdvLabError, PreconditionError
+from .errors import BlowUpError, CertificationError, KdvLabError, PreconditionError
 from .greens import (
     RICCATI_MIN_CUTOFF,
     _riccati_green_hat,
@@ -293,7 +295,11 @@ def rhs(q, ham):
         return transport
     w = _band_values(ham, grid)
     qin = PeriodicField(grid, q.coeffs * w)
-    gp = derivative(green_of(qin, kap).g, 1)
+    green = green_of(qin, kap)
+    if not green.certified:
+        raise CertificationError("-d^2 + q + kappa^2 is not positive: I + B is not "
+                                 "positive definite (the dense inverse fell back to LU)")
+    gp = derivative(green.g, 1)
     return transport + 16.0 * kap ** 5 * PeriodicField(grid, gp.coeffs * w)
 
 

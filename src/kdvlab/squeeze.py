@@ -256,15 +256,21 @@ def _propagate_linear(q, ham, T):
     return PeriodicField(q.grid, _hermitize(q.coeffs * np.exp(lam * T)))
 
 
-def evolved_pairing(scenario, q0, dt=1e-3):
-    """<l, q(T)> for one initial condition under the scenario flow."""
-    l = scenario.observable
+def _evolve_all(scenario, q0s, dt):
+    """q(T) for each of q0s under the scenario flow: one ``evolve_batch`` on the
+    nonlinear kinds (a stopped member's entry is its KdvLabError), the exact
+    propagator on the linear ones."""
     if scenario.flow.is_linear:
-        return pairing(l, _propagate_linear(q0, scenario.flow, scenario.T))
-    (qT,) = evolve_batch([q0], FlowSpec(scenario.flow, dt=dt, T=scenario.T, saves=1))
+        return [_propagate_linear(q0, scenario.flow, scenario.T) for q0 in q0s]
+    return evolve_batch(q0s, FlowSpec(scenario.flow, dt=dt, T=scenario.T, saves=1))
+
+
+def evolved_pairing(scenario, qT):
+    """|<l, q(T)> - alpha| for one evolved member of ``_evolve_all``, or the
+    KdvLabError that stopped it, raised."""
     if isinstance(qT, KdvLabError):
         raise qT
-    return pairing(l, qT)
+    return abs(pairing(scenario.observable, qT) - scenario.alpha_target)
 
 
 def _dual_direction(scenario, w):
@@ -288,6 +294,13 @@ class SearchBudget:
     dt: float = 1e-3
     directions: int = 8
 
+    def __post_init__(self):
+        if self.starts < 1 or self.rounds < 0 or self.directions < 0:
+            raise PreconditionError("search budget needs starts >= 1, rounds >= 0 and "
+                                    f"directions >= 0, got {self}")
+        if not (self.step > 0 and self.dt > 0):
+            raise PreconditionError(f"search budget needs step > 0 and dt > 0, got {self}")
+
 
 @dataclass
 class SearchResult:
@@ -302,18 +315,27 @@ def escape_search(scenario, budget=SearchBudget()):
     """Maximize |<l, q(T)> - alpha| over the ball by multi-start + ascent.
 
     Starts: seeded ball samples plus the two informed starts along the dual
-    of the back-propagated observable (exact for the linear flows).  Ascent:
-    coordinate steps on the highest-weight modes, projected back into the
-    ball, step halved per round.  Deterministic for a fixed (scenario, seed,
-    budget) triple.
+    of the back-propagated observable (exact for the linear flows), evolved
+    as one batch.  Ascent: Jacobi rounds of one batch each; a round's trials
+    are +- coordinate steps on the highest-weight modes from the best point
+    at its start, projected back into the ball, and the search moves to the
+    best trial if it gains, else halves the step.  Deterministic for a fixed
+    (scenario, seed, budget) triple.
     """
     failures = []
     evaluations = 0
 
-    def value_of(q0):
+    def scored(q0s, label):
+        """(value, q0) per member of q0s that evolved, from one batch."""
         nonlocal evaluations
-        evaluations += 1
-        return abs(evolved_pairing(scenario, q0, dt=budget.dt) - scenario.alpha_target)
+        out = []
+        for i, (q0, qT) in enumerate(zip(q0s, _evolve_all(scenario, q0s, budget.dt))):
+            evaluations += 1
+            try:
+                out.append((evolved_pairing(scenario, qT), q0))
+            except KdvLabError as exc:  # keep searching
+                failures.append(f"{label.format(i)}: {exc}")
+        return out
 
     def clipped(q0):
         v = q0 - scenario.center
@@ -323,7 +345,7 @@ def escape_search(scenario, budget=SearchBudget()):
             return scenario.center + v * (cap / nrm)
         return q0
 
-    candidates = sample_ball(scenario, max(budget.starts, 1))
+    candidates = sample_ball(scenario, budget.starts)
     # informed starts: dual of the back-propagated observable, both signs
     # (back-propagation along the flow's linear part; exact for linear kinds)
     back = _propagate_linear(scenario.observable, scenario.flow, -scenario.T)
@@ -334,44 +356,31 @@ def escape_search(scenario, budget=SearchBudget()):
     except PreconditionError:
         pass
 
-    scored = []
-    for i, q0 in enumerate(candidates):
-        try:
-            scored.append((value_of(q0), i, q0))
-        except KdvLabError as exc:  # keep searching
-            failures.append(f"candidate {i}: {exc}")
-    if not scored:
+    starts = scored(candidates, "candidate {}")
+    if not starts:
         raise SearchFailureError(
             "all candidate evolutions failed: " + "; ".join(failures[:4])
         )
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    best_val, _, best = scored[0]
+    # max keeps the first of equal values: the lowest start, or trial, index
+    best_val, best = max(starts, key=lambda t: t[0])
 
     grid = scenario.grid
     live = np.flatnonzero(scenario.live_modes() & (grid.modes > 0))
     weights = np.abs(scenario.observable.coeffs[live])
     order = live[np.argsort(-weights, kind="stable")][:budget.directions]
+    eye = np.eye(2 * grid.cutoff + 1, dtype=complex)
+    directions = [PeriodicField(grid, _hermitize(unit * eye[idx]))
+                  for idx in order for unit in (1.0, 1.0j)]
+    norms = [_half_norm(d) for d in directions]
     step = budget.step * scenario.R
     for _ in range(budget.rounds):
-        improved = False
-        for idx in order:
-            for which in ("re", "im"):
-                for sgn in (+1.0, -1.0):
-                    c = np.zeros(2 * grid.cutoff + 1, dtype=complex)
-                    c[idx] = 1.0 if which == "re" else 1.0j
-                    direction = PeriodicField(grid, _hermitize(c))
-                    nrm = _half_norm(direction)
-                    if nrm < 1e-300:
-                        continue
-                    trial = clipped(best + direction * (sgn * step / nrm))
-                    try:
-                        val = value_of(trial)
-                    except KdvLabError as exc:
-                        failures.append(f"ascent: {exc}")
-                        continue
-                    if val > best_val + 1e-15:
-                        best_val, best, improved = val, trial, True
-        if not improved:
+        trials = [clipped(best + direction * (sgn * step / nrm))
+                  for direction, nrm in zip(directions, norms) for sgn in (+1.0, -1.0)]
+        val, trial = max(scored(trials, "ascent"), key=lambda t: t[0],
+                         default=(-math.inf, None))
+        if val > best_val + 1e-15:
+            best_val, best = val, trial
+        else:
             step *= 0.5
     return SearchResult(witness=best, value=float(best_val),
                         exceeds_r=bool(best_val > scenario.r),

@@ -226,6 +226,52 @@ def test_certification_failure_exit_code_3(tmp_path):
     assert code == 3
 
 
+
+def test_uncertified_dense_resolvent_exit_code_3(tmp_path, capsys):
+    # -d^2 + q + kappa^2 is not positive; at K = 12 (< K*) I + B needs the LU
+    # fallback, which certifies nothing
+    cfg = {
+        "grid": {"length": 6.283185307179586, "cutoff": 12},
+        "initial": {"modes": [{"j": 0, "re": -4.5}, {"j": 1, "re": 0.01},
+                              {"j": -1, "re": 0.01}]},
+        "flow": {"kind": "hkappa", "kappa": 2.0},
+        "time": {"dt": 1e-4, "T": 3e-4, "saves": 1},
+    }
+    code, out = run_cli(tmp_path, "evolve", cfg)
+    assert code == 3
+    assert "not positive definite" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("search", [{"dt": -1.0}, {"starts": -5}, {"rounds": -3},
+                                    {"step": -1.0}],
+                         ids=["negative_dt", "negative_starts", "negative_rounds",
+                              "negative_step"])
+def test_out_of_domain_search_budget_exit_code_2(tmp_path, capsys, monkeypatch, search):
+    def never(*args, **kwargs):
+        raise AssertionError("evolve_batch must not run")
+
+    monkeypatch.setattr("kdvlab.squeeze.evolve_batch", never)
+    cfg = {"scenario": dict(SCENARIO, flow={"kind": "kdv"}), "search": search}
+    code, out = run_cli(tmp_path, "squeeze", cfg)
+    assert code == 2
+    assert "search budget" in capsys.readouterr().err
+    assert not (out / "squeeze.csv").exists()
+
+
+def test_squeeze_repeats_byte_identically(tmp_path):
+    # a KdV search: the starts and each ascent round are one evolve batch
+    cfg = {"scenario": dict(SCENARIO, flow={"kind": "kdv"}, T=0.05,
+                            grid={"length": 16.0, "cutoff": 24}),
+           "search": {"starts": 4, "rounds": 1, "directions": 2, "dt": 5e-3}}
+    digests = []
+    for tag in ("a", "b"):
+        code, out = run_cli(tmp_path, "squeeze", cfg, out=tag)
+        assert code == 0
+        digests.append(json.loads((out / "manifest.json").read_text())["outputs"]["squeeze.csv"])
+    assert digests[0] == digests[1]
+
+
 def test_cli_import_leaves_out_scipy_signal():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]

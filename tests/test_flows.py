@@ -105,6 +105,22 @@ class TestRhs:
         assert abs(lhs - fd) <= 1e-6 * max(abs(fd), 1e-12)
 
 
+    @pytest.mark.parametrize("cutoff", [12, RICCATI_MIN_CUTOFF])
+    def test_non_positive_operator_raises_on_both_routes(self, cutoff):
+        # q = -4.5 + 0.02 cos x against kappa^2 = 4: -d^2 + q + kappa^2 is not
+        # positive; below K* the dense I + B takes the LU fallback, at K* the
+        # Riccati Newton does not converge
+        grid = TorusGrid.make(TWO_PI, cutoff)
+        q = field_from_modes(grid, [(0, -4.5), (1, 0.01), (-1, 0.01)])
+        ham = HamiltonianSpec.hkappa(2.0)
+        spec = FlowSpec(ham, dt=1e-4, T=3e-4, saves=1)
+        with pytest.raises(CertificationError):
+            evolve(q, spec, budget=None)
+        if cutoff < RICCATI_MIN_CUTOFF:
+            with pytest.raises(CertificationError, match="not positive definite"):
+                rhs(q, ham)
+
+
 class TestEvolve:
     def test_zero_initial_data_stays_zero(self):
         grid = TorusGrid.make(TWO_PI, 16)

@@ -21,7 +21,7 @@ from kdvlab import (
     write_csv,
 )
 from kdvlab.errors import BlowUpError, KdvLabError, PreconditionError
-from kdvlab.flows import FlowSpec, evolve
+from kdvlab.flows import FlowSpec, evolve, evolve_batch
 from kdvlab.squeeze import SearchBudget, hilbert_partner, slice_basis
 
 
@@ -189,15 +189,15 @@ class TestBatchedEvaluations:
 
         def fourth_fails(q0s, spec):
             sizes.append(len(q0s))
-            if len(sizes) == 4:
-                return [BlowUpError("guard tripped", time=0.01)]
-            return serial_evolve_batch(q0s, spec)
+            out = serial_evolve_batch(q0s, spec)
+            out[3] = BlowUpError("guard tripped", time=0.01)
+            return out
 
         monkeypatch.setattr("kdvlab.squeeze.evolve_batch", fourth_fails)
         res = escape_search(kdv_scenario, SearchBudget(starts=6, rounds=0, dt=5e-3))
         assert res.failures == ["candidate 3: guard tripped"]
         assert res.evaluations == 8
-        assert sizes == [1] * 8  # one evaluation per evolved_pairing call
+        assert sizes == [8]  # the starts are one batch
 
     def test_image_area_matches_serial_loop(self, kdv_scenario, monkeypatch):
         kwargs = dict(resolution=32, rings=3, angles=12, dt=5e-3)
@@ -208,6 +208,111 @@ class TestBatchedEvaluations:
         assert np.max(np.abs(batched.values - serial.values)) <= \
             1e-13 * np.max(np.abs(serial.values))
         assert batched.area == pytest.approx(serial.area, rel=1e-12)
+
+
+def recorded_batches(monkeypatch, fail=()):
+    """Each ``evolve_batch`` call of the search as (q0s, results); the rows
+    (call, row) in ``fail`` come back as a BlowUpError."""
+    batches = []
+
+    def recording(q0s, spec):
+        out = evolve_batch(q0s, spec)
+        for call, row in fail:
+            if call == len(batches):
+                out[row] = BlowUpError("guard tripped", time=0.01)
+        batches.append((list(q0s), out))
+        return out
+
+    monkeypatch.setattr("kdvlab.squeeze.evolve_batch", recording)
+    return batches
+
+
+def replay_search(scenario, budget, batches):
+    """(best value, best point, rounds that gained) rebuilt from the recorded
+    batches, asserting that each round's trials lie within its step of the
+    round's starting best and pair up as +- steps around it."""
+    def scored(batch):
+        return [(abs(pairing(scenario.observable, qT) - scenario.alpha_target), q0)
+                for q0, qT in zip(*batch) if not isinstance(qT, KdvLabError)]
+
+    best_val, best = max(scored(batches[0]), key=lambda t: t[0])
+    step = budget.step * scenario.R
+    cap = 0.9999 * scenario.R * (1 - 1e-9)
+    gains = 0
+    for batch in batches[1:]:
+        trials = batch[0]
+        dist = [sobolev_norm(t - best, -0.5, True) for t in trials]
+        assert max(dist) <= step * (1 + 1e-12)
+        inside = [(a, b) for a, b in zip(trials[::2], trials[1::2])
+                  if max(sobolev_norm(t - scenario.center, -0.5, True) for t in (a, b)) < cap]
+        assert inside
+        for a, b in inside:
+            mid = (a.coeffs + b.coeffs) / 2
+            assert np.max(np.abs(mid - best.coeffs)) <= 1e-15 * np.max(np.abs(best.coeffs))
+        val, trial = max(scored(batch), key=lambda t: t[0])
+        if val > best_val + 1e-15:
+            best_val, best, gains = val, trial, gains + 1
+        else:
+            step *= 0.5
+    return best_val, best, gains
+
+
+class TestSearchPhases:
+    # the two informed starts are stopped, so that the ascent starts from a
+    # ball sample and gains in every round; steps this short leave some trial
+    # pairs unclipped
+    BUDGET = SearchBudget(starts=2, rounds=3, directions=2, dt=5e-3, step=0.0625)
+    INFORMED = ((0, 2), (0, 3))
+
+    def test_one_batch_per_phase_and_jacobi_rounds(self, kdv_scenario, monkeypatch):
+        batches = recorded_batches(monkeypatch, fail=self.INFORMED)
+        res = escape_search(kdv_scenario, self.BUDGET)
+        assert [len(q0s) for q0s, _ in batches] == [2 + 2] + [4 * 2] * 3
+        assert res.evaluations == 4 + 3 * 8
+        assert res.failures == ["candidate 2: guard tripped", "candidate 3: guard tripped"]
+        value, witness, gains = replay_search(kdv_scenario, self.BUDGET, batches)
+        assert gains == 3  # each round starts from the previous round's best trial
+        assert res.value == value
+        assert np.array_equal(res.witness.coeffs, witness.coeffs)
+
+    def test_failed_ascent_row_is_named_and_others_scored(self, kdv_scenario, monkeypatch):
+        budget = replace(self.BUDGET, rounds=1)
+        batches = recorded_batches(monkeypatch, fail=self.INFORMED)
+        escape_search(kdv_scenario, budget)
+        _, out = batches[1]
+        values = [abs(pairing(kdv_scenario.observable, qT) - kdv_scenario.alpha_target)
+                  for qT in out]
+        top = int(np.argmax(values))  # the trial the round moves to
+        batches = recorded_batches(monkeypatch, fail=self.INFORMED + ((1, top),))
+        res = escape_search(kdv_scenario, budget)
+        assert res.failures == ["candidate 2: guard tripped", "candidate 3: guard tripped",
+                                "ascent: guard tripped"]
+        assert res.evaluations == 4 + 8
+        value, witness, gains = replay_search(kdv_scenario, budget, batches)
+        assert gains == 1  # the round still moves, to the best of the other trials
+        assert res.value == value == sorted(values)[-2]
+        assert np.array_equal(res.witness.coeffs, witness.coeffs)
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("field, value", [
+        ("starts", 0), ("starts", -5), ("rounds", -3), ("directions", -1),
+        ("step", 0.0), ("step", -1.0), ("dt", 0.0), ("dt", -1.0),
+    ])
+    def test_rejects_out_of_domain_field(self, field, value):
+        with pytest.raises(PreconditionError, match="search budget"):
+            SearchBudget(**{field: value})
+
+    def test_zero_rounds_and_directions_accepted(self):
+        assert SearchBudget(rounds=0, directions=0).rounds == 0
+
+    def test_time_step_beyond_horizon_refused_before_any_evolve(self, kdv_scenario,
+                                                                 monkeypatch):
+        batches = recorded_batches(monkeypatch)
+        with pytest.raises(PreconditionError, match="dt must not exceed T"):
+            escape_search(kdv_scenario, SearchBudget(starts=2, rounds=0,
+                                                     dt=2 * kdv_scenario.T))
+        assert batches == []
 
 
 class TestLinearOracle:
