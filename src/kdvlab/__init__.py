@@ -50,11 +50,10 @@ from .greens import (
     polynomial_invariants,
 )
 from .flows import (
-    DEFAULT_BUDGET,
+    HM1_RADIUS,
     ConservationReport,
     FlowSpec,
     HamiltonianSpec,
-    SmallnessBudget,
     Trajectory,
     calibrate_budget,
     compare_flows,
@@ -68,7 +67,6 @@ from .flows import (
 )
 from .bridge import (
     CutPlan,
-    CutPolicy,
     PartitionFamily,
     RampBump,
     build_partition,

@@ -30,7 +30,7 @@ from .errors import (
     SupportError,
     UnderResolvedError,
 )
-from .flows import DEFAULT_BUDGET, FlowSpec, HamiltonianSpec, evolve
+from .flows import FlowSpec, HamiltonianSpec, evolve
 from .greens import green_of
 from .spectral import (
     LineField,
@@ -225,11 +225,12 @@ def localized_norms(u, part):
     return WindowTable(half=half, one=one, integrals=integrals)
 
 
-@dataclass(frozen=True)
-class CutPolicy:
-    rank_fraction: float = 0.9
-    origin_margin_windows: float = 10.0
-    zero_tol_factor: float = 1e-10
+# The cut policy of ``select_cut`` (see its docstring).
+RANK_FRACTION = 0.9
+ORIGIN_MARGIN_WINDOWS = 10.0
+ZERO_TOL_FACTOR = 1e-10
+
+BOX_FACTOR = 2  # the line box of ``unwrap``, in circle periods
 
 
 @dataclass
@@ -282,23 +283,23 @@ def _circle_distance(x, L):
     return abs((x + L / 2) % L - L / 2)
 
 
-def select_cut(u, part, policy=CutPolicy()):
+def select_cut(u, part):
     """Pick the cut window(s) and the mean-zero correction, by rank.
 
-    The best ceil(rank_fraction*N) windows in each of the two localized norms
+    The best ceil(RANK_FRACTION*N) windows in each of the two localized norms
     form the admissible pool; windows whose bump support comes within
-    ``origin_margin_windows`` widths of the origin are excluded.  A window
-    with (numerically) vanishing integral gives the single-bump case;
-    otherwise a consecutive admissible pair is corrected so the selected bump
-    removes the full mean of u.
+    ORIGIN_MARGIN_WINDOWS widths of the origin are excluded.  A window whose
+    integral is at most ZERO_TOL_FACTOR ||u||_{L^2} sqrt(L/N) in size (numerically
+    vanishing) gives the single-bump case; otherwise a consecutive admissible
+    pair is corrected so the selected bump removes the full mean of u.
     """
     table = localized_norms(u, part)
     N = part.N
-    keep = int(math.ceil(policy.rank_fraction * N))
+    keep = int(math.ceil(RANK_FRACTION * N))
     s1 = set(np.argsort(table.half, kind="stable")[:keep].tolist())
     s2 = set(np.argsort(table.one, kind="stable")[:keep].tolist())
     h = part.width
-    margin = policy.origin_margin_windows * h
+    margin = ORIGIN_MARGIN_WINDOWS * h
     s3 = set()
     for k in s1 & s2:
         dist = _circle_distance(part.centers[k], part.L) - 0.75 * h
@@ -307,10 +308,10 @@ def select_cut(u, part, policy=CutPolicy()):
     if not s3:
         raise NoAdmissibleWindowError(
             "no admissible window: all low-norm windows sit within "
-            f"{policy.origin_margin_windows} widths of the origin (N={N})"
+            f"{ORIGIN_MARGIN_WINDOWS} widths of the origin (N={N})"
         )
     a_norm = sobolev_norm(u, -0.5, homogeneous=True)
-    tol = policy.zero_tol_factor * u.l2_norm() * math.sqrt(h)
+    tol = ZERO_TOL_FACTOR * u.l2_norm() * math.sqrt(h)
     zeros = sorted((k for k in s3 if abs(table.integrals[k]) <= tol),
                    key=lambda k: table.half[k])
     if zeros:
@@ -324,7 +325,7 @@ def select_cut(u, part, policy=CutPolicy()):
                    key=lambda k: table.half[k] + table.half[k + 1])
     if not pairs:
         raise NoAdmissibleWindowError(
-            "no consecutive admissible pair of windows; increase N or loosen policy"
+            "no consecutive admissible pair of windows; increase N"
         )
     k1 = int(pairs[0])
     i1, i2 = float(table.integrals[k1]), float(table.integrals[k1 + 1])
@@ -345,16 +346,15 @@ def select_cut(u, part, policy=CutPolicy()):
 # unwrapping to the line
 # ---------------------------------------------------------------------------
 
-def unwrap(u, plan, box_factor=2):
-    """Cut (1 - ring(phi_sel)) * u at the selected plateau; embed on a box.
+def unwrap(u, plan):
+    """Cut (1 - ring(phi_sel)) * u at the selected plateau; embed on a box of
+    BOX_FACTOR periods.
 
     The result vanishes identically on the selected plateau, so cutting there
     yields a compactly supported line function with connected support
     containing the origin; its integral is zero by the correction
     construction (mode 0 of the embedding is pinned to the exact value).
     """
-    if box_factor < 2 or int(box_factor) != box_factor:
-        raise PreconditionError("box_factor must be an integer >= 2")
     part = plan.partition
     L, n = u.grid.length, u.grid.samples
     dx = L / n
@@ -369,8 +369,8 @@ def unwrap(u, plan, box_factor=2):
     chi0_circle = 1.0 - plan.selected_bump_samples(x_circle)
     cut_s = chi0_circle * u_s
 
-    n_box = box_factor * n
-    off = ((box_factor - 1) * n) // 2
+    n_box = BOX_FACTOR * n
+    off = ((BOX_FACTOR - 1) * n) // 2
     x0_idx = i_theta - n - off
     box_start = x0_idx * dx
     m = np.arange(n_box)
@@ -378,7 +378,7 @@ def unwrap(u, plan, box_factor=2):
     vals = np.zeros(n_box)
     vals[window] = cut_s[(x0_idx + m[window]) % n]
 
-    lam = box_factor * L
+    lam = BOX_FACTOR * L
     k_box = (n_box - 1) // 2
     grid = TorusGrid(lam, k_box, n_box)
     c = _coeffs_from_samples(grid, vals)
@@ -410,8 +410,7 @@ def fattened_cutoff(linefield, pad_plateau, pad_support):
                     support=half + pad_support)
 
 
-def compare_local(u0, plan, kappa, band, T, dt, saves=8, box_factor=2,
-                  box_cutoff=None, budget=DEFAULT_BUDGET):
+def compare_local(u0, plan, kappa, band, T, dt, saves=8, box_cutoff=None):
     """Error curve t -> ||u(t) - ring(chi* q(t))_L||_{H^{-1}(T_L)}.
 
     u evolves under the band-truncated flow on T_L, the unwrapped data under
@@ -432,28 +431,28 @@ def compare_local(u0, plan, kappa, band, T, dt, saves=8, box_factor=2,
     circle_spec = FlowSpec(
         HamiltonianSpec.hkappa_band(kappa, band.N, band.M), dt=dt, T=T, saves=saves
     )
-    circle = evolve(u0, circle_spec, budget=budget)
+    circle = evolve(u0, circle_spec)
 
-    q0 = unwrap(u0, plan, box_factor=box_factor)
+    q0 = unwrap(u0, plan)
     k_l = u0.grid.cutoff
     kev = box_cutoff if box_cutoff is not None else min(
         2 * k_l + 32, (q0.box.grid.samples - 2) // 3
     )
     ev0 = _evolution_field(q0, kev)
     line_spec = FlowSpec(HamiltonianSpec.hkappa(kappa), dt=dt, T=T, saves=saves)
-    line = evolve(ev0, line_spec, budget=budget)
+    line = evolve(ev0, line_spec)
 
     h = part.width
     chi_star = fattened_cutoff(q0, pad_plateau=h / 20, pad_support=h / 10)
     n_ev = ev0.grid.samples
-    x_box = q0.box_start + np.arange(n_ev) * (box_factor * L / n_ev)
+    x_box = q0.box_start + np.arange(n_ev) * (BOX_FACTOR * L / n_ev)
     chi_s = chi_star(x_box)
 
-    n_l = n_ev // box_factor
+    n_l = n_ev // BOX_FACTOR
     errors = []
     for uq, qq in zip(circle.states, line.states):
         prod = chi_s * qq.samples_values()
-        per = periodize_samples(prod, q0.box_start, L, box_factor * L / n_ev)
+        per = periodize_samples(prod, q0.box_start, L, BOX_FACTOR * L / n_ev)
         grid_l = TorusGrid(L, min(k_l, (n_l - 1) // 2), n_l)
         back = make_field(grid_l, samples=per)
         back_full = truncate_field(back, k_l, samples=u0.grid.samples)
@@ -461,8 +460,7 @@ def compare_local(u0, plan, kappa, band, T, dt, saves=8, box_factor=2,
     return circle.times, np.array(errors), (circle, line, q0)
 
 
-def finite_speed_probe(q0, kappa, T, margin, dt, ramp=None, saves=8,
-                       box_cutoff=None, budget=DEFAULT_BUDGET):
+def finite_speed_probe(q0, kappa, T, margin, dt, ramp=None, saves=8, box_cutoff=None):
     """Exterior H^{-1} mass of the evolved unwrapped data, outside the
     margin-fattened support, with (||chi'||_{L^2}, ||chi'||_{L^inf}) of the
     exterior cutoff chi = 1 - interior bump."""
@@ -482,8 +480,7 @@ def finite_speed_probe(q0, kappa, T, margin, dt, ramp=None, saves=8,
         256, (q0.box.grid.samples - 2) // 3
     )
     ev0 = _evolution_field(q0, kev)
-    traj = evolve(ev0, FlowSpec(HamiltonianSpec.hkappa(kappa), dt=dt, T=T, saves=saves),
-                  budget=budget)
+    traj = evolve(ev0, FlowSpec(HamiltonianSpec.hkappa(kappa), dt=dt, T=T, saves=saves))
     n_ev = ev0.grid.samples
     x_box = q0.box_start + np.arange(n_ev) * (lam / n_ev)
     chi_ext = 1.0 - interior.periodized(x_box, lam)

@@ -631,10 +631,16 @@ def _riccati_green_hat(grid, kappa, d, dtheta):
 
 def green_of(q, kappa):
     """The diagonal Green's function of a real q: by the Riccati route when the
-    mode cutoff is at least RICCATI_MIN_CUTOFF, else by ``green_diagonal``."""
+    mode cutoff is at least RICCATI_MIN_CUTOFF, else by ``green_diagonal``.
+    Either route raises CertificationError unless -d^2 + q + kappa^2 > 0 is
+    certified (on the dense route: Cholesky of I + B ran)."""
     grid = q.grid
     if grid.cutoff < RICCATI_MIN_CUTOFF:
-        return green_diagonal(assemble_resolvent(q, kappa))
+        green = green_diagonal(assemble_resolvent(q, kappa))
+        if not green.certified:
+            raise CertificationError("-d^2 + q + kappa^2 is not positive: I + B is not "
+                                     "positive definite (the dense inverse fell back to LU)")
+        return green
     d, dtheta, _ = _riccati(q, kappa)
     gh = _riccati_green_hat(grid, kappa, d, dtheta)
     free = free_diagonal_constant(kappa, grid.length)

@@ -79,11 +79,11 @@ class RunManifest:
         return json.dumps(payload, sort_keys=True, indent=2, default=float)
 
 
-def run_report(manifest, out_dir, name="manifest.json"):
-    """Write the manifest JSON next to the outputs it records; returns paths."""
+def run_report(manifest, out_dir):
+    """Write manifest.json next to the outputs it records; returns paths."""
     import os
 
-    path = os.path.join(str(out_dir), name)
+    path = os.path.join(str(out_dir), "manifest.json")
     with open(path, "w") as fh:
         fh.write(manifest.to_json() + "\n")
     return [path] + [os.path.join(str(out_dir), k) for k in sorted(manifest.outputs)]

@@ -140,9 +140,9 @@ class PeriodicField:
     def l2_norm(self):
         return math.sqrt(self.grid.length * float(np.sum(np.abs(self.coeffs) ** 2)))
 
-    def is_mean_zero(self, rtol=MEAN_ZERO_RTOL):
+    def is_mean_zero(self):
         scale = self.l2_norm()
-        return abs(self.coeffs[self.grid.cutoff]) <= rtol * max(scale, 1e-300)
+        return abs(self.coeffs[self.grid.cutoff]) <= MEAN_ZERO_RTOL * max(scale, 1e-300)
 
     def samples_values(self, n=None):
         """Real samples on n equispaced points (defaults to grid.samples)."""
@@ -337,19 +337,19 @@ def _circle_norm(field, s, homogeneous):
     return math.sqrt(field.grid.length * float(np.sum(w * np.abs(field.coeffs) ** 2)))
 
 
-def _extended_line_field(f, factor=2):
-    """Zero-extend a LineField onto a ``factor`` times longer box."""
+def _extended_line_field(f):
+    """Zero-extend a LineField onto a box twice as long."""
     grid = f.box.grid
-    n2 = factor * grid.samples
+    n2 = 2 * grid.samples
     vals = f.samples_values()
     # place the original samples at their line coordinates inside the new box,
     # keeping the new origin on the sample lattice
-    offset = int(round((factor - 1) * grid.samples / 2))
+    offset = int(round(grid.samples / 2))
     start2 = f.box_start - offset * grid.spacing
     s2 = np.zeros(n2)
     s2[offset:offset + grid.samples] = vals
-    k2 = factor * grid.cutoff
-    grid2 = TorusGrid(factor * grid.length, k2, n2)
+    k2 = 2 * grid.cutoff
+    grid2 = TorusGrid(2 * grid.length, k2, n2)
     c = _coeffs_from_samples(grid2, s2)
     if f.exact_samples is not None and f.box.is_mean_zero():
         c[k2] = 0.0
@@ -365,7 +365,7 @@ def line_norm_refinement(f, s, homogeneous=False):
     convergence evidence for the Riemann-sum limit.
     """
     coarse = _circle_norm(f.box, s, homogeneous)
-    refined = _circle_norm(_extended_line_field(f, 2).box, s, homogeneous)
+    refined = _circle_norm(_extended_line_field(f).box, s, homogeneous)
     return coarse, refined
 
 

@@ -15,7 +15,7 @@ Searches are heuristics and are reported as best-found values with an
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,11 +71,11 @@ def prototype_callable(cfg):
     raise PreconditionError(f"unknown prototype kind {kind!r}")
 
 
-def periodized_field(func, grid, translates=6):
-    """Sample sum_j f(x + j*L) on the grid (f decaying fast on the line)."""
+def periodized_field(func, grid):
+    """Sample sum_{|j| <= 6} f(x + j*L) on the grid (f decaying fast on the line)."""
     x = grid.points
     total = np.zeros_like(x)
-    for j in range(-translates, translates + 1):
+    for j in range(-6, 7):
         total += func(x + j * grid.length)
     return make_field(grid, samples=total)
 
@@ -152,7 +152,6 @@ class SqueezeScenario:
     flow: HamiltonianSpec
     band: MultiplierSpec
     seed: int = 0
-    record: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0 < self.r < self.R):
@@ -194,16 +193,9 @@ def build_scenario(config):
         raise PreconditionError("projected observable is numerically zero")
     lam = l_proj * (1.0 / l_norm)
     flow = flow_from_config(cfg.get("flow", {"kind": "kdv"}), band)
-    zeta_norm = sobolev_norm(zeta, -0.5, homogeneous=True) if np.any(np.abs(zeta.coeffs) > 0) else 0.0
-    record = {
-        "grid": {"length": grid.length, "cutoff": grid.cutoff, "samples": grid.samples},
-        "band": {"m": band.N, "M": band.M},
-        "center_norm_hm_half": zeta_norm,
-        "observable_norm_before": l_norm,
-    }
     return SqueezeScenario(center=zeta, observable=lam, alpha_target=cfg.get("alpha", 0.0),
                            r=cfg["r"], R=cfg["R"], T=cfg["T"], flow=flow, band=band,
-                           seed=cfg.get("seed", 0), record=record)
+                           seed=cfg.get("seed", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +216,10 @@ def _half_norm(f):
     return sobolev_norm(f, -0.5, homogeneous=True)
 
 
-def sample_ball(scenario, count, seed=None, radius_factor=None):
+def sample_ball(scenario, count, seed=None):
     """Mean-zero band-limited samples with ||q - z||_{Hdot^{-1/2}} < R.
 
-    Deterministic per seed (defaults to the scenario's); radius_factor pins
-    the radius fraction (0 reproduces the center), otherwise fractions are
+    Deterministic per seed (defaults to the scenario's); radius fractions are
     drawn uniformly in (0, 1).
     """
     if count < 1:
@@ -237,9 +228,9 @@ def sample_ball(scenario, count, seed=None, radius_factor=None):
     out = []
     for _ in range(count):
         v = _random_direction(scenario, rng)
-        frac = rng.uniform(0.0, 1.0) if radius_factor is None else float(radius_factor)
+        frac = rng.uniform(0.0, 1.0)
         nrm = _half_norm(v)
-        if nrm < 1e-300 or frac == 0.0:
+        if nrm < 1e-300:
             out.append(scenario.center)
             continue
         scale = 0.999 * frac * scenario.R / nrm

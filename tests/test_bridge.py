@@ -21,7 +21,7 @@ from kdvlab import (
     truncate_field,
     unwrap,
 )
-from kdvlab.bridge import CutPolicy, RampBump, _window_product_coeffs, fattened_cutoff
+from kdvlab.bridge import RampBump, _window_product_coeffs, fattened_cutoff
 from kdvlab.errors import (
     NoAdmissibleWindowError,
     PreconditionError,
@@ -299,7 +299,7 @@ class TestCompareLocal:
 
         grid = TorusGrid(Lc, KL, n)
         band = MultiplierSpec.band(m, M)
-        u0 = lp_project(periodized_field(proto, grid, translates=2), band)
+        u0 = lp_project(periodized_field(proto, grid), band)
         part = build_partition(Lc, Nc)
         plan = select_cut(u0, part)
         return u0, plan, band
@@ -339,7 +339,7 @@ class TestFiniteSpeed:
             return 0.12 * np.exp(-x * x) * np.sin(2 * np.pi * 0.7 * x)
 
         grid = TorusGrid(16.0, 64, 512)
-        u0 = lp_project(periodized_field(proto, grid, translates=2), BAND)
+        u0 = lp_project(periodized_field(proto, grid), BAND)
         plan = select_cut(u0, build_partition(16.0, 32))
         return unwrap(u0, plan)
 

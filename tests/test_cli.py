@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+from kdvlab import FlowSpec, HamiltonianSpec, compare_flows, flows
 from kdvlab.cli import main
-from kdvlab.reporting import sha256_digest
+from kdvlab.reporting import sha256_digest, write_csv
+from kdvlab.squeeze import band_from_config, field_from_config, grid_from_config
 
 
 def run_cli(tmp_path, name, cfg, out="out"):
@@ -132,6 +134,41 @@ def test_sweep_band(tmp_path):
     assert lines[0] == "m,M,sup_error,rate,ratio"
 
 
+def test_sweep_band_evolves_the_full_flow_once(tmp_path, monkeypatch):
+    cfg = {
+        "grid": {"length": 16.0, "cutoff": 48},
+        "initial": {"modes": [{"j": 20, "re": 0.01}, {"j": -20, "re": 0.01}]},
+        "flow": {"kind": "hkappa", "kappa": 2.0},
+        "time": {"dt": 5e-3, "T": 0.05, "saves": 2},
+        "bands": [{"m": 0.25, "M": 2.0}, {"m": 0.5, "M": 2.0}, {"m": 0.25, "M": 4.0}],
+    }
+    # the table as one compare_flows pair per band evolves it
+    q0 = field_from_config(cfg["initial"], grid_from_config(cfg["grid"]))
+    full = FlowSpec(HamiltonianSpec.hkappa(2.0), dt=5e-3, T=0.05, saves=2)
+    rows = []
+    for band in map(band_from_config, cfg["bands"]):
+        banded = FlowSpec(HamiltonianSpec.hkappa_band(2.0, band.N, band.M), dt=5e-3,
+                          T=0.05, saves=2)
+        sup = float(max(compare_flows(q0, q0, banded, full)[1]))
+        rate = band.N ** 0.5 + band.M ** (-0.5)
+        rows.append([band.N, band.M, sup, rate, sup / rate])
+    expected = write_csv(tmp_path / "expected.csv", ["m", "M", "sup_error", "rate", "ratio"],
+                         rows)
+
+    calls = []
+    original = flows._lawson_rk4
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(flows, "_lawson_rk4", counted)
+    code, out = run_cli(tmp_path, "sweep-band", cfg)
+    assert code == 0
+    assert len(calls) == len(cfg["bands"]) + 1
+    assert (out / "band_sweep.csv").read_bytes() == expected.read_bytes()
+
+
 def test_cutcompare(tmp_path):
     cfg = {
         "grid": {"length": 16.0, "cutoff": 64, "samples": 512},
@@ -227,13 +264,15 @@ def test_certification_failure_exit_code_3(tmp_path):
 
 
 
+# q = -4.5 + 0.02 cos x: -d^2 + q + kappa^2 is not positive at kappa = 2
+NON_POSITIVE = {"modes": [{"j": 0, "re": -4.5}, {"j": 1, "re": 0.01}, {"j": -1, "re": 0.01}]}
+
+
 def test_uncertified_dense_resolvent_exit_code_3(tmp_path, capsys):
-    # -d^2 + q + kappa^2 is not positive; at K = 12 (< K*) I + B needs the LU
-    # fallback, which certifies nothing
+    # at K = 12 (< K*) I + B needs the LU fallback, which certifies nothing
     cfg = {
         "grid": {"length": 6.283185307179586, "cutoff": 12},
-        "initial": {"modes": [{"j": 0, "re": -4.5}, {"j": 1, "re": 0.01},
-                              {"j": -1, "re": 0.01}]},
+        "initial": NON_POSITIVE,
         "flow": {"kind": "hkappa", "kappa": 2.0},
         "time": {"dt": 1e-4, "T": 3e-4, "saves": 1},
     }
@@ -241,6 +280,27 @@ def test_uncertified_dense_resolvent_exit_code_3(tmp_path, capsys):
     assert code == 3
     assert "not positive definite" in capsys.readouterr().err
     assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("cutoff", [12, 64])
+def test_greens_refuses_a_non_positive_operator(tmp_path, capsys, cutoff):
+    # below K* = 64 the dense I + B falls back to LU; at K* Newton finds no branch
+    cfg = {"grid": {"length": 6.283185307179586, "cutoff": cutoff},
+           "initial": NON_POSITIVE, "kappas": [2.0]}
+    code, out = run_cli(tmp_path, "greens", cfg)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical certification failure:")
+    assert not (out / "green_diagonal.csv").exists()
+
+
+def test_manifest_records_the_radius_and_repeats_byte_identically(tmp_path):
+    manifests = []
+    for tag in ("a", "b"):
+        code, out = run_cli(tmp_path, "evolve", EVOLVE, out=tag)
+        assert code == 0
+        manifests.append((out / "manifest.json").read_bytes())
+    assert json.loads(manifests[0])["budgets"] == {"delta0": 0.85}
+    assert manifests[0] == manifests[1]
 
 
 @pytest.mark.parametrize("search", [{"dt": -1.0}, {"starts": -5}, {"rounds": -3},

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from kdvlab import (
-    DEFAULT_BUDGET,
+    HM1_RADIUS,
     FlowSpec,
     HamiltonianSpec,
-    SmallnessBudget,
     TorusGrid,
     compare_flows,
     derivative,
@@ -115,7 +114,7 @@ class TestRhs:
         ham = HamiltonianSpec.hkappa(2.0)
         spec = FlowSpec(ham, dt=1e-4, T=3e-4, saves=1)
         with pytest.raises(CertificationError):
-            evolve(q, spec, budget=None)
+            evolve(q, spec)
         if cutoff < RICCATI_MIN_CUTOFF:
             with pytest.raises(CertificationError, match="not positive definite"):
                 rhs(q, ham)
@@ -164,7 +163,7 @@ class TestEvolve:
     def test_budget_violation_marks_uncertified(self):
         grid = TorusGrid.make(TWO_PI, 16)
         q0 = small_smooth(grid, scale=40.0)  # H^-1 norm above delta0
-        assert sobolev_norm(q0, -1.0) > DEFAULT_BUDGET.delta0
+        assert sobolev_norm(q0, -1.0) > HM1_RADIUS
         traj = evolve(q0, FlowSpec(HamiltonianSpec.hkappa(2.0), dt=1e-3, T=2e-3,
                                    saves=1))
         assert not traj.certified
@@ -359,7 +358,7 @@ class TestHkappaNonlinear:
         q0s = [small_smooth(grid), large, small_smooth(grid, scale=2.0)]
         out = evolve_batch(q0s, spec)
         with pytest.raises(CertificationError) as serial:
-            evolve(large, spec, budget=None)
+            evolve(large, spec)
         assert isinstance(out[1], CertificationError)
         assert str(out[1]) == str(serial.value)
         for i in (0, 2):
@@ -506,7 +505,7 @@ class TestGrowthBound:
         # an integrator artifact, so it has to survive halving dt
         grid = TorusGrid.make(TWO_PI, 24)
         q0 = small_smooth(grid)
-        assert sobolev_norm(q0, -0.5, True) <= DEFAULT_BUDGET.delta0 / 4
+        assert sobolev_norm(q0, -0.5, True) <= HM1_RADIUS / 4
         fitted = []
         for dt in (2e-3, 1e-3):
             traj = evolve(q0, FlowSpec(HamiltonianSpec.hkappa(2.0), dt=dt, T=1.0,
@@ -522,15 +521,15 @@ class TestBudget:
     def test_calibrated_default_matches_recalibration(self):
         from kdvlab import calibrate_budget
 
-        fresh = calibrate_budget(2.0, 24, kappas=(1.0, 2.0), trials=6, seed=0)
-        # the shipped budget is the conservative floor of such calibrations
-        assert DEFAULT_BUDGET.delta0 <= fresh.delta0 * 1.5
-        assert 0 < DEFAULT_BUDGET.delta0
+        delta0, _ = calibrate_budget(2.0, 24, kappas=(1.0, 2.0), trials=6, seed=0)
+        # the shipped radius is the conservative floor of such calibrations
+        assert HM1_RADIUS <= delta0 * 1.5
+        assert 0 < HM1_RADIUS
 
     def test_hs_within_budget_radius(self, rng):
         grid = TorusGrid.make(2.0, 24)
         c = rng.standard_normal(49) + 1j * rng.standard_normal(49)
         f = make_field(grid, coeffs=c)
-        f = f * (DEFAULT_BUDGET.delta0 / sobolev_norm(f, -1.0))
+        f = f * (HM1_RADIUS / sobolev_norm(f, -1.0))
         for kap in (1.0, 2.0, 4.0, 8.0):
             assert hs_norm(assemble_resolvent(f, kap)) <= 0.75

@@ -517,7 +517,7 @@ class TestRiccatiRoute:
         q0 = field_from_modes(grid, [(0, -2.0 * kappa ** 2), (1, 0.01), (-1, 0.01)])
         spec = FlowSpec(HamiltonianSpec.hkappa(kappa), dt=1e-3, T=1e-3, saves=1)
         with pytest.raises(CertificationError):
-            evolve(q0, spec, budget=None)
+            evolve(q0, spec)
 
     @pytest.mark.parametrize("cutoff, dense", [(K_STAR - 1, True), (K_STAR, False)])
     def test_route_switches_at_k_star(self, monkeypatch, cutoff, dense):
@@ -567,8 +567,7 @@ class TestRiccatiRoute:
         monkeypatch.setattr(flows, "_riccati_half", recording)
         grid = TorusGrid.make(2 * math.pi, K_STAR)
         q0 = small_random(grid, np.random.default_rng(5), 0.3, 4.0)
-        evolve(q0, FlowSpec(HamiltonianSpec.hkappa(4.0), dt=1e-3, T=5e-3, saves=1),
-               budget=None)
+        evolve(q0, FlowSpec(HamiltonianSpec.hkappa(4.0), dt=1e-3, T=5e-3, saves=1))
         assert len(seen) == 20 and all(st is seen[0][2] and st for _, _, st, _ in seen)
         for qh, kappa, _, warm in seen:
             full = np.concatenate((np.conj(qh[:0:-1]), qh))

@@ -93,10 +93,6 @@ class TestSampleBall:
         b = sample_ball(linear_scenario, 8, seed=5)
         assert all(np.array_equal(x.coeffs, y.coeffs) for x, y in zip(a, b))
 
-    def test_radius_factor_zero_reproduces_center(self, linear_scenario):
-        for q in sample_ball(linear_scenario, 4, seed=3, radius_factor=0.0):
-            assert np.array_equal(q.coeffs, linear_scenario.center.coeffs)
-
     def test_samples_stay_in_band(self, linear_scenario):
         live = linear_scenario.live_modes()
         for q in sample_ball(linear_scenario, 6, seed=11):
