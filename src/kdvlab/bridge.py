@@ -6,7 +6,12 @@ data close to it, using only machinery whose error we can measure:
   1. a partition of unity by N translated plateau bumps phi^k (cosine-squared
      ramps, so phi(x) + phi(x - L/N) = 1 exactly on the overlap);
   2. a per-window table of localized negative norms and integrals; windows
-     ranked small in both norms and away from the origin are admissible;
+     ranked small in both norms and away from the origin are admissible.
+     Each window's coefficients are an FFT product of its analytic transform
+     with u's.  The windows are translates by L/N, so with an FFT length P
+     that N divides, window k's length-P transform is window 0's rolled by
+     kP/N, times a constant phase: one exp and one forward FFT serve all N
+     windows, and each keeps only its inverse FFT;
   3. a selected bump (single window with vanishing integral or a corrected
      consecutive pair) whose removal makes the remainder mean-zero;
   4. unwrapping: q0 = (1 - periodized selected bump) * u, cut at the selected
@@ -19,8 +24,10 @@ ring(phi_sel) * u.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +57,11 @@ from .spectral import (
 # plateau bumps with cosine-squared ramps
 # ---------------------------------------------------------------------------
 
+def _circle_distance(x, L):
+    """Distance of x from the nearest multiple of L (elementwise)."""
+    return np.abs(np.mod(x + L / 2, L) - L / 2)
+
+
 @dataclass(frozen=True)
 class RampBump:
     """Even plateau bump around ``center``: 1 on +-plateau, 0 outside +-support."""
@@ -67,18 +79,18 @@ class RampBump:
         return self.support - self.plateau
 
     def __call__(self, x):
-        y = np.abs(np.asarray(x, dtype=float) - self.center)
-        w = self.ramp_width
-        t = np.clip((y - self.plateau) / w, 0.0, 1.0)
+        return self.profile(np.abs(np.asarray(x, dtype=float) - self.center))
+
+    def profile(self, y):
+        """The bump at distance y >= 0 from its center."""
+        t = np.clip((y - self.plateau) / self.ramp_width, 0.0, 1.0)
         vals = np.cos(0.5 * math.pi * t) ** 2
         # exact plateau/support values (cos(pi/2) is only ~1e-17 in floats)
         return np.where(t <= 0.0, 1.0, np.where(t >= 1.0, 0.0, vals))
 
     def periodized(self, x, period):
         """sum_j bump(x + j * period), evaluated exactly (<= 2 live translates)."""
-        x = np.asarray(x, dtype=float)
-        rel = np.mod(x - self.center + period / 2, period) - period / 2
-        return self.__call__(rel + self.center)
+        return self.profile(_circle_distance(np.asarray(x, dtype=float) - self.center, period))
 
     def fourier(self, xi):
         """Line Fourier transform at frequencies xi (exact closed form)."""
@@ -132,10 +144,12 @@ class PartitionFamily:
     def width(self):
         return self.L / self.N
 
-    @property
+    @cached_property
     def centers(self):
         h = self.width
-        return -self.L / 2 + 0.75 * h + h * np.arange(self.N)
+        c = -self.L / 2 + 0.75 * h + h * np.arange(self.N)
+        c.setflags(write=False)
+        return c
 
     def bump(self, k):
         h = self.width
@@ -146,10 +160,10 @@ class PartitionFamily:
         return self.bump(k).periodized(x, self.L)
 
     def partition_defect(self, x):
-        """max |sum_k ring(phi^k)(x) - 1| over the points x."""
-        total = np.zeros_like(np.asarray(x, dtype=float))
-        for k in range(self.N):
-            total += self.window_samples(k, x)
+        """max |sum_k ring(phi^k)(x) - 1| over the points x, all N windows as one
+        (N, len(x)) array."""
+        offsets = np.asarray(x, dtype=float) - self.centers[:, None]
+        total = self.bump(0).profile(_circle_distance(offsets, self.L)).sum(axis=0)
         return float(np.max(np.abs(total - 1.0)))
 
 
@@ -181,19 +195,28 @@ class WindowTable:
 
 
 def _window_product_coeffs(u, part, out_cutoff):
-    """Per window k, the exact coefficients of ring(phi^k) * u up to out_cutoff
-    (analytic phi-hat: the windows are translates, so only the phase depends on k).
-    Each convolution phi-hat^k * u-hat is an FFT product of length
-    P > 2 out_cutoff + 2 K_u, which keeps the wrapped terms off the kept modes;
-    u-hat is transformed once.  One window at a time keeps the memory of a row."""
+    """Per window k, the exact coefficients of ring(phi^k) * u up to out_cutoff:
+    the convolution phi-hat^k * u-hat as an FFT product of length P >= 2J + 1,
+    J = out_cutoff + K_u, which keeps the wrapped terms off the kept modes.
+
+    phi-hat^k on the modes -J..J is the analytic transform of window 0 times
+    the phase of a shift by k L/N.  P is a multiple of N, so that phase is, up
+    to the constant e^{2 pi i J k/N}, the roll of window 0's length-P transform
+    by kP/N: u-hat and window 0 are transformed once, and each window costs
+    one inverse FFT.  One window at a time keeps the memory of a row."""
     ku = u.grid.cutoff
-    xi = np.arange(-(out_cutoff + ku), out_cutoff + ku + 1) / part.L
-    profile = part.bump(0).centered_fourier(xi) / part.L
-    p = next_fast_len(2 * out_cutoff + 2 * ku + 1)
+    n, j = part.N, out_cutoff + ku
+    shift = next_fast_len((2 * j + n) // n)  # so that P = N shift >= 2J + 1
+    p = n * shift
+    xi = np.arange(-j, j + 1) / part.L
+    phihat = part.bump(0).centered_fourier(xi) * np.exp(-2j * math.pi * xi * part.centers[0])
+    f0 = np.fft.fft(phihat / part.L, p)
+    f0 = np.concatenate((f0, f0))  # f0[k shift:k shift + p] is the roll by k shift
     uh = np.fft.fft(u.coeffs, p)
-    for center in part.centers:
-        phihat = profile * np.exp(-2j * math.pi * xi * center)
-        yield np.fft.ifft(np.fft.fft(phihat, p) * uh)[2 * ku:2 * ku + 2 * out_cutoff + 1]
+    keep = slice(2 * ku, 2 * ku + 2 * out_cutoff + 1)
+    for k in range(n):
+        phase = cmath.exp(2j * math.pi * (j * k % n) / n)
+        yield phase * np.fft.ifft(f0[k * shift:k * shift + p] * uh)[keep]
 
 
 def localized_norms(u, part):
@@ -219,8 +242,8 @@ def localized_norms(u, part):
     integrals = np.empty(part.N)
     for k, c in enumerate(_window_product_coeffs(u, part, D)):
         p2 = np.abs(c) ** 2
-        half[k] = math.sqrt(L * float(np.sum(w_half * p2)))
-        one[k] = math.sqrt(L * float(np.sum(w_one * p2)))
+        half[k] = math.sqrt(L * float(w_half @ p2))
+        one[k] = math.sqrt(L * float(w_one @ p2))
         integrals[k] = L * float(c[D].real)
     return WindowTable(half=half, one=one, integrals=integrals)
 
@@ -279,10 +302,6 @@ class CutPlan:
         }
 
 
-def _circle_distance(x, L):
-    return abs((x + L / 2) % L - L / 2)
-
-
 def select_cut(u, part):
     """Pick the cut window(s) and the mean-zero correction, by rank.
 
@@ -299,12 +318,9 @@ def select_cut(u, part):
     s1 = set(np.argsort(table.half, kind="stable")[:keep].tolist())
     s2 = set(np.argsort(table.one, kind="stable")[:keep].tolist())
     h = part.width
-    margin = ORIGIN_MARGIN_WINDOWS * h
-    s3 = set()
-    for k in s1 & s2:
-        dist = _circle_distance(part.centers[k], part.L) - 0.75 * h
-        if dist > margin:
-            s3.add(k)
+    # the bump support of each window stays more than the margin from the origin
+    far = _circle_distance(part.centers, part.L) - 0.75 * h > ORIGIN_MARGIN_WINDOWS * h
+    s3 = {k for k in s1 & s2 if far[k]}
     if not s3:
         raise NoAdmissibleWindowError(
             "no admissible window: all low-norm windows sit within "

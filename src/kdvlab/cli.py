@@ -33,7 +33,10 @@ Exit codes: 0 success, 2 precondition failure (such as a mode with |j| > K,
 a mode entry without j, a missing required block or key, a value of the
 wrong type, or an unknown key at the top level or in an initial, grid, time,
 flow, band, partition, search, area, scenario, prototype or mode entry
-block), 3 numerical certification failure.
+block), 3 numerical certification failure.  An evolve whose H_kappa
+trajectory leaves the flows.HM1_RADIUS ball still writes its CSVs and
+manifest, with certified: false and the warnings in the manifest, and exits 3;
+every evolve manifest records certified and warnings.
 """
 
 from __future__ import annotations
@@ -100,8 +103,10 @@ def _numbers(cfg, key, default):
     return [config_number(v, f"{key} list", key) for v in cfg.get(key, default)]
 
 
-def _manifest(cfg, outputs, out_dir, seeds=None):
+def _manifest(cfg, outputs, out_dir, seeds=None, traj=None):
     man = RunManifest(config=cfg, budgets={"delta0": HM1_RADIUS}, seeds=seeds or {})
+    if traj is not None:
+        man.certified, man.warnings = traj.certified, traj.warnings
     for p in outputs:
         man.add_output(p)
     return run_report(man, out_dir)
@@ -127,9 +132,12 @@ def cmd_evolve(cfg, out):
         print("max relative drifts:")
         for key, val in sorted(rep.drifts.items()):
             print(f"  {key}: {val:.3e}")
+    paths = _manifest(cfg, [p1, p2], out, traj=traj)
     if not traj.certified:
-        print("warning: trajectory left the smallness budget;", traj.warnings)
-    return _manifest(cfg, [p1, p2], out)
+        raise CertificationError("the trajectory left the smallness budget (artifacts "
+                                 "written, manifest certified: false): "
+                                 + "; ".join(traj.warnings))
+    return paths
 
 
 def cmd_greens(cfg, out):

@@ -17,6 +17,8 @@ import scipy
 
 
 def _fmt(x):
+    if type(x) is float:  # most cells: skip the isinstance chain
+        return repr(x)
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -57,13 +59,16 @@ def tool_versions():
 
 @dataclass
 class RunManifest:
-    """Reproduction record: scenario/config, budgets, seeds, digests."""
+    """Reproduction record: scenario/config, budgets, seeds, digests, and for a
+    trajectory run whether it stayed certified (None: no trajectory)."""
 
     config: dict = field(default_factory=dict)
     budgets: dict = field(default_factory=dict)
     seeds: dict = field(default_factory=dict)
     versions: dict = field(default_factory=tool_versions)
     outputs: dict = field(default_factory=dict)
+    certified: bool | None = None
+    warnings: list = field(default_factory=list)
 
     def add_output(self, path):
         self.outputs[str(path).rsplit("/", 1)[-1]] = sha256_digest(path)
@@ -76,6 +81,8 @@ class RunManifest:
             "versions": self.versions,
             "outputs": self.outputs,
         }
+        if self.certified is not None:
+            payload.update(certified=self.certified, warnings=self.warnings)
         return json.dumps(payload, sort_keys=True, indent=2, default=float)
 
 

@@ -105,6 +105,13 @@ class TestPartition:
             x = np.linspace(c - h / 4, c + h / 4, 33)
             assert np.all(partition.bump(k)(x) == 1.0)
 
+    @pytest.mark.parametrize("n_windows", [8, 12, 32])
+    def test_defect_equals_the_per_window_sum(self, n_windows, rng):
+        part = build_partition(L, n_windows)
+        x = rng.uniform(-L, L, size=400)
+        total = sum(part.window_samples(k, x) for k in range(n_windows))
+        assert abs(part.partition_defect(x) - float(np.max(np.abs(total - 1.0)))) <= 1e-15
+
     def test_too_few_windows_rejected(self):
         with pytest.raises(PreconditionError):
             build_partition(L, 4)
@@ -140,18 +147,28 @@ class TestLocalizedNorms:
         with pytest.raises(UnderResolvedError):
             localized_norms(u, partition)
 
-    @pytest.mark.parametrize("out_cutoff", [NSAMP, 7])
-    def test_window_coeffs_match_direct_convolution(self, partition, out_cutoff):
+    @staticmethod
+    def assert_window_coeffs_match_direct_convolution(partition, out_cutoff):
         u = admissible_field(2)
         ku = u.grid.cutoff
         xi = np.arange(-(out_cutoff + ku), out_cutoff + ku + 1) / L
         mid = out_cutoff + 2 * ku
         rows = list(_window_product_coeffs(u, partition, out_cutoff))
-        assert len(rows) == N
+        assert len(rows) == partition.N
         for k, row in enumerate(rows):
             direct = np.convolve(partition.bump(k).fourier(xi) / L, u.coeffs)
             ref = direct[mid - out_cutoff:mid + out_cutoff + 1]
             assert np.linalg.norm(row - ref) <= 1e-11 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("out_cutoff", [NSAMP, 7])
+    def test_window_coeffs_match_direct_convolution(self, partition, out_cutoff):
+        self.assert_window_coeffs_match_direct_convolution(partition, out_cutoff)
+
+    @pytest.mark.parametrize("n_windows", [8, 12, 64])
+    def test_rolled_window_transforms_match_direct_convolution(self, n_windows):
+        # each window's transform is window 0's rolled by kP/N: N must divide P,
+        # also when N (12) is not a power of two
+        self.assert_window_coeffs_match_direct_convolution(build_partition(L, n_windows), 100)
 
     def test_integrals_match_quadrature(self, partition):
         u = admissible_field(1)

@@ -303,6 +303,31 @@ def test_manifest_records_the_radius_and_repeats_byte_identically(tmp_path):
     assert manifests[0] == manifests[1]
 
 
+# q = 6 cos x: ||q||_{H^-1} ~ 10, far outside the HM1_RADIUS ball, while
+# -d^2 + q + kappa^2 stays positive at kappa = 4
+OUTSIDE_BALL = {"modes": [{"j": 1, "re": 3.0}, {"j": -1, "re": 3.0}]}
+
+
+def test_evolve_outside_the_ball_writes_its_artifacts_and_exits_3(tmp_path, capsys):
+    cfg = {"grid": {"length": 6.283185307179586, "cutoff": 12}, "initial": OUTSIDE_BALL,
+           "flow": {"kind": "hkappa", "kappa": 4.0}, "time": {"dt": 1e-4, "T": 2e-4, "saves": 1}}
+    code, out = run_cli(tmp_path, "evolve", cfg)
+    assert code == 3
+    assert "smallness budget" in capsys.readouterr().err
+    assert (out / "trajectory.csv").exists() and (out / "monitors.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["certified"] is False
+    assert len(manifest["warnings"]) == 1 and "exceeded" in manifest["warnings"][0]
+    assert set(manifest["outputs"]) == {"trajectory.csv", "monitors.csv"}
+
+
+def test_certified_evolve_exits_0_and_says_so(tmp_path):
+    code, out = run_cli(tmp_path, "evolve", dict(EVOLVE, flow={"kind": "hkappa", "kappa": 2.0}))
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["certified"] is True and manifest["warnings"] == []
+
+
 @pytest.mark.parametrize("search", [{"dt": -1.0}, {"starts": -5}, {"rounds": -3},
                                     {"step": -1.0}],
                          ids=["negative_dt", "negative_starts", "negative_rounds",

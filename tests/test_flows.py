@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,7 +44,13 @@ from kdvlab.flows import (
     _kdv_nonlinear,
     linear_symbol,
 )
-from kdvlab.greens import RICCATI_MIN_CUTOFF, assemble_resolvent
+from kdvlab import greens
+from kdvlab.greens import (
+    RICCATI_MIN_CUTOFF,
+    _riccati_green_hat,
+    _riccati_half,
+    assemble_resolvent,
+)
 from kdvlab.spectral import PeriodicField, product_coeffs
 
 TWO_PI = 2 * math.pi
@@ -363,6 +370,50 @@ class TestHkappaNonlinear:
         assert str(out[1]) == str(serial.value)
         for i in (0, 2):
             assert _rel(out[i], evolve(q0s[i], spec).final()) <= 1e-13
+
+    @pytest.mark.parametrize("ham", RICCATI_HAMS, ids=lambda h: h.kind)
+    def test_in_place_readout_is_bitwise_the_formula(self, ham):
+        grid = TorusGrid.make(TWO_PI, K_STAR)
+        term = _hkappa_nonlinear(grid, ham)
+        _, kappa, w, amp, m_lin = term.args
+        state = {}
+        # a cold row (empty state), then a warm one started from its solve
+        for q in (small_smooth(grid), translate(small_smooth(grid), 1e-3)):
+            h = q.coeffs[K_STAR:]
+            before = dict(state)
+            got = term(h, state)
+            d, dtheta, _ = _riccati_half(grid, w * h, kappa, before)
+            assert np.array_equal(got, amp * (_riccati_green_hat(grid, kappa, d, dtheta)
+                                              - m_lin * h))
+        assert state
+
+    def test_warm_stage_solve_makes_two_transforms_per_residual(self, monkeypatch):
+        calls = {"fft": 0, "residual": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        class CountingNumpy:
+            """numpy, with the transforms of np.fft counted."""
+            fft = SimpleNamespace(**{name: counted("fft", getattr(np.fft, name))
+                                     for name in ("fft", "ifft", "rfft", "irfft")})
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        grid = TorusGrid.make(TWO_PI, K_STAR)
+        term = _hkappa_nonlinear(grid, HamiltonianSpec.hkappa(4.0))
+        state = {}
+        term(small_smooth(grid).coeffs[K_STAR:], state)
+        monkeypatch.setattr(greens, "np", CountingNumpy())
+        monkeypatch.setattr(greens, "_residual", counted("residual", greens._residual))
+        term(translate(small_smooth(grid), 1e-3).coeffs[K_STAR:], state)
+        assert calls["residual"] >= 1
+        # two per residual and one for the readout of g
+        assert calls["fft"] <= 2 * calls["residual"] + 1
 
     def test_kernel_is_cached_and_read_only(self):
         grid = TorusGrid.make(TWO_PI, K_STAR)
