@@ -203,7 +203,11 @@ def _window_product_coeffs(u, part, out_cutoff):
     the phase of a shift by k L/N.  P is a multiple of N, so that phase is, up
     to the constant e^{2 pi i J k/N}, the roll of window 0's length-P transform
     by kP/N: u-hat and window 0 are transformed once, and each window costs
-    one inverse FFT.  One window at a time keeps the memory of a row."""
+    one inverse FFT.  P keeps every prime factor of N, so a prime N gives
+    transforms of a slower length: on cut_compare's input (K_u = 128)
+    ``localized_norms`` took 2.2 ms at N = 61 and 1.6 ms at N = 64, against
+    5.0 ms at either N with a forward and an inverse transform of smooth
+    length per window.  One window at a time keeps the memory of a row."""
     ku = u.grid.cutoff
     n, j = part.N, out_cutoff + ku
     shift = next_fast_len((2 * j + n) // n)  # so that P = N shift >= 2J + 1

@@ -264,9 +264,7 @@ def _hkappa_term(grid, kappa, w, amp, m_lin, h, state):
     if h[0].imag != 0.0:
         raise PreconditionError("q is not real: Im qhat(0) of its half row is not 0")
     d, dtheta, _ = _riccati_half(grid, w * h, kappa, state)
-    gh = _riccati_green_hat(grid, kappa, d, dtheta)
-    gh -= m_lin * h
-    return np.multiply(amp, gh, out=gh)  # amp * (gh - m_lin h), in place
+    return amp * (_riccati_green_hat(grid, kappa, d, dtheta) - m_lin * h)
 
 
 def rhs(q, ham):
@@ -407,18 +405,15 @@ def _lawson_rk4(q0s, spec, on_save=None):
             def row_term(h, _):
                 return rhs(PeriodicField(grid, _full_rows(h)), ham).coeffs[k:] - lam * h
 
-        zero = np.zeros(k + 1, dtype=complex)  # the term of a row dropped in this step
-        zero.setflags(write=False)
-
         def nonlinear(c):
-            rows = [zero] * len(c)
+            out = np.zeros_like(c)
             for i, h in enumerate(c):
                 if i not in failed:
                     try:
-                        rows[i] = row_term(h, states[i])
+                        out[i] = row_term(h, states[i])
                     except KdvLabError as exc:
                         failed[i] = exc
-            return rows[0][None] if len(rows) == 1 else np.stack(rows)
+            return out
 
     def norms(c):
         """L^2 norm of each full coefficient row, from its nonnegative half."""

@@ -144,14 +144,19 @@ rows; warm, it wins from K = 48.
 
 A warm solve costs what numpy charges per call more than arithmetic.  On the
 799 warm stage inputs of ``hkappa_evolve`` (seed 0; K = 64, n = 294;
-in-process minima, one BLAS thread, 2 vCPU) one takes ~78 us over 4.25
+in-process minima, one BLAS thread, 2 vCPU) one takes ~83 us over 4.25
 residuals: their two transforms ~41 us (irfft 4.2, rfft 5.4 us), the rest of
 each residual (w^2, lin w-hat, max |F|) ~4 us, a diagonal step ~3 us, and the
-start, certification and state ~10 us; the readout of g adds one rfft, ~6 us
-with its arithmetic.  So the loop's checks run on Python floats, a warm start
-is built once and the cold start only when it fails to certify.  Three ways
-to cut further were measured and dropped:
+rest goes to the start, the per-step checks, certification and state; the
+readout of g adds one rfft, ~6 us with its arithmetic.  Four ways to cut it
+were measured and dropped:
 
+  - trimming the numpy calls around the transforms (per-step checks on
+    Python floats, no list of starts, the readout of g in place): ~83 -> ~79
+    us per warm stage, but in paired cut_compare runs the Python-float checks
+    alone gave 0.97x wall time in one set (faster in 8 of 10 pairs, a median
+    gain of 1.1 ms against a 3.8 ms quartile spread) and no gain in a second
+    set of 12, so the benchmark does not resolve it;
   - real-DFT matrices for the residual, as in ``flows._kdv_dft``: at n = 294
     the pair costs 4.7 + 4.6 us against 4.3 + 5.0 us for irfft + rfft;
   - better warm starts for RK stages b and d, by linear extrapolation or by
@@ -554,37 +559,34 @@ def _newton_correction(plan, wh, fh, mean_m):
     return np.fft.rfft(np.fft.irfft(yh, n, norm="forward") / e, norm="forward")[:, :m + 1]
 
 
-def _residual(plan, qh, wh):
-    """(samples of w, F-hat on modes 0..M, max |F-hat|) at w-hat: two transforms."""
-    m, n, _, lin, _, _ = plan
-    w = np.fft.irfft(wh, n, norm="forward")
-    fh = np.fft.rfft(w * w, norm="forward")[:, :m + 1]
-    fh += lin * wh
-    fh[:, :len(qh)] -= qh
-    return w, fh, float(np.abs(fh).max())
-
-
-def _newton(plan, qh, wh, scale, kappa):
+def _newton(plan, qh, wh, scale):
     """Correct w-hat from the start wh: (w-hat, samples of w, residual) of the iterate
     with the smallest residual.  See the module docstring."""
-    lin = plan[3]
-    done, converged = ROUNDING_RTOL * scale, NEWTON_RTOL * scale
-    w, fh, res = _residual(plan, qh, wh)
+    m, n, _, lin, _, two_kappa = plan
+    k = len(qh) - 1
+
+    def residual(wh):
+        w = np.fft.irfft(wh, n, norm="forward")
+        fh = np.fft.rfft(w * w, norm="forward")[:, :m + 1]
+        fh += lin * wh
+        fh[:, :k + 1] -= qh
+        return w, fh, float(np.abs(fh).max())
+
+    w, fh, res = residual(wh)
     best = wh, w, res
     diagonal, stale = True, 0
     for _ in range(NEWTON_MAX_STEPS):
-        if res <= done:
+        if res <= ROUNDING_RTOL * scale:
             break
-        w_minus, w_plus = wh[:, 0].real.tolist()  # mean(w_-), mean(w_+)
-        if not kappa + w_minus > 0.0 > w_plus - kappa:
-            break  # both corrections are singular at mean(m) = 0, mean(m) = (theta, -theta)
+        mean_m = 0.5 * two_kappa + wh[:, :1].real  # (theta, -theta) at a solution
+        if not mean_m[0, 0] > 0.0 > mean_m[1, 0]:
+            break  # both corrections are singular at mean(m) = 0
         if diagonal:
             # delta' + 2 mean(m) delta = -F, no transform: ik + 2 mean(m) = lin + 2 mean(w)
             new = wh - fh / (lin + 2.0 * wh[:, :1].real)
         else:
-            mean_m = np.array([[kappa + w_minus], [w_plus - kappa]])
             new = wh - _newton_correction(plan, wh, fh, mean_m)
-        new_w, new_fh, new_res = _residual(plan, qh, new)
+        new_w, new_fh, new_res = residual(new)
         if diagonal and not new_res <= DIAGONAL_CUT * res:
             diagonal = False  # retake the step from wh as a Newton correction
             continue
@@ -594,7 +596,7 @@ def _newton(plan, qh, wh, scale, kappa):
             best, stale = (wh, w, res), 0
         else:
             stale += 1  # Newton need not decrease the residual every step (a nan never does)
-        if not halved and best[2] <= converged or stale == NEWTON_PATIENCE:
+        if not halved and best[2] <= NEWTON_RTOL * scale or stale == NEWTON_PATIENCE:
             break
     return best
 
@@ -619,30 +621,28 @@ def _riccati_half(grid, qh, kappa, state=None):
     scale = float(np.abs(qh).max())
     # the linear response, w' +- 2 kappa w = q, is the cold start
     cold = np.zeros((2, m + 1), dtype=complex)
-    np.divide(qh, lin[:, :k + 1], out=cold[:, :k + 1])
-    warm = state is not None and state.get("plan") is plan
-    start = cold + state["nonlinear"] if warm else cold
-    while True:
-        wh, w, res = _newton(plan, qh, start, scale, kappa)
+    cold[:, :k + 1] = qh / lin[:, :k + 1]
+    starts = [cold]
+    if state is not None and state.get("plan") is plan:
+        starts.insert(0, cold + state["nonlinear"])
+    for start in starts:
+        wh, w, res = _newton(plan, qh, start, scale)
         sq = float(w[0] @ w[0]) / len(w[0])
         dtheta = (float(qh[0].real) - sq) / (2.0 * kappa)
         d = two_kappa[0] + w[0] - w[1]
         converged = res <= NEWTON_RTOL * scale
         if converged and kappa + dtheta > 0.0 and d.min() > 0.0:
             break
-        if start is cold:
-            if not converged:
-                raise CertificationError(
-                    f"Riccati Newton did not converge at kappa={kappa:g}, K={k} "
-                    f"(residual {res:.3e} against max |qhat| {scale:.3e})")
+    else:
+        if not converged:
             raise CertificationError(
-                f"Riccati branches do not certify -d^2 + q + kappa^2 > 0 at "
-                f"kappa={kappa:g}: theta = {kappa + dtheta:.3e}, "
-                f"min(m_- - m_+) = {d.min():.3e}")
-        start = cold
+                f"Riccati Newton did not converge at kappa={kappa:g}, K={k} "
+                f"(residual {res:.3e} against max |qhat| {scale:.3e})")
+        raise CertificationError(
+            f"Riccati branches do not certify -d^2 + q + kappa^2 > 0 at kappa={kappa:g}: "
+            f"theta = {kappa + dtheta:.3e}, min(m_- - m_+) = {d.min():.3e}")
     if state is not None:
-        wh -= cold  # the start or a Newton iterate, held nowhere else: now its nonlinear part
-        state.update(plan=plan, nonlinear=wh)
+        state.update(plan=plan, nonlinear=wh - cold)
     return d, dtheta, sq
 
 

@@ -17,14 +17,13 @@ import scipy
 
 
 def _fmt(x):
-    if type(x) is float:  # most cells: skip the isinstance chain
-        return repr(x)
+    # floats first: most cells are floats, and neither bool nor np.bool_ is one
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
     return str(x)
 
 

@@ -372,7 +372,7 @@ class TestHkappaNonlinear:
             assert _rel(out[i], evolve(q0s[i], spec).final()) <= 1e-13
 
     @pytest.mark.parametrize("ham", RICCATI_HAMS, ids=lambda h: h.kind)
-    def test_in_place_readout_is_bitwise_the_formula(self, ham):
+    def test_readout_is_bitwise_the_formula(self, ham):
         grid = TorusGrid.make(TWO_PI, K_STAR)
         term = _hkappa_nonlinear(grid, ham)
         _, kappa, w, amp, m_lin = term.args
@@ -388,17 +388,19 @@ class TestHkappaNonlinear:
         assert state
 
     def test_warm_stage_solve_makes_two_transforms_per_residual(self, monkeypatch):
-        calls = {"fft": 0, "residual": 0}
+        calls = []  # (name, shape of the input) of each transform
 
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
+        def counted(name):
+            fn = getattr(np.fft, name)
+
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return fn(a, *args, **kwargs)
             return wrapper
 
         class CountingNumpy:
-            """numpy, with the transforms of np.fft counted."""
-            fft = SimpleNamespace(**{name: counted("fft", getattr(np.fft, name))
+            """numpy, with the transforms of np.fft recorded."""
+            fft = SimpleNamespace(**{name: counted(name)
                                      for name in ("fft", "ifft", "rfft", "irfft")})
 
             def __getattr__(self, name):
@@ -409,11 +411,13 @@ class TestHkappaNonlinear:
         state = {}
         term(small_smooth(grid).coeffs[K_STAR:], state)
         monkeypatch.setattr(greens, "np", CountingNumpy())
-        monkeypatch.setattr(greens, "_residual", counted("residual", greens._residual))
         term(translate(small_smooth(grid), 1e-3).coeffs[K_STAR:], state)
-        assert calls["residual"] >= 1
+        # each residual evaluation starts with the inverse transform of the
+        # w-hat pair on modes 0..M, M = 3K/2
+        residuals = calls.count(("irfft", (2, 3 * K_STAR // 2 + 1)))
+        assert residuals >= 2  # the start's and at least one Newton step's
         # two per residual and one for the readout of g
-        assert calls["fft"] <= 2 * calls["residual"] + 1
+        assert len(calls) <= 2 * residuals + 1
 
     def test_kernel_is_cached_and_read_only(self):
         grid = TorusGrid.make(TWO_PI, K_STAR)
