@@ -6,6 +6,11 @@ determinant (``greens``), integrating-factor RK4 evolution of the KdV /
 H_kappa / band-truncated H_kappa flows with conservation monitors
 (``flows``), the circle-to-line cutting and unwrapping pipeline (``bridge``),
 and a non-squeezing experiment harness with CLI (``squeeze``, ``cli``).
+
+The bridge loads on first use: ``kdvlab.select_cut`` and the other bridge
+names below resolve through the module ``__getattr__`` (PEP 562), so a run
+that never cuts circle data does not compile ``bridge``.  Every other name is
+imported eagerly.
 """
 
 __version__ = "0.1.0"
@@ -65,18 +70,6 @@ from .flows import (
     rhs,
     time_equicontinuity,
 )
-from .bridge import (
-    CutPlan,
-    PartitionFamily,
-    RampBump,
-    build_partition,
-    compare_local,
-    finite_speed_probe,
-    localized_norms,
-    localized_smoothing_check,
-    select_cut,
-    unwrap,
-)
 from .squeeze import (
     AreaResult,
     SearchBudget,
@@ -89,3 +82,25 @@ from .squeeze import (
     sample_ball,
 )
 from .reporting import RunManifest, run_report, sha256_digest, write_csv
+
+_BRIDGE_NAMES = frozenset({
+    "CutPlan",
+    "PartitionFamily",
+    "RampBump",
+    "build_partition",
+    "compare_local",
+    "finite_speed_probe",
+    "localized_norms",
+    "localized_smoothing_check",
+    "select_cut",
+    "unwrap",
+})
+
+
+def __getattr__(name):
+    if name in _BRIDGE_NAMES:
+        from . import bridge
+
+        value = globals()[name] = getattr(bridge, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,21 +34,24 @@ a mode entry without j, a missing required block or key, a value of the
 wrong type, or an unknown key at the top level or in an initial, grid, time,
 flow, band, partition, search, area, scenario, prototype or mode entry
 block), 3 numerical certification failure.  An evolve whose H_kappa
-trajectory leaves the flows.HM1_RADIUS ball still writes its CSVs and
+trajectory leaves the flows.HM1_RADIUS ball, or a cutcompare either of whose
+two trajectories (circle, then line) does, still writes its outputs and
 manifest, with certified: false and the warnings in the manifest, and exits 3;
-every evolve manifest records certified and warnings.
+every evolve and cutcompare manifest records certified and warnings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale when the first parser is built; importing
+# it here keeps that work at import time, out of the run
+import locale  # noqa: F401
 import os
 import sys
 
 import numpy as np
 
-from .bridge import build_partition, compare_local, select_cut
 from .errors import CertificationError, PreconditionError
 from .flows import (
     HM1_RADIUS,
@@ -103,13 +106,21 @@ def _numbers(cfg, key, default):
     return [config_number(v, f"{key} list", key) for v in cfg.get(key, default)]
 
 
-def _manifest(cfg, outputs, out_dir, seeds=None, traj=None):
+def _manifest(cfg, outputs, out_dir, seeds=None, trajs=()):
+    """Write the manifest.  With trajectories it records whether all stayed
+    certified, and if one did not it raises CertificationError after writing."""
     man = RunManifest(config=cfg, budgets={"delta0": HM1_RADIUS}, seeds=seeds or {})
-    if traj is not None:
-        man.certified, man.warnings = traj.certified, traj.warnings
+    if trajs:
+        man.certified = all(t.certified for t in trajs)
+        man.warnings = [w for t in trajs for w in t.warnings]
     for p in outputs:
         man.add_output(p)
-    return run_report(man, out_dir)
+    paths = run_report(man, out_dir)
+    if man.certified is False:
+        raise CertificationError("a trajectory left the smallness budget (artifacts "
+                                 "written, manifest certified: false): "
+                                 + "; ".join(man.warnings))
+    return paths
 
 
 def cmd_evolve(cfg, out):
@@ -132,12 +143,7 @@ def cmd_evolve(cfg, out):
         print("max relative drifts:")
         for key, val in sorted(rep.drifts.items()):
             print(f"  {key}: {val:.3e}")
-    paths = _manifest(cfg, [p1, p2], out, traj=traj)
-    if not traj.certified:
-        raise CertificationError("the trajectory left the smallness budget (artifacts "
-                                 "written, manifest certified: false): "
-                                 + "; ".join(traj.warnings))
-    return paths
+    return _manifest(cfg, [p1, p2], out, trajs=(traj,))
 
 
 def cmd_greens(cfg, out):
@@ -191,6 +197,8 @@ def cmd_sweep_kappa(cfg, out):
 
 
 def cmd_cutcompare(cfg, out):
+    from .bridge import build_partition, compare_local, select_cut  # loads on first use
+
     grid = grid_from_config(cfg["grid"])
     band = band_from_config(cfg["band"])
     u0 = lp_project(_field_from(cfg, grid), band)
@@ -199,7 +207,7 @@ def cmd_cutcompare(cfg, out):
     box_cutoff = cfg.get("box_cutoff")
     if box_cutoff is not None:
         box_cutoff = config_number(box_cutoff, "cutcompare config", "box_cutoff", int)
-    times, errs, (_, _, q0) = compare_local(
+    times, errs, (circle, line, q0) = compare_local(
         u0, plan, _kappa(cfg), band, **_time_from(cfg, 8), box_cutoff=box_cutoff)
     with open(os.path.join(out, "cutplan.json"), "w") as fh:
         json.dump(plan.to_json_dict(), fh, sort_keys=True, indent=2)
@@ -208,7 +216,7 @@ def cmd_cutcompare(cfg, out):
     print(f"cut case {plan.case}, windows {plan.indices}, "
           f"|int q0| = {plan.integral_defect:.3e}, "
           f"||q0||_H-1 = {sobolev_norm(q0, -1.0):.4g}")
-    return _manifest(cfg, [p, os.path.join(out, "cutplan.json")], out)
+    return _manifest(cfg, [p, os.path.join(out, "cutplan.json")], out, trajs=(circle, line))
 
 
 def cmd_squeeze(cfg, out):

@@ -39,8 +39,9 @@ and the renormalized log-determinant
 
 are taken from B_r as well.  The complex B, A and ``apply_operator`` are
 built only on first use: they are oracles for the tests and the series routes.
-LAPACK (``scipy.linalg``) is imported on the first dense inverse, so a run
-that stays on the Riccati route, or runs no H_kappa flow, never loads it.
+LAPACK (``scipy.linalg``) is imported on the first dense inverse, and no
+other kdvlab module imports scipy, so a run that stays on the Riccati route,
+or runs no H_kappa flow, never loads scipy at all.
 
 Two exactness conventions: the free diagonal constant on the circle is the
 closed form g0 = coth(kappa l / 2) / (2 kappa) rather than the truncated

@@ -2,7 +2,9 @@
 
 Floats are written with repr (shortest round-trip form), files are digested
 with sha256, and manifests serialize with sorted keys, so re-running a
-configuration byte-reproduces every artifact.
+configuration byte-reproduces every artifact.  A manifest's ``versions``
+lists the libraries the run loaded: kdvlab, numpy and Python always, scipy
+only when the dense resolvent route imported its LAPACK.
 """
 
 from __future__ import annotations
@@ -10,10 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 
 def _fmt(x):
@@ -46,14 +48,15 @@ def sha256_digest(path):
 
 
 def tool_versions():
+    """Versions of kdvlab, numpy and Python, and of scipy if this process loaded it."""
     from . import __version__
 
-    return {
-        "kdvlab": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "python": platform.python_version(),
-    }
+    versions = {"kdvlab": __version__, "numpy": np.__version__,
+                "python": platform.python_version()}
+    scipy = sys.modules.get("scipy")
+    if scipy is not None:
+        versions["scipy"] = scipy.__version__
+    return versions
 
 
 @dataclass

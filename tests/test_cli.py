@@ -184,6 +184,28 @@ def test_cutcompare(tmp_path):
     plan = json.loads((out / "cutplan.json").read_text())
     assert plan["case"] in ("single", "pair-left", "pair-right")
     assert (out / "cut_error.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["certified"] is True and manifest["warnings"] == []
+
+
+def test_uncertified_cutcompare_exit_code_3(tmp_path, capsys):
+    # the benchmark's cut_compare config (variant 0) at 30x its amplitude: both
+    # trajectories start outside the HM1_RADIUS ball
+    cfg = {
+        "grid": {"length": 32.0, "cutoff": 128, "samples": 1024},
+        "initial": {"prototype": {"kind": "gauss_prime", "width": 1.0, "amplitude": 3.0,
+                                  "center": 0.10384184700632959}},
+        "partition": {"N": 64},
+        "band": {"m": 0.125, "M": 2.0},
+        "flow": {"kappa": 1.0},
+        "time": {"dt": 1e-3, "T": 0.02, "saves": 2},
+    }
+    code, out = run_cli(tmp_path, "cutcompare", cfg)
+    assert code == 3
+    assert "smallness budget" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["certified"] is False and len(manifest["warnings"]) == 2
+    assert set(manifest["outputs"]) == {"cut_error.csv", "cutplan.json"}
 
 
 def test_squeeze_linear(tmp_path):
@@ -357,31 +379,67 @@ def test_squeeze_repeats_byte_identically(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_cli_import_leaves_out_scipy_signal():
+CLI_IMPORT = """
+import json, sys
+import kdvlab.cli
+loaded = [m for m in ('scipy', 'scipy.signal', 'scipy.fft', 'scipy.special', 'kdvlab.bridge')
+          if m in sys.modules]
+from kdvlab import select_cut
+import kdvlab.bridge
+try:
+    kdvlab.no_such_name
+    unknown = 'resolved'
+except AttributeError:
+    unknown = 'AttributeError'
+print(json.dumps({"loaded": loaded, "bridge_name": select_cut is kdvlab.bridge.select_cut,
+                  "unknown": unknown}))
+"""
+
+
+def test_cli_import_leaves_out_scipy_and_bridge():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    code = ("import sys, kdvlab.cli; "
-            "print(*(m for m in ('scipy.signal', 'scipy.fft', 'scipy.special') "
-            "if m in sys.modules))")
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert run.returncode == 0 and run.stdout.strip() == "", run.stdout + run.stderr
+    run = subprocess.run([sys.executable, "-c", CLI_IMPORT], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {"loaded": [], "bridge_name": True,
+                                      "unknown": "AttributeError"}
 
 
 LAZY_LAPACK = """
-import json, sys
+import json, os, sys, tempfile
 import kdvlab.cli
 from kdvlab import (FlowSpec, HamiltonianSpec, TorusGrid, assemble_resolvent, evolve,
                     field_from_modes, green_diagonal)
 modes = [(1, 0.02), (-1, 0.02), (2, 0.01j), (-2, -0.01j)]
+
+
+def manifest_versions(k, flow):
+    cfg = {"grid": {"length": 6.0, "cutoff": k}, "flow": flow,
+           "initial": {"modes": [{"j": 1, "re": 0.02}, {"j": -1, "re": 0.02}]},
+           "time": {"dt": 1e-3, "T": 2e-3}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert kdvlab.cli.main(["evolve", "--config", path, "--out", tmp]) == 0
+        with open(os.path.join(tmp, "manifest.json")) as fh:
+            return json.load(fh)["versions"]
+
+
 loaded = ["scipy.linalg" in sys.modules]
+kdv_versions = manifest_versions(32, {"kind": "kdv"})
 for k, ham in ((32, HamiltonianSpec.kdv()), (64, HamiltonianSpec.hkappa(2.0))):
     evolve(field_from_modes(TorusGrid.make(6.0, k), modes), FlowSpec(ham, dt=1e-3, T=2e-3))
     loaded.append("scipy.linalg" in sys.modules)
 q = field_from_modes(TorusGrid.make(6.0, 12), modes)
 g = green_diagonal(assemble_resolvent(q, 2.0)).g
 loaded.append("scipy.linalg" in sys.modules)
-print(json.dumps({"loaded": loaded, "g": g.coeffs.view(float).tolist()}))
+hkappa_versions = manifest_versions(12, {"kind": "hkappa", "kappa": 2.0})
+print(json.dumps({"loaded": loaded, "g": g.coeffs.view(float).tolist(),
+                  "kdv_versions": kdv_versions, "hkappa_versions": hkappa_versions,
+                  "scipy": sys.modules["scipy"].__version__}))
 """
 
 
@@ -397,6 +455,9 @@ def test_scipy_linalg_loads_only_on_the_dense_route():
     out = json.loads(run.stdout)
     # import, KdV evolve at K = 32, H_kappa evolve at K = 64, dense g at K = 12
     assert out["loaded"] == [False, False, False, True]
+    # a manifest lists scipy only once the dense route has loaded it
+    assert "scipy" not in out["kdv_versions"]
+    assert out["hkappa_versions"]["scipy"] == out["scipy"]
     q = field_from_modes(TorusGrid.make(6.0, 12), [(1, 0.02), (-1, 0.02), (2, 0.01j),
                                                    (-2, -0.01j)])
     g = green_diagonal(assemble_resolvent(q, 2.0)).g
