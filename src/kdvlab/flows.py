@@ -48,7 +48,14 @@ At K >= K* it is ``_hkappa_nonlinear``, cached per (grid, flow), once per half
 row and stage: one Riccati solve for P_band q, then g less g0 and less its
 first-order part, times 16 kappa^5 (2 pi i j / l) P_band; the transport term
 and the first-order part of g are in the exactly propagated symbol.  Each row
-keeps a dict that warm-starts its next Riccati solve and is dropped with it.
+keeps a ``_StageHistory``: the nonlinear parts of its last 13 Riccati solves
+(13 x 2 x (M + 1) complex values, M = 3K/2), dropped with the row.  Its next
+solve starts from the last one plus this stage's increment, extrapolated from
+the same stage of the last three steps and transported by the full-step
+multiplier e^{lambda dt}.  The loop, not greens, builds the start, since the
+RK cadence and the multiplier are its facts.  A poor start costs Newton steps
+only: the solve still certifies or raises, and a warm start that fails is
+retried cold.
 Below K* (and for the linear kinds) it is ``rhs`` on the full row less the
 linear symbol's part, with g from ``greens.green_of`` (dense below K*), which
 raises a CertificationError where the dense I + B is not positive definite, as
@@ -62,6 +69,7 @@ while the other rows go on.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -72,6 +80,7 @@ from .greens import (
     RICCATI_MIN_CUTOFF,
     _riccati_green_hat,
     _riccati_half,
+    _riccati_plan,
     alpha_of,
     assemble_resolvent,
     first_order_green,
@@ -246,11 +255,44 @@ def _kdv_dft(grid):
     return partial(_dft_term, to_q, to_out)
 
 
+class _StageHistory:
+    """One row's last 13 Riccati stage solves, newest first, as their nonlinear
+    parts N (w-hat less its linear response), and the start of its next solve.
+
+    With D_j = N_{-4j} - N_{-4j-1}, this stage's increment j Lawson-RK4 steps
+    back, and T the full-step multiplier e^{lambda dt} (1 on modes K+1..M), the
+    start is N_{-1} + T (3 D_1 - T (3 D_2 - T D_3)): the increment extrapolated
+    from the last three steps and transported by the linear flow.  A shorter
+    history gives N_{-1} + T (2 D_1 - T D_2) from 9 solves, N_{-1} + T D_1 from
+    5, N_{-1} from 1, and a cold start (None) before the first.
+    """
+
+    def __init__(self, transport):
+        self.transport = transport
+        self.past = deque(maxlen=13)
+
+    def start(self):
+        p, t = self.past, self.transport
+        if len(p) < 5:
+            return p[0] if p else None
+        d1 = p[3] - p[4]
+        if len(p) < 9:
+            return p[0] + t * d1
+        d2 = p[7] - p[8]
+        if len(p) < 13:
+            return p[0] + t * (2.0 * d1 - t * d2)
+        return p[0] + t * (3.0 * d1 - t * (3.0 * d2 - t * (p[11] - p[12])))
+
+    def push(self, nonlinear):
+        self.past.appendleft(nonlinear)
+
+
 @lru_cache(maxsize=8)
 def _hkappa_nonlinear(grid, ham):
-    """(h, state) -> the H_kappa (or band) remainder 16 kappa^5 d/dx P_band (g - g0 -
+    """(h, history) -> the H_kappa (or band) remainder 16 kappa^5 d/dx P_band (g - g0 -
     m P_band q) on modes 0..K of one half row h, m the first-order symbol of g, by one
-    Riccati solve warm-started from ``state``; for K >= RICCATI_MIN_CUTOFF."""
+    Riccati solve started from ``history`` (a ``_StageHistory``, which records the
+    solve; an empty one starts cold); for K >= RICCATI_MIN_CUTOFF."""
     k = grid.cutoff
     w = np.ones(k + 1) if ham.band is None else ham.band.values(grid.frequencies[k:])
     amp = (16.0 * ham.kappa ** 5 * 2j * math.pi / grid.length) * np.arange(k + 1) * w
@@ -260,10 +302,11 @@ def _hkappa_nonlinear(grid, ham):
     return partial(_hkappa_term, grid, ham.kappa, w, amp, m_lin)
 
 
-def _hkappa_term(grid, kappa, w, amp, m_lin, h, state):
+def _hkappa_term(grid, kappa, w, amp, m_lin, h, history):
     if h[0].imag != 0.0:
         raise PreconditionError("q is not real: Im qhat(0) of its half row is not 0")
-    d, dtheta, _ = _riccati_half(grid, w * h, kappa, state)
+    d, dtheta, _, nonlinear = _riccati_half(grid, w * h, kappa, history.start())
+    history.push(nonlinear)
     return amp * (_riccati_green_hat(grid, kappa, d, dtheta) - m_lin * h)
 
 
@@ -396,11 +439,14 @@ def _lawson_rk4(q0s, spec, on_save=None):
     dt_half, two_half = dt * half, 2.0 * half
     weights = np.repeat([1.0, 2.0], [2, 2 * k])   # (re, im) of modes 0..K in the float view
 
+    transport = None
     if ham.kind == "kdv":
         nonlinear = _kdv_nonlinear(grid)
     else:
         if not ham.is_linear and k >= RICCATI_MIN_CUTOFF:
             row_term = _hkappa_nonlinear(grid, ham)
+            transport = np.ones(_riccati_plan(grid, ham.kappa)[0] + 1, dtype=complex)
+            transport[:k + 1] = full
         else:
             def row_term(h, _):
                 return rhs(PeriodicField(grid, _full_rows(h)), ham).coeffs[k:] - lam * h
@@ -410,7 +456,7 @@ def _lawson_rk4(q0s, spec, on_save=None):
             for i, h in enumerate(c):
                 if i not in failed:
                     try:
-                        out[i] = row_term(h, states[i])
+                        out[i] = row_term(h, histories[i])
                     except KdvLabError as exc:
                         failed[i] = exc
             return out
@@ -422,7 +468,7 @@ def _lawson_rk4(q0s, spec, on_save=None):
 
     c = _hermitize(np.array([q.coeffs for q in q0s], dtype=complex))[:, k:].copy()
     members = np.arange(len(q0s))
-    states = [{} for _ in q0s]  # per row: the warm start of its next Riccati solve
+    histories = [_StageHistory(transport) for _ in q0s]  # per row: its Riccati starts
     results = [None] * len(q0s)
     if on_save is not None:
         on_save(0.0, _full_rows(c))
@@ -448,7 +494,7 @@ def _lawson_rk4(q0s, spec, on_save=None):
                 results[members[i]] = exc
             keep = [i not in failed for i in range(len(c))]
             c, members, norm_after = c[keep], members[keep], norm_after[keep]
-            states = [st for st, kept in zip(states, keep) if kept]
+            histories = [hs for hs, kept in zip(histories, keep) if kept]
             if not len(c):
                 break
         norm_before = norm_after

@@ -65,8 +65,9 @@ Then g = coth(theta l / 2) / (m_- - m_+), and Hill's formula gives
             + l qhat(0) coth(kappa l / 2) / (2 kappa).
 
 The solve runs on the deviations w = m -/+ kappa of both branches at once, as
-one (2, M + 1) stack of w-hat.  w keeps modes 0..M, M = floor(3K/2), on
-n = next_fast_len(3M + 1) points, so the residual
+one (2, M + 1) stack of w-hat.  w keeps modes 0..M, M = floor(3K/2), on n
+points, n the smallest 2*3*5-smooth length >= 3M + 1 (scipy's rule for real
+transforms, as every transform here is real), so the residual
 
     F-hat = (ik +- 2 kappa) w-hat - qhat + P_M rfft(w^2)
 
@@ -74,18 +75,30 @@ is alias-free and costs two transforms.  With M = K the Riccati g on rough data
 (kappa = 1, ||B||_HS = 0.99, K = 64) was further from the dense g at 4K than
 the dense g at K; with M = 3K/2 it was closer by 900x or more in all 18 cases
 tried (l = 2 pi, 16, 32; K = 48, 64, 128; kappa = 1, 4; rough and smooth q).
-n, M, ik and the other operators are cached per (grid, kappa).
+n, M, ik and the other operators are cached per (grid, kappa).  n is 300, 600
+and 1350 at K = 64, 128 and 288, where the 2*3*5*7*11 rule for complex
+transforms gives 294, 588 and 1320; one irfft, square and rfft of the
+(2, M + 1) stack took 8.2, 10.9 and 17.4 us against 9.1, 12.1 and 19.0 us
+(timeit minima, one BLAS thread, 2 vCPU).
 
 The cold start is the linear response w' +- 2 kappa w = q, in closed form.
 ``green_of`` and ``alpha_of`` always start cold.  A warm start is the linear
-response of the new q plus the previous solve's nonlinear part, its w-hat less
-the linear response of its q; ``_riccati_half`` reads and rewrites it in a
-``state`` dict, which the H_kappa flow kernel keeps, one per Lawson-RK4 row.
-RK stages are transported at speed ~4 kappa^2, which the linear response
-absorbs.  On the ``hkappa_evolve`` stages (seed 7) the relative start
-residual is 7.0e-4 cold, 4.4e-3 (median) when the old w-hat is reused as it
-is, and 1.9e-12 to 4.4e-6 warm.  A warm start that fails to certify is
-retried cold.
+response of the new q plus a guess at the nonlinear part N of w-hat (w-hat
+less the linear response of its q): ``_riccati_half`` takes the guess and
+returns the solve's own N.  RK stages are transported at speed ~4 kappa^2,
+which the linear response absorbs.  The H_kappa flow guesses, per Lawson-RK4
+row, the previous stage's N plus this stage's increment extrapolated from
+the last three steps (``flows._StageHistory``).  Median relative start
+residuals over the stage solves at seed 7:
+
+                               cold     previous N    extrapolated
+    hkappa_evolve (kappa = 4)  7.0e-4   2.5e-6        8.1e-8
+    cut_compare (kappa = 1)    5.7e-3   1.0e-5        1.1e-12
+
+and the residual evaluations per solve fell from 3.44 to 2.91 on
+``hkappa_evolve`` and from 4.56 to 2.71 (K = 128) and 2.73 (K = 288) on
+``cut_compare``.  A warm start that fails to certify is retried cold, so a
+poor guess costs Newton steps only.
 
 Each correction delta solves delta' + 2 m delta = -F.  First with m replaced
 by its mean, delta-hat = -F-hat / (ik + 2 mean m), which needs no transform;
@@ -144,13 +157,14 @@ K* = 64 is the smallest K listed at which the cold Riccati route wins in both
 rows; warm, it wins from K = 48.
 
 A warm solve costs what numpy charges per call more than arithmetic.  On the
-799 warm stage inputs of ``hkappa_evolve`` (seed 0; K = 64, n = 294;
+799 warm stage inputs of ``hkappa_evolve`` (seed 0; K = 64, n = 294, started
+from the previous stage's N;
 in-process minima, one BLAS thread, 2 vCPU) one takes ~83 us over 4.25
 residuals: their two transforms ~41 us (irfft 4.2, rfft 5.4 us), the rest of
 each residual (w^2, lin w-hat, max |F|) ~4 us, a diagonal step ~3 us, and the
 rest goes to the start, the per-step checks, certification and state; the
 readout of g adds one rfft, ~6 us with its arithmetic.  Four ways to cut it
-were measured and dropped:
+were measured and dropped (the third is since taken up at every kappa):
 
   - trimming the numpy calls around the transforms (per-step checks on
     Python floats, no list of starts, the readout of g in place): ~83 -> ~79
@@ -162,7 +176,11 @@ were measured and dropped:
     the pair costs 4.7 + 4.6 us against 4.3 + 5.0 us for irfft + rfft;
   - better warm starts for RK stages b and d, by linear extrapolation or by
     transport with the linear flow: the start residual falls from 1.3e-6 to
-    1e-7 - 2e-7, but no Newton step is saved;
+    1e-7 - 2e-7, but no Newton step is saved.  That was measured at
+    kappa = 4 only, where a diagonal step cuts the residual ~2000x; at
+    kappa = 1 it cuts ~110x, so the start sets the step count, and the
+    extrapolated starts above take ``cut_compare`` from 4.56 to ~2.7
+    residuals per solve;
   - stacking the save-time alpha probes: 42 cold solves took 1.2 ms as one
     stack against 3.8 ms one by one, bitwise equal, but the per-row stack
     checks cost the one-row flow path ~0.8 us per Newton step, so this waits
@@ -538,7 +556,7 @@ def _riccati_plan(grid, kappa):
     +-2 kappa) for one (grid, kappa); the arrays are read-only."""
     k = grid.cutoff
     m = 3 * k // 2
-    n = next_fast_len(3 * m + 1)
+    n = next_fast_len(3 * m + 1, real=True)  # every transform here is real
     ik = (2j * math.pi / grid.length) * np.arange(n // 2 + 1)
     ik[n // 2] *= n % 2  # an even n's Nyquist mode has no derivative
     anti = np.zeros(m + 1, dtype=complex)
@@ -608,13 +626,14 @@ def _riccati(q, kappa):
     return _riccati_half(q.grid, q.coeffs[q.grid.cutoff:], kappa)
 
 
-def _riccati_half(grid, qh, kappa, state=None):
-    """(samples of m_- - m_+, theta - kappa, mean w_-^2) from qhat on modes 0..K
-    (the mean is Re qhat(0)): see the module docstring.
+def _riccati_half(grid, qh, kappa, nonlinear=None):
+    """(samples of m_- - m_+, theta - kappa, mean w_-^2, the nonlinear part of
+    w-hat) from qhat on modes 0..K (the mean is Re qhat(0)): see the module
+    docstring.
 
-    ``state`` (a dict, or None for a cold start) carries one row's last solve
-    into its next: read as the warm start, and overwritten by this solve.  A
-    warm start that does not certify is retried cold.
+    The nonlinear part is w-hat less the linear response of qh, a (2, M + 1)
+    array.  Given one (None for a cold start), the solve starts from the
+    linear response plus it; a warm start that does not certify is retried cold.
     """
     plan = _riccati_plan(grid, kappa)
     m, _, _, lin, _, two_kappa = plan
@@ -623,9 +642,7 @@ def _riccati_half(grid, qh, kappa, state=None):
     # the linear response, w' +- 2 kappa w = q, is the cold start
     cold = np.zeros((2, m + 1), dtype=complex)
     cold[:, :k + 1] = qh / lin[:, :k + 1]
-    starts = [cold]
-    if state is not None and state.get("plan") is plan:
-        starts.insert(0, cold + state["nonlinear"])
+    starts = [cold] if nonlinear is None else [cold + nonlinear, cold]
     for start in starts:
         wh, w, res = _newton(plan, qh, start, scale)
         sq = float(w[0] @ w[0]) / len(w[0])
@@ -642,9 +659,7 @@ def _riccati_half(grid, qh, kappa, state=None):
         raise CertificationError(
             f"Riccati branches do not certify -d^2 + q + kappa^2 > 0 at kappa={kappa:g}: "
             f"theta = {kappa + dtheta:.3e}, min(m_- - m_+) = {d.min():.3e}")
-    if state is not None:
-        state.update(plan=plan, nonlinear=wh - cold)
-    return d, dtheta, sq
+    return d, dtheta, sq, wh - cold
 
 
 def _riccati_green_hat(grid, kappa, d, dtheta):
@@ -667,7 +682,7 @@ def green_of(q, kappa):
             raise CertificationError("-d^2 + q + kappa^2 is not positive: I + B is not "
                                      "positive definite (the dense inverse fell back to LU)")
         return green
-    d, dtheta, _ = _riccati(q, kappa)
+    d, dtheta, _, _ = _riccati(q, kappa)
     gh = _riccati_green_hat(grid, kappa, d, dtheta)
     free = free_diagonal_constant(kappa, grid.length)
     gh[0] += free
@@ -680,7 +695,7 @@ def alpha_of(q, kappa):
     mode cutoff is at least RICCATI_MIN_CUTOFF, else ``alpha``'s log-determinant."""
     if q.grid.cutoff < RICCATI_MIN_CUTOFF:
         return alpha(assemble_resolvent(q, kappa))
-    _, dtheta, sq = _riccati(q, kappa)
+    _, dtheta, sq, _ = _riccati(q, kappa)
     length = q.grid.length
     # Hill's formula with theta - kappa substituted; free_excess = g0 - 1/(2 kappa)
     free_excess = -math.exp(-kappa * length) / (kappa * math.expm1(-kappa * length))

@@ -31,13 +31,14 @@ MEAN_ZERO_RTOL = 1e-12
 
 
 @lru_cache(maxsize=256)
-def next_fast_len(n):
+def next_fast_len(n, real=False):
     """The smallest 2*3*5*7*11-smooth integer >= n (and >= 1): an FFT length
-    that numpy's pocketfft transforms without a slow prime factor."""
+    that numpy's pocketfft transforms without a slow prime factor.  With
+    ``real``, the smallest 2*3*5-smooth one, scipy's rule for real transforms."""
     m = max(int(n), 1)
     while True:
         r = m
-        for p in (2, 3, 5, 7, 11):
+        for p in (2, 3, 5) if real else (2, 3, 5, 7, 11):
             while r % p == 0:
                 r //= p
         if r == 1:

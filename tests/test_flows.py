@@ -11,6 +11,7 @@ from kdvlab import (
     HM1_RADIUS,
     FlowSpec,
     HamiltonianSpec,
+    MultiplierSpec,
     TorusGrid,
     compare_flows,
     derivative,
@@ -20,6 +21,7 @@ from kdvlab import (
     hamiltonian_value,
     hs_norm,
     kappa_sweep,
+    lp_project,
     make_field,
     monitors,
     polynomial_invariants,
@@ -35,6 +37,7 @@ from kdvlab import (
 from kdvlab.errors import BlowUpError, CertificationError, PreconditionError
 from kdvlab.flows import (
     DFT_MAX_CUTOFF,
+    _StageHistory,
     _dft_term,
     _fft_term,
     _hkappa_nonlinear,
@@ -44,7 +47,7 @@ from kdvlab.flows import (
     _kdv_nonlinear,
     linear_symbol,
 )
-from kdvlab import greens
+from kdvlab import flows, greens
 from kdvlab.greens import (
     RICCATI_MIN_CUTOFF,
     _riccati_green_hat,
@@ -52,6 +55,7 @@ from kdvlab.greens import (
     assemble_resolvent,
 )
 from kdvlab.spectral import PeriodicField, product_coeffs
+from kdvlab.squeeze import periodized_field, prototype_callable
 
 TWO_PI = 2 * math.pi
 
@@ -313,6 +317,36 @@ K_STAR = RICCATI_MIN_CUTOFF
 RICCATI_HAMS = [HamiltonianSpec.hkappa(2.0), HamiltonianSpec.hkappa_band(2.0, 0.25, 2.0)]
 
 
+def still_history(cutoff):
+    """A ``_StageHistory`` whose transport is the identity (dt = 0)."""
+    return _StageHistory(np.ones(3 * cutoff // 2 + 1, dtype=complex))
+
+
+def record_transforms(monkeypatch):
+    """The (name, input shape) of each np.fft transform that greens makes from
+    now on, recorded through a proxy for its numpy."""
+    calls = []
+
+    def counted(name):
+        fn = getattr(np.fft, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    class CountingNumpy:
+        """numpy, with the transforms of np.fft recorded."""
+        fft = SimpleNamespace(**{name: counted(name)
+                                 for name in ("fft", "ifft", "rfft", "irfft")})
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(greens, "np", CountingNumpy())
+    return calls
+
+
 def rough_small(grid, rng, hm1=0.05):
     k = grid.cutoff
     f = make_field(grid, coeffs=rng.standard_normal(2 * k + 1)
@@ -332,14 +366,15 @@ class TestHkappaNonlinear:
             full = rhs(q, ham).coeffs
             h = q.coeffs[K_STAR:]
             ref = full[K_STAR:] - lam * h
-            assert np.linalg.norm(term(h, None) - ref) <= 1e-12 * np.linalg.norm(full)
+            cold = term(h, _StageHistory(None))
+            assert np.linalg.norm(cold - ref) <= 1e-12 * np.linalg.norm(full)
 
     def test_refuses_a_half_row_with_complex_mean(self):
         grid = TorusGrid.make(TWO_PI, K_STAR)
         h = small_smooth(grid).coeffs[K_STAR:].copy()
         h[0] = 1e-3j
         with pytest.raises(PreconditionError):
-            _hkappa_nonlinear(grid, RICCATI_HAMS[0])(h, None)
+            _hkappa_nonlinear(grid, RICCATI_HAMS[0])(h, _StageHistory(None))
 
     @pytest.mark.parametrize("ham", RICCATI_HAMS, ids=lambda h: h.kind)
     def test_batch_matches_serial_and_states_are_hermitian(self, ham, rng):
@@ -376,48 +411,53 @@ class TestHkappaNonlinear:
         grid = TorusGrid.make(TWO_PI, K_STAR)
         term = _hkappa_nonlinear(grid, ham)
         _, kappa, w, amp, m_lin = term.args
-        state = {}
-        # a cold row (empty state), then a warm one started from its solve
+        history = still_history(K_STAR)
+        # a cold row (empty history), then a warm one started from its solve
         for q in (small_smooth(grid), translate(small_smooth(grid), 1e-3)):
             h = q.coeffs[K_STAR:]
-            before = dict(state)
-            got = term(h, state)
-            d, dtheta, _ = _riccati_half(grid, w * h, kappa, before)
+            start = history.start()
+            got = term(h, history)
+            d, dtheta, _, _ = _riccati_half(grid, w * h, kappa, start)
             assert np.array_equal(got, amp * (_riccati_green_hat(grid, kappa, d, dtheta)
                                               - m_lin * h))
-        assert state
+        assert len(history.past) == 2
 
     def test_warm_stage_solve_makes_two_transforms_per_residual(self, monkeypatch):
-        calls = []  # (name, shape of the input) of each transform
-
-        def counted(name):
-            fn = getattr(np.fft, name)
-
-            def wrapper(a, *args, **kwargs):
-                calls.append((name, np.shape(a)))
-                return fn(a, *args, **kwargs)
-            return wrapper
-
-        class CountingNumpy:
-            """numpy, with the transforms of np.fft recorded."""
-            fft = SimpleNamespace(**{name: counted(name)
-                                     for name in ("fft", "ifft", "rfft", "irfft")})
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
         grid = TorusGrid.make(TWO_PI, K_STAR)
         term = _hkappa_nonlinear(grid, HamiltonianSpec.hkappa(4.0))
-        state = {}
-        term(small_smooth(grid).coeffs[K_STAR:], state)
-        monkeypatch.setattr(greens, "np", CountingNumpy())
-        term(translate(small_smooth(grid), 1e-3).coeffs[K_STAR:], state)
+        history = still_history(K_STAR)
+        term(small_smooth(grid).coeffs[K_STAR:], history)
+        calls = record_transforms(monkeypatch)
+        term(translate(small_smooth(grid), 1e-3).coeffs[K_STAR:], history)
         # each residual evaluation starts with the inverse transform of the
         # w-hat pair on modes 0..M, M = 3K/2
         residuals = calls.count(("irfft", (2, 3 * K_STAR // 2 + 1)))
         assert residuals >= 2  # the start's and at least one Newton step's
         # two per residual and one for the readout of g
         assert len(calls) <= 2 * residuals + 1
+
+    def test_stage_starts_take_at_most_three_residuals_per_solve(self, monkeypatch):
+        # the shape of cut_compare's circle flow: kappa = 1, L = 32, K = 128
+        grid = TorusGrid.make(32.0, 128)
+        band = MultiplierSpec.band(0.125, 2.0)
+        q0 = lp_project(periodized_field(prototype_callable(
+            {"kind": "gauss_prime", "width": 1.0, "amplitude": 0.1}), grid), band)
+        calls = record_transforms(monkeypatch)
+        residuals = []  # per stage solve: the inverse transforms of its w-hat pair
+        solve = flows._riccati_half
+
+        def counted(*args):
+            before = len(calls)
+            out = solve(*args)
+            residuals.append(calls[before:].count(("irfft", (2, 3 * 128 // 2 + 1))))
+            return out
+
+        monkeypatch.setattr(flows, "_riccati_half", counted)
+        evolve(q0, FlowSpec(HamiltonianSpec.hkappa_band(1.0, 0.125, 2.0), dt=1e-3,
+                            T=6e-3, saves=1))
+        assert len(residuals) == 6 * 4
+        # from step 4 on the start extrapolates the last three steps' increments
+        assert np.mean(residuals[12:]) <= 3.0
 
     def test_kernel_is_cached_and_read_only(self):
         grid = TorusGrid.make(TWO_PI, K_STAR)

@@ -25,6 +25,7 @@ from kdvlab import (
     pairing,
     polynomial_invariants,
     sobolev_norm,
+    translate,
     truncate_field,
     zero_field,
 )
@@ -559,16 +560,18 @@ class TestRiccatiRoute:
         seen = []
         original = flows._riccati_half
 
-        def recording(grid, qh, kappa, state=None):
-            res = original(grid, qh, kappa, state)
-            seen.append((qh, kappa, state, riccati_g(grid, kappa, res)))
+        def recording(grid, qh, kappa, nonlinear=None):
+            res = original(grid, qh, kappa, nonlinear)
+            seen.append((qh, kappa, nonlinear, riccati_g(grid, kappa, res)))
             return res
 
         monkeypatch.setattr(flows, "_riccati_half", recording)
         grid = TorusGrid.make(2 * math.pi, K_STAR)
         q0 = small_random(grid, np.random.default_rng(5), 0.3, 4.0)
-        evolve(q0, FlowSpec(HamiltonianSpec.hkappa(4.0), dt=1e-3, T=5e-3, saves=1))
-        assert len(seen) == 20 and all(st is seen[0][2] and st for _, _, st, _ in seen)
+        # 10 steps: from the 4th on, each start extrapolates the last three steps
+        evolve(q0, FlowSpec(HamiltonianSpec.hkappa(4.0), dt=1e-3, T=1e-2, saves=1))
+        assert len(seen) == 40 and seen[0][2] is None
+        assert all(start is not None for _, _, start, _ in seen[1:])
         for qh, kappa, _, warm in seen:
             full = np.concatenate((np.conj(qh[:0:-1]), qh))
             cold = green_of(PeriodicField(grid, full), kappa).g.coeffs[K_STAR:]
@@ -578,16 +581,16 @@ class TestRiccatiRoute:
     def test_stale_state_gives_the_cold_answer(self, spoil):
         grid = TorusGrid.make(2 * math.pi, K_STAR)
         rng = np.random.default_rng(11)
-        state = {}
-        _riccati_half(grid, small_random(grid, rng, -0.9, 2.0).coeffs[K_STAR:], 2.0, state)
-        state["nonlinear"] = state["nonlinear"] * spoil  # 1e3: a start Newton cannot use
+        q = small_random(grid, rng, -0.9, 2.0)
+        history = flows._StageHistory(np.ones(3 * K_STAR // 2 + 1, dtype=complex))
+        for shift in range(13):  # a full history, so the start extrapolates
+            qh = translate(q, 1e-3 * shift).coeffs[K_STAR:]
+            history.push(_riccati_half(grid, qh, 2.0, history.start())[3])
+        history.past[0] = history.past[0] * spoil  # 1e3: a start Newton cannot use
         qh = small_random(grid, rng, 0.5, 2.0).coeffs[K_STAR:]
         cold = riccati_g(grid, 2.0, _riccati_half(grid, qh, 2.0))
-        warm = riccati_g(grid, 2.0, _riccati_half(grid, qh, 2.0, state))
+        warm = riccati_g(grid, 2.0, _riccati_half(grid, qh, 2.0, history.start()))
         assert np.linalg.norm(warm - cold) <= 1e-14 * np.linalg.norm(cold)
-        # a state from another kappa is not used at all
-        assert np.array_equal(riccati_g(grid, 3.0, _riccati_half(grid, qh, 3.0, state)),
-                              riccati_g(grid, 3.0, _riccati_half(grid, qh, 3.0)))
 
     def test_non_real_potential_refused(self):
         grid = TorusGrid.make(2 * math.pi, K_STAR)

@@ -412,6 +412,7 @@ def test_next_fast_len_matches_scipy():
     scipy_fft = pytest.importorskip("scipy.fft")
     for n in range(1, 5001):
         assert next_fast_len(n) == scipy_fft.next_fast_len(n), n
+        assert next_fast_len(n, real=True) == scipy_fft.next_fast_len(n, real=True), n
 
 
 class TestPlancherel:
