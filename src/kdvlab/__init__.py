@@ -23,14 +23,12 @@ from .spectral import (
     derivative,
     field_from_modes,
     line_norm_refinement,
-    load_field,
     lp_project,
     make_field,
     make_line_field,
     pairing,
     periodize,
     rescale,
-    save_field,
     sobolev_norm,
     symplectic_form,
     tail_mass,

@@ -24,20 +24,18 @@ the default of squeeze.SearchBudget or squeeze.image_area:
            one batch each, step: first ascent step as a fraction of R, dt:
            time step, directions: modes tried per round}; starts >= 1,
            rounds and directions >= 0, step and dt > 0
-  area     (area) {resolution: occupancy cells per side, rings, angles: the
-           polar slice samples (default resolution//2 + 1 and
-           ceil(pi * resolution)), dt: time step}; on a nonlinear flow
-           1 + rings * angles may not exceed squeeze.MAX_EVOLVED_SAMPLES
+  area     (area) {dt: time step}; the squeeze.LOOP_POINTS points of the
+           slice circle are evolved as one batch
 
 Exit codes: 0 success, 2 precondition failure (such as a mode with |j| > K,
 a mode entry without j, a missing required block or key, a value of the
 wrong type, or an unknown key at the top level or in an initial, grid, time,
 flow, band, partition, search, area, scenario, prototype or mode entry
-block), 3 numerical certification failure.  An evolve whose H_kappa
-trajectory leaves the flows.HM1_RADIUS ball, or a cutcompare either of whose
-two trajectories (circle, then line) does, still writes its outputs and
-manifest, with certified: false and the warnings in the manifest, and exits 3;
-every evolve and cutcompare manifest records certified and warnings.
+block), 3 numerical certification failure.  An evolve, sweep-band,
+sweep-kappa or cutcompare one of whose H_kappa trajectories leaves the
+flows.HM1_RADIUS ball still writes its outputs and manifest, with
+certified: false and the warnings in the manifest, and exits 3; every
+manifest of these four records certified and warnings.
 """
 
 from __future__ import annotations
@@ -175,25 +173,27 @@ def cmd_sweep_band(cfg, out):
     q0 = _field_from(cfg, grid)
     time_kw = _time_from(cfg, 10)
     kap = _kappa(cfg)
-    full = evolve(q0, FlowSpec(HamiltonianSpec.hkappa(kap), **time_kw))
+    trajs = [evolve(q0, FlowSpec(HamiltonianSpec.hkappa(kap), **time_kw))]
     rows = []
     for band in map(band_from_config, cfg["bands"]):
         m, M = band.N, band.M
-        sup = sup_distance(full, q0, FlowSpec(HamiltonianSpec.hkappa_band(kap, m, M), **time_kw))
+        trajs.append(evolve(q0, FlowSpec(HamiltonianSpec.hkappa_band(kap, m, M), **time_kw)))
+        sup = sup_distance(trajs[0], trajs[-1])
         rate = m ** 0.5 + M ** (-0.5)
         rows.append([m, M, sup, rate, sup / rate])
     p = write_csv(os.path.join(out, "band_sweep.csv"),
                   ["m", "M", "sup_error", "rate", "ratio"], rows)
-    return _manifest(cfg, [p], out)
+    return _manifest(cfg, [p], out, trajs=trajs)
 
 
 def cmd_sweep_kappa(cfg, out):
     grid = grid_from_config(cfg["grid"])
     q0 = _field_from(cfg, grid)
-    sweep = kappa_sweep(q0, _numbers(cfg, "kappas", [2.0, 4.0, 8.0]), **_time_from(cfg, 10))
+    sweep, trajs = kappa_sweep(q0, _numbers(cfg, "kappas", [2.0, 4.0, 8.0]),
+                               **_time_from(cfg, 10))
     rows = [[k, v] for k, v in sorted(sweep.items())]
     p = write_csv(os.path.join(out, "kappa_sweep.csv"), ["kappa", "sup_error"], rows)
-    return _manifest(cfg, [p], out)
+    return _manifest(cfg, [p], out, trajs=trajs)
 
 
 def cmd_cutcompare(cfg, out):
@@ -238,13 +238,10 @@ def cmd_squeeze(cfg, out):
 
 def cmd_area(cfg, out):
     scenario = build_scenario(cfg["scenario"])
-    res = image_area(scenario, **config_numbers(cfg.get("area", {}), "area block", resolution=int,
-                                                rings=int, angles=int, dt=float))
+    res = image_area(scenario, **config_numbers(cfg.get("area", {}), "area block", dt=float))
     expected = float(np.pi * scenario.R ** 2)
-    rows = [[scenario.R, res.area, expected, res.area / expected, res.occupied_cells,
-             res.resolution]]
-    p = write_csv(os.path.join(out, "area.csv"),
-                  ["R", "area", "pi_R_sq", "ratio", "occupied_cells", "resolution"],
+    rows = [[scenario.R, res.area, expected, res.area / expected, len(res.values)]]
+    p = write_csv(os.path.join(out, "area.csv"), ["R", "area", "pi_R_sq", "ratio", "points"],
                   rows)
     print(f"slice image area {res.area:.6g} vs pi R^2 = {expected:.6g}")
     return _manifest(cfg, [p], out, seeds={"scenario": scenario.seed})

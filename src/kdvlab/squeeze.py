@@ -4,9 +4,11 @@ A scenario fixes the cylinder data (observable l, target alpha, radius r),
 the ball data (center z, radius R), a time horizon and a flow, all
 discretized on a circle through periodization and a smooth band projection.
 The harness then looks for initial data in the ball whose evolved pairing
-escapes the cylinder, estimates the image area of a symplectic 2-plane slice
-of the ball, and cross-checks everything against the closed-form answer for
-the linear flows (where the propagator is a unit-modulus Fourier multiplier).
+escapes the cylinder, measures the area that the evolved boundary circle of
+a symplectic 2-plane slice of the ball encloses in the pairing plane (from
+LOOP_POINTS evolved points, one batch for every flow), and cross-checks
+everything against the closed-form answer for the linear flows (where the
+propagator is a unit-modulus Fourier multiplier and the area is pi R^2).
 
 Searches are heuristics and are reported as best-found values with an
 "exceeds r" certificate; nothing here claims optimality.
@@ -393,9 +395,9 @@ def linear_oracle(scenario):
 # image area of a symplectic 2-plane slice
 # ---------------------------------------------------------------------------
 
-# Most slice samples image_area evolves on a nonlinear flow, one trajectory
-# each; the default resolution=512 would ask for 413,514.
-MAX_EVOLVED_SAMPLES = 20_000
+# Points on the slice circle that image_area evolves; the area it reports moved
+# by rounding only from 8 to 64 points on the KdV and linear test scenarios.
+LOOP_POINTS = 16
 
 
 def hilbert_partner(f):
@@ -407,10 +409,7 @@ def hilbert_partner(f):
 @dataclass
 class AreaResult:
     area: float
-    resolution: int
-    values: np.ndarray       # complex pairing values of all slice samples
-    bbox: tuple
-    occupied_cells: int
+    values: np.ndarray       # complex pairing values at the LOOP_POINTS evolved points
 
 
 def slice_basis(scenario):
@@ -418,9 +417,8 @@ def slice_basis(scenario):
 
     The pair is the dual of the observable pulled back through the flow's
     linear part (and its Hilbert partner).  Under a unit-modulus linear flow
-    the slice disk then maps onto the full closed pairing disk of radius R;
-    for nonlinear flows the same pullback is the natural heuristic slice and
-    the resulting area is a lower-bound probe.
+    the slice circle then maps onto the circle of radius R in the pairing
+    plane; for nonlinear flows the same pullback is the natural heuristic slice.
     """
     back = _propagate_linear(scenario.observable, scenario.flow, -scenario.T)
     e1 = _dual_direction(scenario, back)
@@ -440,61 +438,33 @@ def slice_basis(scenario):
     return e1, e2
 
 
-def image_area(scenario, resolution=512, rings=None, angles=None, dt=1e-3):
-    """Occupancy-grid area of {<l, q(T)> + i <l_H, q(T)>} over a slice disk.
-
-    The disk of radius R in the (e1, e2) plane centered at z is sampled on a
-    polar grid matched to the occupancy resolution; the complex observable
-    pairs against l and its Hilbert-transform partner.  For linear flows the
-    adjoint identity <l, U(T)q> = <U(-T)l, q> evaluates samples exactly; for
-    the others each ring of samples (the first with the center) is evolved as
-    one batch, and the first failed sample's error is raised.  A nonlinear
-    flow refuses more than MAX_EVOLVED_SAMPLES samples before evolving any.
-    """
-    n_r = rings if rings is not None else resolution // 2 + 1
-    n_t = angles if angles is not None else int(math.ceil(math.pi * resolution))
-    count = 1 + n_r * n_t
-    if not scenario.flow.is_linear and count > MAX_EVOLVED_SAMPLES:
-        raise PreconditionError(
-            f"image_area would evolve {count} slice samples (rings={n_r} x angles={n_t} + 1, "
-            f"from resolution={resolution}); a nonlinear flow allows at most "
-            f"{MAX_EVOLVED_SAMPLES}: lower resolution, or set rings and angles")
+def slice_loop(scenario):
+    """The LOOP_POINTS points z + R (e1 cos theta + e2 sin theta), theta = 2 pi i / n."""
     e1, e2 = slice_basis(scenario)
+    thetas = 2.0 * math.pi * np.arange(LOOP_POINTS) / LOOP_POINTS
+    return [scenario.center + e1 * (scenario.R * math.cos(th)) + e2 * (scenario.R * math.sin(th))
+            for th in thetas]
+
+
+def image_area(scenario, dt=1e-3):
+    """Signed area enclosed by the image of the slice circle under
+    q -> <l, q(T)> + i <l_H, q(T)>, with l_H the Hilbert partner of l.
+
+    The LOOP_POINTS points of ``slice_loop`` are evolved as one batch (the
+    exact propagator on the linear kinds), and the first failed point's error
+    is raised.  The loop w(theta) = sum_k what_k e^{i k theta} encloses
+    pi sum_k k |what_k|^2, exact when w has no mode at or beyond n/2.  On a
+    unit-modulus linear flow w is the circle of radius R, so the area is
+    pi R^2; on a nonlinear flow it is a probe near pi R^2 while the pairings
+    stay near-linear on the slice.
+    """
     l_h = hilbert_partner(scenario.observable)
-    radii = scenario.R * np.arange(1, n_r + 1) / n_r * 0.999
-    thetas = 2.0 * math.pi * np.arange(n_t) / n_t
-
-    if scenario.flow.is_linear:
-        w = _propagate_linear(scenario.observable, scenario.flow, -scenario.T)
-        w_h = _propagate_linear(l_h, scenario.flow, -scenario.T)
-        base = pairing(w, scenario.center) + 1j * pairing(w_h, scenario.center)
-        a1 = pairing(w, e1) + 1j * pairing(w_h, e1)
-        a2 = pairing(w, e2) + 1j * pairing(w_h, e2)
-        rr, tt = np.meshgrid(radii, thetas, indexing="ij")
-        values = base + a1 * (rr * np.cos(tt)) + a2 * (rr * np.sin(tt))
-        values = np.concatenate(([base], values.ravel()))
-    else:
-        spec = FlowSpec(scenario.flow, dt=dt, T=scenario.T, saves=1)
-        vals, head = [], [scenario.center]
-        for rad in radii:
-            ring = head + [scenario.center + e1 * (rad * math.cos(th)) + e2 * (rad * math.sin(th))
-                           for th in thetas]
-            head = []
-            for qT in evolve_batch(ring, spec):
-                if isinstance(qT, KdvLabError):
-                    raise qT
-                vals.append(pairing(scenario.observable, qT) + 1j * pairing(l_h, qT))
-        values = np.array(vals)
-
-    re, im = values.real, values.imag
-    pad = 0.05 * max(np.ptp(re), np.ptp(im), 1e-300)
-    lo_x, hi_x = re.min() - pad, re.max() + pad
-    lo_y, hi_y = im.min() - pad, im.max() + pad
-    cell_x = (hi_x - lo_x) / resolution
-    cell_y = (hi_y - lo_y) / resolution
-    ix = np.clip(((re - lo_x) / cell_x).astype(int), 0, resolution - 1)
-    iy = np.clip(((im - lo_y) / cell_y).astype(int), 0, resolution - 1)
-    occupied = len(set(zip(ix.tolist(), iy.tolist())))
-    area = occupied * cell_x * cell_y
-    return AreaResult(area=float(area), resolution=resolution, values=values,
-                      bbox=(lo_x, hi_x, lo_y, hi_y), occupied_cells=occupied)
+    values = []
+    for qT in _evolve_all(scenario, slice_loop(scenario), dt):
+        if isinstance(qT, KdvLabError):
+            raise qT
+        values.append(pairing(scenario.observable, qT) + 1j * pairing(l_h, qT))
+    values = np.array(values)
+    w_hat = np.fft.fft(values) / LOOP_POINTS
+    k = np.fft.fftfreq(LOOP_POINTS, 1.0 / LOOP_POINTS)
+    return AreaResult(area=float(math.pi * np.sum(k * np.abs(w_hat) ** 2)), values=values)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from kdvlab import FlowSpec, HamiltonianSpec, compare_flows, flows
+from kdvlab import FlowSpec, HamiltonianSpec, compare_flows, flows, squeeze
 from kdvlab.cli import main
 from kdvlab.reporting import sha256_digest, write_csv
 from kdvlab.squeeze import band_from_config, field_from_config, grid_from_config
@@ -118,6 +118,37 @@ def test_sweep_kappa(tmp_path):
     lines = (out / "kappa_sweep.csv").read_text().splitlines()
     assert lines[0] == "kappa,sup_error"
     assert len(lines) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["certified"] is True and manifest["warnings"] == []
+
+
+# modes j = +-1 of size 0.3 on the circle of length 2 pi: ||q0||_{H^-1} ~ 1.05,
+# outside the HM1_RADIUS ball from the start
+LARGE_MODES = {"modes": [{"j": 1, "re": 0.3}, {"j": -1, "re": 0.3}]}
+
+
+def test_uncertified_sweep_kappa_exit_code_3(tmp_path, capsys):
+    cfg = {"grid": GRID, "initial": LARGE_MODES, "time": {"dt": 2e-3, "T": 0.01, "saves": 1},
+           "kappas": [2.0, 4.0]}
+    code, out = run_cli(tmp_path, "sweep-kappa", cfg)
+    assert code == 3
+    assert "smallness budget" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    # one warning per H_kappa trajectory; the KdV reference is not budgeted
+    assert manifest["certified"] is False and len(manifest["warnings"]) == 2
+    assert set(manifest["outputs"]) == {"kappa_sweep.csv"}
+
+
+def test_uncertified_sweep_band_exit_code_3(tmp_path, capsys):
+    cfg = {"grid": GRID, "initial": LARGE_MODES, "flow": {"kind": "hkappa", "kappa": 2.0},
+           "time": {"dt": 2e-3, "T": 0.01, "saves": 1}, "bands": [{"m": 0.25, "M": 4.0}]}
+    code, out = run_cli(tmp_path, "sweep-band", cfg)
+    assert code == 3
+    assert "smallness budget" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    # the full flow, then the band flow
+    assert manifest["certified"] is False and len(manifest["warnings"]) == 2
+    assert set(manifest["outputs"]) == {"band_sweep.csv"}
 
 
 def test_sweep_band(tmp_path):
@@ -132,6 +163,8 @@ def test_sweep_band(tmp_path):
     assert code == 0
     lines = (out / "band_sweep.csv").read_text().splitlines()
     assert lines[0] == "m,M,sup_error,rate,ratio"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["certified"] is True and manifest["warnings"] == []
 
 
 def test_sweep_band_evolves_the_full_flow_once(tmp_path, monkeypatch):
@@ -217,24 +250,28 @@ def test_squeeze_linear(tmp_path):
 
 
 def test_area_linear(tmp_path):
-    cfg = {"scenario": SCENARIO, "area": {"resolution": 128}}
+    cfg = {"scenario": SCENARIO, "area": {"dt": 1e-3}}
     code, out = run_cli(tmp_path, "area", cfg)
     assert code == 0
-    assert (out / "area.csv").exists()
+    header, row = (out / "area.csv").read_text().splitlines()
+    assert header == "R,area,pi_R_sq,ratio,points"
+    assert abs(float(row.split(",")[3]) - 1.0) <= 1e-12
 
 
-def test_area_refuses_default_resolution_on_nonlinear_flow(tmp_path, monkeypatch, capsys):
-    # resolution 512 asks for 1 + 257 * 1609 = 413,514 evolved slice samples
-    def never(*args, **kwargs):
-        raise AssertionError("evolve_batch must not run")
+def test_area_runs_kdv_at_defaults_in_one_batch(tmp_path, monkeypatch):
+    sizes = []
+    original = squeeze.evolve_batch
 
-    monkeypatch.setattr("kdvlab.squeeze.evolve_batch", never)
+    def counted(q0s, spec):
+        sizes.append(len(q0s))
+        return original(q0s, spec)
+
+    monkeypatch.setattr(squeeze, "evolve_batch", counted)
     cfg = {"scenario": dict(SCENARIO, flow={"kind": "kdv"})}
     code, out = run_cli(tmp_path, "area", cfg)
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "413514" in err and "resolution=512" in err
-    assert not (out / "area.csv").exists()
+    assert code == 0
+    assert sizes == [squeeze.LOOP_POINTS]
+    assert (out / "area.csv").exists()
 
 
 def test_report_collects_digests(tmp_path):
@@ -407,6 +444,35 @@ def test_cli_import_leaves_out_scipy_and_bridge():
                                       "unknown": "AttributeError"}
 
 
+RUN_IMPORTS = """
+import json, os, sys, tempfile
+import kdvlab.cli
+cfg = {"grid": {"length": 6.283185307179586, "cutoff": 64},
+       "flow": {"kind": "hkappa", "kappa": 4.0},
+       "initial": {"modes": [{"j": 1, "re": 0.02}, {"j": -1, "re": 0.02}]},
+       "time": {"dt": 1e-3, "T": 2e-3}, "probes": [2.0, 4.0]}
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "cfg.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    before = set(sys.modules)
+    code = kdvlab.cli.main(["evolve", "--config", path, "--out", tmp])
+    print(json.dumps({"code": code, "imported": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_cli_run_imports_nothing():
+    # an H_kappa evolve at K = 64 makes its first transforms inside main: the
+    # numpy.fft import belongs to the import of kdvlab, not to the run
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    run = subprocess.run([sys.executable, "-c", RUN_IMPORTS], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == {"code": 0, "imported": []}
+
+
 LAZY_LAPACK = """
 import json, os, sys, tempfile
 import kdvlab.cli
@@ -468,7 +534,7 @@ def test_scipy_linalg_loads_only_on_the_dense_route():
     ("evolve", dict(EVOLVE, time={"dt": "0.001", "T": 0.002}), '"dt"'),
     ("squeeze", {"scenario": SCENARIO, "search": {"starts": "16"}}, '"starts"'),
     ("squeeze", {"scenario": SCENARIO, "search": {"start": 16}}, '"start"'),
-    ("area", {"scenario": SCENARIO, "area": {"resolution": 64.0}}, '"resolution"'),
+    ("area", {"scenario": SCENARIO, "area": {"dt": "0.001"}}, '"dt"'),
     ("evolve", dict(EVOLVE, grid=dict(GRID, cutoff=True)), '"cutoff"'),
     ("evolve", dict(EVOLVE, initial={"modes": [{"j": 1, "re": "0.1"}]}), '"re"'),
     ("evolve", dict(EVOLVE, flow={"kind": "hkappa", "kappa": "4"}), '"kappa"'),
@@ -477,7 +543,7 @@ def test_scipy_linalg_loads_only_on_the_dense_route():
      '"widht"'),
     ("evolve", dict(EVOLVE, probe=[2.0]), '"probe"'),
     ("evolve", dict(EVOLVE, initial=dict(MODES, mode=[])), '"mode"'),
-], ids=["string_dt", "string_search_starts", "unknown_search_key", "float_resolution",
+], ids=["string_dt", "string_search_starts", "unknown_search_key", "string_area_dt",
         "bool_cutoff", "string_mode_amplitude", "string_kappa", "unknown_scenario_key",
         "unknown_prototype_key", "unknown_top_level_key", "unknown_initial_key"])
 def test_wrong_type_or_unknown_key_exit_code_2(tmp_path, capsys, command, cfg, key):

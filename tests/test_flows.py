@@ -549,15 +549,16 @@ class TestCompareFlows:
     def test_kappa_sweep_matches_pairwise_compare(self):
         grid = TorusGrid.make(TWO_PI, 24)
         q0 = small_smooth(grid)
-        sweep = kappa_sweep(q0, [2.0], T=0.1, dt=1e-3, saves=4)
+        sweep, trajs = kappa_sweep(q0, [2.0], T=0.1, dt=1e-3, saves=4)
         spec_kdv = FlowSpec(HamiltonianSpec.kdv(), dt=1e-3, T=0.1, saves=4)
         spec_hk = FlowSpec(HamiltonianSpec.hkappa(2.0), dt=1e-3, T=0.1, saves=4)
         _, errs, _ = compare_flows(q0, q0, spec_kdv, spec_hk)
         assert abs(sweep[2.0] - np.max(errs)) < 1e-12
+        assert [t.spec.hamiltonian.kind for t in trajs] == ["kdv", "hkappa"]
 
     def test_kappa_sweep_zero_data(self):
         grid = TorusGrid.make(TWO_PI, 16)
-        sweep = kappa_sweep(zero_field(grid), [2.0, 4.0], T=0.05, dt=1e-3, saves=2)
+        sweep, _ = kappa_sweep(zero_field(grid), [2.0, 4.0], T=0.05, dt=1e-3, saves=2)
         assert all(v == 0.0 for v in sweep.values())
 
 

@@ -11,14 +11,12 @@ from kdvlab import (
     derivative,
     field_from_modes,
     line_norm_refinement,
-    load_field,
     lp_project,
     make_field,
     make_line_field,
     pairing,
     periodize,
     rescale,
-    save_field,
     sobolev_norm,
     symplectic_form,
     tail_mass,
@@ -389,23 +387,6 @@ class TestPeriodize:
         f = self.narrow_bump()
         coarse, refined = line_norm_refinement(f, 0.0)
         assert abs(coarse - refined) < 1e-8 * refined
-
-
-class TestSerialization:
-    def test_round_trip_exact(self, unit_grid, rng, tmp_path):
-        f = random_field(unit_grid, rng)
-        path = tmp_path / "field.txt"
-        save_field(f, path)
-        g = load_field(path, samples=unit_grid.samples)
-        assert g.grid.length == f.grid.length
-        assert g.grid.cutoff == f.grid.cutoff
-        assert np.all(g.coeffs == f.coeffs)
-
-    def test_mode_beyond_cutoff_rejected(self, tmp_path):
-        path = tmp_path / "field.txt"
-        path.write_text("1.0 4\n0 0.5 0.0\n5 0.1 0.0\n")
-        with pytest.raises(PreconditionError, match="mode 5 beyond cutoff 4"):
-            load_field(path)
 
 
 def test_next_fast_len_matches_scipy():

@@ -18,11 +18,14 @@ from kdvlab import (
     sample_ball,
     sha256_digest,
     sobolev_norm,
+    symplectic_form,
     write_csv,
 )
 from kdvlab.errors import BlowUpError, KdvLabError, PreconditionError
 from kdvlab.flows import FlowSpec, evolve, evolve_batch
-from kdvlab.squeeze import SearchBudget, hilbert_partner, slice_basis
+from kdvlab.spectral import PeriodicField
+from kdvlab.squeeze import (LOOP_POINTS, SearchBudget, hilbert_partner, slice_basis,
+                            slice_loop)
 
 
 def base_config(**overrides):
@@ -164,6 +167,16 @@ def serial_evolve_batch(q0s, spec):
     return out
 
 
+# the KdV desk scenario: bench/workloads.py's ESCAPE_SCENARIO with seed 0
+DESK_SCENARIO = base_config(grid={"length": 16.0, "cutoff": 32}, T=0.2, flow={"kind": "kdv"},
+                            seed=0)
+
+
+@pytest.fixture(scope="module")
+def desk_scenario():
+    return build_scenario(DESK_SCENARIO)
+
+
 @pytest.fixture(scope="module")
 def kdv_scenario():
     return build_scenario(base_config(flow={"kind": "kdv"}, T=0.05,
@@ -196,11 +209,10 @@ class TestBatchedEvaluations:
         assert sizes == [8]  # the starts are one batch
 
     def test_image_area_matches_serial_loop(self, kdv_scenario, monkeypatch):
-        kwargs = dict(resolution=32, rings=3, angles=12, dt=5e-3)
-        batched = image_area(kdv_scenario, **kwargs)
+        batched = image_area(kdv_scenario, dt=5e-3)
         monkeypatch.setattr("kdvlab.squeeze.evolve_batch", serial_evolve_batch)
-        serial = image_area(kdv_scenario, **kwargs)
-        assert len(batched.values) == 1 + 3 * 12
+        serial = image_area(kdv_scenario, dt=5e-3)
+        assert len(batched.values) == LOOP_POINTS
         assert np.max(np.abs(batched.values - serial.values)) <= \
             1e-13 * np.max(np.abs(serial.values))
         assert batched.area == pytest.approx(serial.area, rel=1e-12)
@@ -337,23 +349,61 @@ class TestImageArea:
         assert sobolev_norm(h, 0.5, True) == pytest.approx(1.0, abs=1e-10)
 
     def test_free_flow_disk_area(self, linear_scenario):
-        res = image_area(linear_scenario, resolution=256)
+        res = image_area(linear_scenario)
         expected = math.pi * linear_scenario.R ** 2
-        assert abs(res.area - expected) <= 0.05 * expected
+        assert abs(res.area - expected) <= 1e-12 * expected
 
     def test_area_shrinks_with_R(self, linear_scenario):
         small = replace(linear_scenario, R=0.01, r=0.005)
-        a_small = image_area(small, resolution=128).area
-        a_big = image_area(linear_scenario, resolution=128).area
-        assert a_small < 0.2 * a_big
+        ratio = image_area(small).area / image_area(linear_scenario).area
+        assert ratio == pytest.approx((0.01 / linear_scenario.R) ** 2, rel=1e-12)
 
     def test_nonlinear_path_runs(self):
         cfg = base_config(flow={"kind": "kdv"}, T=0.05,
                           grid={"length": 16.0, "cutoff": 24})
         s = build_scenario(cfg)
-        res = image_area(s, resolution=32, rings=3, angles=12, dt=5e-3)
+        res = image_area(s, dt=5e-3)
         assert res.area > 0.0
-        assert len(res.values) == 1 + 3 * 12
+        assert len(res.values) == LOOP_POINTS
+
+    def test_kdv_desk_scenario_area(self, desk_scenario):
+        # the loop is band-limited far below LOOP_POINTS / 2: 8 to 64 points
+        # give this value to 14 digits
+        res = image_area(desk_scenario, dt=2e-3)
+        expected = math.pi * desk_scenario.R ** 2
+        assert res.area / expected == pytest.approx(0.99999997896, rel=1e-9)
+
+
+def loop_action(rows):
+    """A(gamma) = 1/2 mean_theta omega(gamma, d gamma / d theta) of a loop sampled
+    at equispaced theta, the theta-derivative spectral (Nyquist mode dropped)."""
+    n = len(rows)
+    k = np.fft.fftfreq(n, 1.0 / n)
+    k[n // 2] = 0.0
+    c = np.array([q.coeffs for q in rows])
+    dc = np.fft.ifft(1j * k[:, None] * np.fft.fft(c, axis=0), axis=0)
+    grid = rows[0].grid
+    return 0.5 * np.mean([symplectic_form(q, PeriodicField(grid, d)) for q, d in zip(rows, dc)])
+
+
+class TestLoopAction:
+    """The slice loop's symplectic action is -R^2 / (4 pi) and a symplectic
+    flow keeps it: a check of the flows on a loop through the whole phase space."""
+
+    def evolved_action(self, scenario, dt):
+        loop = slice_loop(scenario)
+        start = loop_action(loop)
+        assert start == pytest.approx(-scenario.R ** 2 / (4.0 * math.pi), rel=1e-12)
+        end = loop_action(evolve_batch(loop, FlowSpec(scenario.flow, dt=dt, T=scenario.T,
+                                                      saves=1)))
+        return abs(end - start) / abs(start)
+
+    def test_kdv_flow_keeps_action(self, desk_scenario):
+        assert self.evolved_action(desk_scenario, 2e-3) <= 1e-9
+
+    def test_linear_flow_keeps_action(self):
+        s = build_scenario(DESK_SCENARIO | {"flow": {"kind": "kdv_linear"}})
+        assert self.evolved_action(s, 2e-3) <= 1e-13
 
 
 class TestReporting:
