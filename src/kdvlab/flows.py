@@ -51,20 +51,28 @@ At K >= K* it is ``_hkappa_nonlinear``, cached per (grid, flow), once per half
 row and stage: one Riccati solve for P_band q, then g less g0 and less its
 first-order part, times 16 kappa^5 (2 pi i j / l) P_band; the transport term
 and the first-order part of g are in the exactly propagated symbol.  Each row
-keeps a ``_StageHistory``: the nonlinear parts of its last 13 Riccati solves
-(13 x 2 x (M + 1) complex values, M = 3K/2), dropped with the row.  Its next
-solve starts from the last one plus this stage's increment, extrapolated from
-the same stage of the last three steps and transported by the full-step
-multiplier e^{lambda dt}.  The loop, not greens, builds the start, since the
-RK cadence and the multiplier are its facts.  A poor start costs Newton steps
-only: the solve still certifies or raises, and a warm start that fails is
-retried cold.
+keeps a ``_StageHistory``, dropped with the row: the nonlinear part of its
+newest Riccati solve, and per RK stage the increments over the solve before
+of that stage's last EXTRAPOLATION_ORDER = 7 steps, one (4, 7, 2, M + 1)
+complex array (M = 3K/2).  Its next solve starts from the newest one plus
+this stage's increment, extrapolated through those steps by binomial weights
+times the powers of the full-step multiplier, precomputed once per row: three
+numpy calls per start at any order.  The multiplier is e^{lambda dt} on modes
+0..K and, on the modes K+1..M that only w has, the rotation
+e^{8 pi i kappa^2 j dt / l} of the transport 4 kappa^2 d/dx (the greens
+docstring has the start residuals and the choice of the order).  The loop,
+not greens, builds the start, since the RK cadence and the multiplier are its
+facts.  A poor start costs Newton steps only: the solve still certifies or
+raises, and a warm start that fails is retried cold.
 Below K* (and for the linear kinds) it is ``rhs`` on the full row less the
 linear symbol's part, with g from ``greens.green_of`` (dense below K*), which
 raises a CertificationError where the dense I + B is not positive definite, as
 the Riccati route does where -d^2 + q + kappa^2 is not positive.
-``hamiltonian_value`` and the alpha monitors take alpha from ``alpha_of`` on
-the route of g, so the flow conserves the alpha its g belongs to.  A row whose
+``hamiltonian_value`` and the alpha monitors take alpha on the route of g, so
+the flow conserves the alpha its g belongs to.  ``evolve`` computes the
+monitors of its saved states after the loop, alpha and hs as one
+``alphas_of`` stack per probe kappa; ``FlowSpec`` refuses a probe kappa
+outside [1, inf) before anything is evolved.  A row whose
 remainder raises or whose L^2 norm doubles in a step stops with its error
 while the other rows go on.
 """
@@ -72,7 +80,6 @@ while the other rows go on.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -85,6 +92,7 @@ from .greens import (
     _riccati_half,
     _riccati_plan,
     alpha_of,
+    alphas_of,
     assemble_resolvent,
     first_order_green,
     green_diagonal,
@@ -258,36 +266,53 @@ def _kdv_dft(grid):
     return partial(_dft_term, to_q, to_out)
 
 
-class _StageHistory:
-    """One row's last 13 Riccati stage solves, newest first, as their nonlinear
-    parts N (w-hat less its linear response), and the start of its next solve.
+EXTRAPOLATION_ORDER = 7  # past steps a stage start extrapolates: the table in the greens docstring
 
-    With D_j = N_{-4j} - N_{-4j-1}, this stage's increment j Lawson-RK4 steps
-    back, and T the full-step multiplier e^{lambda dt} (1 on modes K+1..M), the
-    start is N_{-1} + T (3 D_1 - T (3 D_2 - T D_3)): the increment extrapolated
-    from the last three steps and transported by the linear flow.  A shorter
-    history gives N_{-1} + T (2 D_1 - T D_2) from 9 solves, N_{-1} + T D_1 from
-    5, N_{-1} from 1, and a cold start (None) before the first.
+
+class _StageHistory:
+    """One row's Riccati stage solves as their nonlinear parts N (w-hat less its
+    linear response): the newest N, and for each of the four RK stages the
+    increments D_j of its solves over the solve before them, j = 1..p steps
+    back, newest first, p = EXTRAPOLATION_ORDER.
+
+    With T the full-step multiplier (e^{lambda dt} on modes 0..K, and on modes
+    K+1..M, which only the transport 4 kappa^2 d/dx moves, e^{8 pi i kappa^2 j dt / l}),
+    the next solve starts from N + sum_j (-1)^{j+1} C(r, j) T^j D_j: this stage's
+    increment extrapolated through its last r steps and transported by the
+    linear flow, where r is the number of increments the stage has, at most p.
+    The start is N while r = 0, and cold (None) before the first solve.  A
+    history with no transport (None) starts from its newest solve only.
     """
 
     def __init__(self, transport):
-        self.transport = transport
-        self.past = deque(maxlen=13)
+        self.solves = 0
+        self.newest = None
+        self.weights = []  # [r]: the (r, 1, M + 1) weights C(r, j) (-1)^{j+1} T^j
+        if transport is not None:
+            p = EXTRAPOLATION_ORDER
+            powers = np.cumprod(np.broadcast_to(transport, (p, len(transport))), axis=0)
+            self.weights = [_extrapolation_signs(r) * powers[:r, None, :] for r in range(p + 1)]
+            self.increments = np.zeros((4, p, 2, len(transport)), dtype=complex)
 
     def start(self):
-        p, t = self.past, self.transport
-        if len(p) < 5:
-            return p[0] if p else None
-        d1 = p[3] - p[4]
-        if len(p) < 9:
-            return p[0] + t * d1
-        d2 = p[7] - p[8]
-        if len(p) < 13:
-            return p[0] + t * (2.0 * d1 - t * d2)
-        return p[0] + t * (3.0 * d1 - t * (3.0 * d2 - t * (p[11] - p[12])))
+        r = min((self.solves - 1) // 4, len(self.weights) - 1)
+        if r <= 0:
+            return self.newest
+        return self.newest + (self.weights[r] * self.increments[self.solves % 4, :r]).sum(axis=0)
 
     def push(self, nonlinear):
-        self.past.appendleft(nonlinear)
+        if self.solves and self.weights:
+            d = self.increments[self.solves % 4]
+            d[1:] = d[:-1]
+            np.subtract(nonlinear, self.newest, out=d[0])
+        self.newest = nonlinear
+        self.solves += 1
+
+
+def _extrapolation_signs(r):
+    """(-1)^{j+1} C(r, j) for j = 1..r, as an (r, 1, 1) array: the weights that
+    extrapolate a polynomial of degree r - 1 from its last r values."""
+    return np.array([(-1.0) ** (j + 1) * math.comb(r, j) for j in range(1, r + 1)])[:, None, None]
 
 
 @lru_cache(maxsize=8)
@@ -384,6 +409,9 @@ class FlowSpec:
             raise PreconditionError("dt must not exceed T")
         if self.saves < 1:
             raise PreconditionError("need at least one save interval")
+        for kap in self.probes:
+            if not 1.0 <= kap < math.inf:
+                raise PreconditionError(f"alpha probes need a finite kappa >= 1, got {kap}")
 
 
 @dataclass
@@ -404,19 +432,16 @@ class Trajectory:
         return np.column_stack((self.times, c.view(float))).tolist()
 
 
-def _monitor_state(q, probes):
-    mass, momentum, energy = polynomial_invariants(q)
-    out = {"M": mass, "P": momentum, "H_kdv": energy}
+def _monitor_columns(states, probes):
+    """Monitor columns over the states: M, P and H_kdv of each, and alpha and hs
+    at each probe kappa, from one ``alphas_of`` stack per probe."""
+    out = {key: np.array(col) for key, col in
+           zip(("M", "P", "H_kdv"), zip(*[polynomial_invariants(q) for q in states]))}
     for kap in probes:
-        a = alpha_of(q, kap)
-        out[f"alpha({kap:g})"] = a.value
-        out[f"hs({kap:g})"] = a.hs_norm
+        alphas = alphas_of(states, kap)
+        out[f"alpha({kap:g})"] = np.array([a.value for a in alphas])
+        out[f"hs({kap:g})"] = np.array([a.hs_norm for a in alphas])
     return out
-
-
-def _columns(records):
-    """Per-state monitor records as one array per key."""
-    return {key: np.array([r[key] for r in records]) for key in records[0]}
 
 
 def _lawson_rk4(q0s, spec, on_save=None):
@@ -448,7 +473,9 @@ def _lawson_rk4(q0s, spec, on_save=None):
     else:
         if not ham.is_linear and k >= RICCATI_MIN_CUTOFF:
             row_term = _hkappa_nonlinear(grid, ham)
-            transport = np.ones(_riccati_plan(grid, ham.kappa)[0] + 1, dtype=complex)
+            # modes K+1..M of w move with the transport 4 kappa^2 d/dx alone
+            j = np.arange(_riccati_plan(grid, ham.kappa)[0] + 1)
+            transport = np.exp((8j * math.pi * ham.kappa ** 2 * dt / grid.length) * j)
             transport[:k + 1] = full
         else:
             def row_term(h, _):
@@ -515,35 +542,31 @@ def evolve(q0, spec):
     Lawson RK4 with the q=0 linearization applied exactly in Fourier space.
     A blow-up guard aborts if the L^2 norm doubles within a single step.  An
     H_kappa trajectory whose H^{-1} norm exceeds HM1_RADIUS at a save point is
-    downgraded to uncertified, with a warning.
+    downgraded to uncertified, with a warning.  The monitors of the saved
+    states are computed after the loop, alpha at each probe kappa as one
+    stack; an error they raise comes before the flow's own.
     """
     grid = q0.grid
-    ham = spec.hamiltonian
-    warnings = []
-    certified = True
-    times, states, records = [], [], []
+    times, states = [], []
 
     def save(t, c):
-        nonlocal certified
-        f = PeriodicField(grid, c[0])
-        if ham.kind in HKAPPA_KINDS:
-            nrm = sobolev_norm(f, -1.0)
-            if nrm > HM1_RADIUS and certified:
-                certified = False
-                warnings.append(
-                    f"H^-1 norm {nrm:.3g} exceeded smallness budget "
-                    f"delta0={HM1_RADIUS:.3g} at t={t:.6g}"
-                )
         times.append(t)
-        states.append(f)
-        records.append(_monitor_state(f, spec.probes))
+        states.append(PeriodicField(grid, c[0]))
 
     (final,) = _lawson_rk4([q0], spec, save)
+    columns = _monitor_columns(states, spec.probes)  # a probe that raises, first
     if isinstance(final, KdvLabError):
         raise final
-    return Trajectory(times=np.array(times), states=states, spec=spec,
-                      monitors=_columns(records), warnings=warnings,
-                      certified=certified)
+    warnings = []
+    if spec.hamiltonian.kind in HKAPPA_KINDS:
+        for t, f in zip(times, states):
+            nrm = sobolev_norm(f, -1.0)
+            if nrm > HM1_RADIUS:
+                warnings.append(f"H^-1 norm {nrm:.3g} exceeded smallness budget "
+                                f"delta0={HM1_RADIUS:.3g} at t={t:.6g}")
+                break
+    return Trajectory(times=np.array(times), states=states, spec=spec, monitors=columns,
+                      warnings=warnings, certified=not warnings)
 
 
 def evolve_batch(q0s, spec):
@@ -587,8 +610,7 @@ def monitors(traj, probes=None):
     series = traj.monitors
     missing = [kap for kap in probes if f"alpha({kap:g})" not in series]
     if missing:
-        computed = _columns([_monitor_state(q, missing) for q in traj.states])
-        series = {**computed, **series}
+        series = {**_monitor_columns(traj.states, missing), **series}
     drifts, scales, cert = {}, {}, {}
     for key in ["M", "P", "H_kdv"] + [f"alpha({kap:g})" for kap in probes]:
         vals = series[key]

@@ -86,19 +86,53 @@ The cold start is the linear response w' +- 2 kappa w = q, in closed form.
 response of the new q plus a guess at the nonlinear part N of w-hat (w-hat
 less the linear response of its q): ``_riccati_half`` takes the guess and
 returns the solve's own N.  RK stages are transported at speed ~4 kappa^2,
-which the linear response absorbs.  The H_kappa flow guesses, per Lawson-RK4
-row, the previous stage's N plus this stage's increment extrapolated from
-the last three steps (``flows._StageHistory``).  Median relative start
-residuals over the stage solves at seed 7:
+which the linear response absorbs on modes 0..K.  w is translation-covariant,
+so its modes K+1..M, where q has none, rotate with that transport alone: by
+up to ~5 rad a step at kappa = 4, K = 64, dt = 1e-3.  The H_kappa flow
+guesses, per Lawson-RK4 row, the previous stage's N plus this stage's
+increment extrapolated through its last p = ``flows.EXTRAPOLATION_ORDER``
+steps and carried by the full-step multiplier: e^{lambda dt} on modes 0..K
+and the transport's rotation on K+1..M (``flows._StageHistory``).  Median
+relative start residuals over the stage solves at seed 7, for the first
+starts tried:
 
-                               cold     previous N    extrapolated
+                               cold     previous N    3 steps, K+1..M held
     hkappa_evolve (kappa = 4)  7.0e-4   2.5e-6        8.1e-8
     cut_compare (kappa = 1)    5.7e-3   1.0e-5        1.1e-12
 
-and the residual evaluations per solve fell from 3.44 to 2.91 on
-``hkappa_evolve`` and from 4.56 to 2.71 (K = 128) and 2.73 (K = 288) on
-``cut_compare``.  A warm start that fails to certify is retried cold, so a
-poor guess costs Newton steps only.
+Held fixed, modes K+1..M left the starts of stages b and d (half a step past
+the stage before) stalled.  Per stage a-d, the 16 input variants' median
+start residual (solves from step 11 on) and their mean residual evaluations
+per solve, with K+1..M held and 3 steps, against K+1..M rotated and p = 7:
+
+    hkappa_evolve  start, held      4.7e-14  1.9e-7   1.6e-12  1.9e-7
+                   start, rotated   4.5e-15  2.4e-11  4.0e-14  2.4e-11
+                   solve, held      2.08     3.57     2.42     3.57    (2.91)
+                   solve, rotated   2.01     2.82     2.08     2.82    (2.43)
+    cut_compare    start, held      1.4e-15  1.3e-12  1.4e-15  1.3e-12
+                   start, rotated   1.9e-14  2.2e-14  2.2e-14  2.4e-14
+                   solve, held      2.26     3.31     2.10     3.31    (2.75)
+                   solve, rotated   2.30     2.51     2.15     2.51    (2.37)
+
+(in brackets the mean over all four).  p was chosen on the residual
+evaluations per stage solve with the rotation, 16-variant means:
+
+    p                          3     4     5     6     7     8
+    hkappa_evolve (kappa = 4)  2.85  2.73  2.60  2.54  2.43  2.34
+    cut_compare (kappa = 1)    2.75  2.37  2.37  2.37  2.37  2.52
+
+p = 7 is the largest at which ``cut_compare`` stays at its floor.  A warm
+start that fails to certify is retried cold, so a poor guess costs Newton
+steps only.
+
+``_newton`` takes one (2, M + 1) pair or a stack (S, 2, M + 1) of them, one
+per row of qhat.  A stack is iterated as one: every stopping test compares
+its largest residual with the smallest row's max |qhat|, and the test that
+mean(m_-) > 0 > mean(m_+) covers every row; each row is certified afterwards
+as a pair is.  ``alphas_of`` solves the alpha probes of many states that way
+(``flows.evolve`` makes one stack of all its saved states per probe kappa),
+and a row the stack leaves uncertified, say because another row's trouble
+stopped it, is solved alone.  The flow's stage solves are pairs.
 
 Each correction delta solves delta' + 2 m delta = -F.  First with m replaced
 by its mean, delta-hat = -F-hat / (ik + 2 mean m), which needs no transform;
@@ -164,7 +198,7 @@ residuals: their two transforms ~41 us (irfft 4.2, rfft 5.4 us), the rest of
 each residual (w^2, lin w-hat, max |F|) ~4 us, a diagonal step ~3 us, and the
 rest goes to the start, the per-step checks, certification and state; the
 readout of g adds one rfft, ~6 us with its arithmetic.  Four ways to cut it
-were measured and dropped (the third is since taken up at every kappa):
+were measured and dropped (the last two are since taken up):
 
   - trimming the numpy calls around the transforms (per-step checks on
     Python floats, no list of starts, the readout of g in place): ~83 -> ~79
@@ -175,16 +209,16 @@ were measured and dropped (the third is since taken up at every kappa):
   - real-DFT matrices for the residual, as in ``flows._kdv_dft``: at n = 294
     the pair costs 4.7 + 4.6 us against 4.3 + 5.0 us for irfft + rfft;
   - better warm starts for RK stages b and d, by linear extrapolation or by
-    transport with the linear flow: the start residual falls from 1.3e-6 to
-    1e-7 - 2e-7, but no Newton step is saved.  That was measured at
-    kappa = 4 only, where a diagonal step cuts the residual ~2000x; at
-    kappa = 1 it cuts ~110x, so the start sets the step count, and the
-    extrapolated starts above take ``cut_compare`` from 4.56 to ~2.7
-    residuals per solve;
+    transport with the linear flow: the start residual fell from 1.3e-6 to
+    1e-7 - 2e-7, but no Newton step was saved.  That was measured at
+    kappa = 4 with modes K+1..M of the start held fixed, and those modes set
+    the stall: with the transport's rotation on them and seven steps
+    extrapolated, the b and d starts reach ~2e-11 and their solves take 2.82
+    residuals in place of 3.57 (the table above);
   - stacking the save-time alpha probes: 42 cold solves took 1.2 ms as one
     stack against 3.8 ms one by one, bitwise equal, but the per-row stack
-    checks cost the one-row flow path ~0.8 us per Newton step, so this waits
-    until the flow steps many rows through one solve.
+    checks cost the one-row flow path ~0.8 us per Newton step.  Since taken
+    up as ``alphas_of``, with one check of all rows per Newton step.
 """
 
 from __future__ import annotations
@@ -330,12 +364,12 @@ def _hankel(v, k):
     return np.ndarray((k, k), v.dtype, v, strides=(step, step))
 
 
-def _check_domain(q, kappa):
-    """The preconditions of both routes: kappa >= 1 and a real q."""
+def _check_domain(c, kappa):
+    """The preconditions of both routes: kappa >= 1 and real q, for the coefficient
+    row c of one q or a stack (..., 2K + 1) of them."""
     if kappa < 1:
         raise PreconditionError(f"kappa must be >= 1, got {kappa}")
-    c = q.coeffs
-    if abs(c - c[::-1].conj()).max() > HERMITIAN_RTOL * abs(c).max():
+    if np.any(abs(c - c[..., ::-1].conj()).max(axis=-1) > HERMITIAN_RTOL * abs(c).max(axis=-1)):
         raise PreconditionError("q is not real: its coefficients are not Hermitian-symmetric")
 
 
@@ -345,8 +379,8 @@ def assemble_resolvent(q, kappa):
     B_r is filled block by block from the Toeplitz and Hankel views of
     a = Re qhat and b = Im qhat (see the module docstring).
     """
-    _check_domain(q, kappa)
     c = q.coeffs
+    _check_domain(c, kappa)
     k = q.grid.cutoff
     n = 2 * k + 1
     a = np.zeros(n)  # a[d] = Re qhat(d/l) for 0 <= d <= 2K
@@ -575,54 +609,58 @@ def _newton_correction(plan, wh, fh, mean_m):
     phi, f = np.fft.irfft(np.stack((anti * wh, fh)), n, norm="forward")
     e = np.exp(phi)
     yh = np.fft.rfft(e * f, norm="forward") / (ik + 2.0 * mean_m)
-    return np.fft.rfft(np.fft.irfft(yh, n, norm="forward") / e, norm="forward")[:, :m + 1]
+    return np.fft.rfft(np.fft.irfft(yh, n, norm="forward") / e, norm="forward")[..., :m + 1]
 
 
 def _newton(plan, qh, wh, scale):
-    """Correct w-hat from the start wh: (w-hat, samples of w, residual) of the iterate
-    with the smallest residual.  See the module docstring."""
+    """Correct w-hat from the start wh, one (2, M + 1) pair or a stack (S, 2, M + 1)
+    of them for the rows of qh: (w-hat, samples of w, residual F-hat, its largest
+    |F-hat|) of the iterate with the smallest largest residual over the stack.
+    Every test compares the stack's largest residual with scale, the smallest
+    row's max |qhat|, so one pair is solved as alone.  See the module docstring."""
     m, n, _, lin, _, two_kappa = plan
-    k = len(qh) - 1
+    k = qh.shape[-1] - 1
+    qh = qh[..., None, :]
 
     def residual(wh):
         w = np.fft.irfft(wh, n, norm="forward")
-        fh = np.fft.rfft(w * w, norm="forward")[:, :m + 1]
+        fh = np.fft.rfft(w * w, norm="forward")[..., :m + 1]
         fh += lin * wh
-        fh[:, :k + 1] -= qh
+        fh[..., :k + 1] -= qh
         return w, fh, float(np.abs(fh).max())
 
     w, fh, res = residual(wh)
-    best = wh, w, res
+    best = wh, w, fh, res
     diagonal, stale = True, 0
     for _ in range(NEWTON_MAX_STEPS):
         if res <= ROUNDING_RTOL * scale:
             break
-        mean_m = 0.5 * two_kappa + wh[:, :1].real  # (theta, -theta) at a solution
-        if not mean_m[0, 0] > 0.0 > mean_m[1, 0]:
-            break  # both corrections are singular at mean(m) = 0
+        mean_m = 0.5 * two_kappa + wh[..., :1].real  # (theta, -theta) at a solution
+        if not (two_kappa * mean_m).min() > 0.0:
+            break  # both corrections are singular at mean(m) = 0, in any row
         if diagonal:
             # delta' + 2 mean(m) delta = -F, no transform: ik + 2 mean(m) = lin + 2 mean(w)
-            new = wh - fh / (lin + 2.0 * wh[:, :1].real)
+            new = wh - fh / (lin + 2.0 * wh[..., :1].real)
         else:
             new = wh - _newton_correction(plan, wh, fh, mean_m)
         new_w, new_fh, new_res = residual(new)
         if diagonal and not new_res <= DIAGONAL_CUT * res:
             diagonal = False  # retake the step from wh as a Newton correction
             continue
-        halved = new_res <= 0.5 * best[2]
+        halved = new_res <= 0.5 * best[3]
         wh, w, fh, res = new, new_w, new_fh, new_res
-        if res < best[2]:
-            best, stale = (wh, w, res), 0
+        if res < best[3]:
+            best, stale = (wh, w, fh, res), 0
         else:
             stale += 1  # Newton need not decrease the residual every step (a nan never does)
-        if not halved and best[2] <= NEWTON_RTOL * scale or stale == NEWTON_PATIENCE:
+        if not halved and best[3] <= NEWTON_RTOL * scale or stale == NEWTON_PATIENCE:
             break
     return best
 
 
 def _riccati(q, kappa):
     """``_riccati_half`` of a real q, cold, after the checks of ``_check_domain``."""
-    _check_domain(q, kappa)
+    _check_domain(q.coeffs, kappa)
     return _riccati_half(q.grid, q.coeffs[q.grid.cutoff:], kappa)
 
 
@@ -644,7 +682,7 @@ def _riccati_half(grid, qh, kappa, nonlinear=None):
     cold[:, :k + 1] = qh / lin[:, :k + 1]
     starts = [cold] if nonlinear is None else [cold + nonlinear, cold]
     for start in starts:
-        wh, w, res = _newton(plan, qh, start, scale)
+        wh, w, _, res = _newton(plan, qh, start, scale)
         sq = float(w[0] @ w[0]) / len(w[0])
         dtheta = (float(qh[0].real) - sq) / (2.0 * kappa)
         d = two_kappa[0] + w[0] - w[1]
@@ -660,6 +698,29 @@ def _riccati_half(grid, qh, kappa, nonlinear=None):
             f"Riccati branches do not certify -d^2 + q + kappa^2 > 0 at kappa={kappa:g}: "
             f"theta = {kappa + dtheta:.3e}, min(m_- - m_+) = {d.min():.3e}")
     return d, dtheta, sq, wh - cold
+
+
+def _riccati_stack(grid, qh, kappa):
+    """(theta - kappa, mean w_-^2) per row of a stack (S, K + 1) of qhat on modes
+    0..K, by one cold Newton solve on the (S, 2, M + 1) stack of w-hat.  Each row
+    is certified as ``_riccati_half`` certifies; a row that is not (the stack
+    stops on its largest residual, so one row's trouble can stop the others) is
+    solved alone, which certifies it or raises its CertificationError."""
+    plan = _riccati_plan(grid, kappa)
+    m, n, _, lin, _, two_kappa = plan
+    k = grid.cutoff
+    scales = np.abs(qh).max(axis=-1)
+    cold = np.zeros((len(qh), 2, m + 1), dtype=complex)
+    cold[..., :k + 1] = qh[:, None, :] / lin[:, :k + 1]
+    _, w, fh, _ = _newton(plan, qh, cold, float(scales.min()))
+    sq = np.einsum("si,si->s", w[:, 0], w[:, 0]) / n
+    dtheta = (qh[:, 0].real - sq) / (2.0 * kappa)
+    d_min = (two_kappa[0] + w[:, 0] - w[:, 1]).min(axis=-1)
+    certified = ((np.abs(fh).max(axis=(1, 2)) <= NEWTON_RTOL * scales)
+                 & (kappa + dtheta > 0.0) & (d_min > 0.0))
+    for i in np.flatnonzero(~certified):
+        _, dtheta[i], sq[i], _ = _riccati_half(grid, qh[i], kappa)
+    return dtheta, sq
 
 
 def _riccati_green_hat(grid, kappa, d, dtheta):
@@ -690,20 +751,32 @@ def green_of(q, kappa):
     return GreenResult(g=g, kappa=float(kappa), method="riccati", free_constant=free)
 
 
-def alpha_of(q, kappa):
-    """alpha(kappa; q) for a real q: Hill's formula on the Riccati route when the
-    mode cutoff is at least RICCATI_MIN_CUTOFF, else ``alpha``'s log-determinant."""
-    if q.grid.cutoff < RICCATI_MIN_CUTOFF:
-        return alpha(assemble_resolvent(q, kappa))
-    _, dtheta, sq, _ = _riccati(q, kappa)
-    length = q.grid.length
+def alphas_of(qs, kappa):
+    """alpha(kappa; q) of each real q of a list on one grid: Hill's formula from one
+    Riccati solve on their stack when the mode cutoff is at least
+    RICCATI_MIN_CUTOFF, else ``alpha``'s log-determinant of each."""
+    grid = qs[0].grid
+    if any(q.grid != grid for q in qs):
+        raise PreconditionError("a stack of alpha probes needs one shared grid")
+    if grid.cutoff < RICCATI_MIN_CUTOFF:
+        return [alpha(assemble_resolvent(q, kappa)) for q in qs]
+    c = np.array([q.coeffs for q in qs])
+    _check_domain(c, kappa)
+    dthetas, sqs = _riccati_stack(grid, c[:, grid.cutoff:], kappa)
+    length = grid.length
     # Hill's formula with theta - kappa substituted; free_excess = g0 - 1/(2 kappa)
     free_excess = -math.exp(-kappa * length) / (kappa * math.expm1(-kappa * length))
-    value = (length * sq / (2.0 * kappa) + length * float(q.mean) * free_excess
-             + 2.0 * math.log1p(-math.exp(-kappa * length))
-             - 2.0 * math.log1p(-math.exp(-(kappa + dtheta) * length)))
-    return AlphaResult(value=value, kappa=float(kappa), method="hill",
-                       hs_norm=_hs_norm(q, kappa))
+    free_log = 2.0 * math.log1p(-math.exp(-kappa * length))
+    return [AlphaResult(value=(length * sq / (2.0 * kappa) + length * float(q.mean) * free_excess
+                               + free_log - 2.0 * math.log1p(-math.exp(-(kappa + dtheta) * length))),
+                        kappa=float(kappa), method="hill", hs_norm=_hs_norm(q, kappa))
+            for q, dtheta, sq in zip(qs, dthetas.tolist(), sqs.tolist())]
+
+
+def alpha_of(q, kappa):
+    """alpha(kappa; q) for a real q: ``alphas_of`` of the one q."""
+    (a,) = alphas_of([q], kappa)
+    return a
 
 
 def alpha_gradient_field(ctx):

@@ -44,6 +44,22 @@ def test_evolve_writes_trajectory_and_monitors(tmp_path):
     assert set(manifest["outputs"]) == {"trajectory.csv", "monitors.csv"}
 
 
+def test_evolve_refuses_a_bad_probe_before_it_evolves(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(flows, "_lawson_rk4", lambda *args: calls.append(args))
+    cfg = {
+        "grid": {"length": 6.283185307179586, "cutoff": 64},
+        "initial": MODES,
+        "flow": {"kind": "hkappa", "kappa": 4.0},
+        "time": {"dt": 1e-3, "T": 0.2, "saves": 20},
+        "probes": [2.0, 0.5],
+    }
+    code, out = run_cli(tmp_path, "evolve", cfg)
+    assert code == 2
+    assert calls == []
+    assert not list(out.glob("*.csv"))
+
+
 def test_hkappa_evolve_repeats_byte_identically_in_one_process(tmp_path):
     # K = 64 takes the warm-started Riccati route: no warm start may leak from
     # one run into the next

@@ -50,6 +50,8 @@ from kdvlab.flows import (
 from kdvlab import flows, greens
 from kdvlab.greens import (
     RICCATI_MIN_CUTOFF,
+    alpha_of,
+    alphas_of,
     _riccati_green_hat,
     _riccati_half,
     assemble_resolvent,
@@ -179,6 +181,11 @@ class TestEvolve:
                                    saves=1))
         assert not traj.certified
         assert traj.warnings
+
+    @pytest.mark.parametrize("probe", [0.5, math.nan, math.inf])
+    def test_refuses_a_probe_outside_the_domain(self, probe):
+        with pytest.raises(PreconditionError):
+            FlowSpec(HamiltonianSpec.kdv(), dt=1e-3, T=2e-3, probes=(2.0, probe))
 
     def test_scaling_symmetry(self):
         grid = TorusGrid.make(TWO_PI, 32)
@@ -347,6 +354,37 @@ def record_transforms(monkeypatch):
     return calls
 
 
+def count_stage_residuals(monkeypatch):
+    """Per stage solve of the flows from now on, its residual evaluations: the
+    inverse transforms of its (2, M + 1) w-hat pair, M = 3K/2."""
+    calls = record_transforms(monkeypatch)
+    residuals = []
+    solve = flows._riccati_half
+
+    def counted(grid, *args):
+        before = len(calls)
+        out = solve(grid, *args)
+        pair = ("irfft", (2, 3 * grid.cutoff // 2 + 1))
+        residuals.append(calls[before:].count(pair))
+        return out
+
+    monkeypatch.setattr(flows, "_riccati_half", counted)
+    return residuals
+
+
+def benchmark_hkappa_input(grid, seed=0):
+    """The initial data of the hkappa_evolve benchmark workload (variant ``seed``):
+    |qhat(j)| ~ (1 + |j|)^-2 with random phases, real, scaled to radius 0.1."""
+    k, length = grid.cutoff, grid.length
+    js = np.arange(-k, k + 1)
+    rng = np.random.default_rng(seed)
+    c = (rng.standard_normal(2 * k + 1) + 1j * rng.standard_normal(2 * k + 1)) / (1.0 + abs(js)) ** 2
+    c = 0.5 * (c + np.conj(c[::-1]))
+    c[k] = c[k].real
+    size = math.sqrt(length * float(np.sum(abs(c) ** 2 / (1.0 + (js / length) ** 2))))
+    return make_field(grid, coeffs=c * (0.1 / size))
+
+
 def rough_small(grid, rng, hm1=0.05):
     k = grid.cutoff
     f = make_field(grid, coeffs=rng.standard_normal(2 * k + 1)
@@ -420,7 +458,7 @@ class TestHkappaNonlinear:
             d, dtheta, _, _ = _riccati_half(grid, w * h, kappa, start)
             assert np.array_equal(got, amp * (_riccati_green_hat(grid, kappa, d, dtheta)
                                               - m_lin * h))
-        assert len(history.past) == 2
+        assert history.solves == 2
 
     def test_warm_stage_solve_makes_two_transforms_per_residual(self, monkeypatch):
         grid = TorusGrid.make(TWO_PI, K_STAR)
@@ -458,6 +496,28 @@ class TestHkappaNonlinear:
         assert len(residuals) == 6 * 4
         # from step 4 on the start extrapolates the last three steps' increments
         assert np.mean(residuals[12:]) <= 3.0
+
+    def test_stage_starts_on_the_hkappa_evolve_input(self, monkeypatch):
+        # kappa = 4, K = 64: modes K+1..M of w rotate by up to ~5 rad a step, so
+        # stages b and d need the transport on them to extrapolate
+        grid = TorusGrid.make(TWO_PI, K_STAR)
+        residuals = count_stage_residuals(monkeypatch)
+        evolve(benchmark_hkappa_input(grid),
+               FlowSpec(HamiltonianSpec.hkappa(4.0), dt=1e-3, T=0.05, saves=1))
+        assert len(residuals) == 50 * 4
+        assert np.mean(residuals) <= 2.8  # warm-up included
+
+    def test_stage_starts_on_the_cut_compare_circle_flow(self, monkeypatch):
+        # the shape of cut_compare's circle flow over its 20 steps
+        grid = TorusGrid.make(32.0, 128)
+        band = MultiplierSpec.band(0.125, 2.0)
+        q0 = lp_project(periodized_field(prototype_callable(
+            {"kind": "gauss_prime", "width": 1.0, "amplitude": 0.1}), grid), band)
+        residuals = count_stage_residuals(monkeypatch)
+        evolve(q0, FlowSpec(HamiltonianSpec.hkappa_band(1.0, 0.125, 2.0), dt=1e-3,
+                            T=0.02, saves=1))
+        assert len(residuals) == 20 * 4
+        assert np.mean(residuals) <= 2.55  # warm-up included
 
     def test_kernel_is_cached_and_read_only(self):
         grid = TorusGrid.make(TWO_PI, K_STAR)
@@ -517,6 +577,35 @@ class TestMonitors:
         assert rep.drifts == recomputed.drifts
         assert rep.scales == recomputed.scales
         assert rep.certified == recomputed.certified
+
+    def test_stacked_alpha_matches_each_state_alone(self):
+        grid = TorusGrid.make(TWO_PI, K_STAR)
+        traj = evolve(benchmark_hkappa_input(grid),
+                      FlowSpec(HamiltonianSpec.hkappa(4.0), dt=1e-3, T=0.02, saves=10,
+                               probes=(2.0, 4.0)))
+        for kap in (2.0, 4.0):
+            stacked = alphas_of(traj.states, kap)
+            assert [a.value for a in stacked] == list(traj.monitors[f"alpha({kap:g})"])
+            for q, a in zip(traj.states, stacked):
+                alone = alpha_of(q, kap)
+                assert abs(a.value - alone.value) <= 1e-13 * abs(alone.value)
+                assert a.hs_norm == alone.hs_norm
+
+    def test_evolve_solves_each_probe_as_one_stack(self, monkeypatch):
+        shapes = []  # the w-hat start of each Newton solve, through a proxy
+        newton = greens._newton
+
+        def counted(plan, qh, wh, scale):
+            shapes.append(wh.shape)
+            return newton(plan, qh, wh, scale)
+
+        monkeypatch.setattr(greens, "_newton", counted)
+        grid = TorusGrid.make(TWO_PI, K_STAR)
+        evolve(small_smooth(grid), FlowSpec(HamiltonianSpec.hkappa(4.0), dt=1e-3, T=5e-3,
+                                            saves=5, probes=(2.0, 4.0)))
+        pair = (2, 3 * K_STAR // 2 + 1)
+        assert shapes.count(pair) == 5 * 4  # one per row and stage
+        assert [s for s in shapes if s != pair] == [(6,) + pair] * 2  # one per probe
 
     def test_needs_at_least_one_probe(self):
         grid = TorusGrid.make(TWO_PI, 16)

@@ -40,6 +40,7 @@ from kdvlab.flows import evolve, rhs
 from kdvlab.greens import (
     RICCATI_MIN_CUTOFF,
     ResolventContext,
+    alphas_of,
     _lag_sums,
     _pair_sums,
     _riccati_green_hat,
@@ -520,6 +521,22 @@ class TestRiccatiRoute:
         with pytest.raises(CertificationError):
             evolve(q0, spec)
 
+    @pytest.mark.parametrize("bad", [
+        [(1, -10.0), (-1, -10.0)],                    # -20 cos x against kappa^2 = 4
+        [(0, -8.0), (1, 0.01), (-1, 0.01)],           # -2 kappa^2: no periodic branch
+    ])
+    def test_stack_raises_the_error_of_its_bad_row(self, bad):
+        # the stack stops on its largest residual, so a healthy row before the bad
+        # one is left unconverged and must be solved alone to certify
+        grid = TorusGrid.make(2 * math.pi, K_STAR)
+        good = small_random(grid, np.random.default_rng(3), 0.3, 2.0)
+        q_bad = field_from_modes(grid, bad)
+        with pytest.raises(CertificationError) as alone:
+            alpha_of(q_bad, 2.0)
+        with pytest.raises(CertificationError) as stacked:
+            alphas_of([good, q_bad, good], 2.0)
+        assert str(stacked.value) == str(alone.value)
+
     @pytest.mark.parametrize("cutoff, dense", [(K_STAR - 1, True), (K_STAR, False)])
     def test_route_switches_at_k_star(self, monkeypatch, cutoff, dense):
         calls = []
@@ -583,10 +600,11 @@ class TestRiccatiRoute:
         rng = np.random.default_rng(11)
         q = small_random(grid, rng, -0.9, 2.0)
         history = flows._StageHistory(np.ones(3 * K_STAR // 2 + 1, dtype=complex))
-        for shift in range(13):  # a full history, so the start extrapolates
+        # a full-order history, so the start extrapolates through every stored step
+        for shift in range(4 * flows.EXTRAPOLATION_ORDER + 1):
             qh = translate(q, 1e-3 * shift).coeffs[K_STAR:]
             history.push(_riccati_half(grid, qh, 2.0, history.start())[3])
-        history.past[0] = history.past[0] * spoil  # 1e3: a start Newton cannot use
+        history.newest = history.newest * spoil  # 1e3: a start Newton cannot use
         qh = small_random(grid, rng, 0.5, 2.0).coeffs[K_STAR:]
         cold = riccati_g(grid, 2.0, _riccati_half(grid, qh, 2.0))
         warm = riccati_g(grid, 2.0, _riccati_half(grid, qh, 2.0, history.start()))
