@@ -103,27 +103,34 @@ starts tried:
 Held fixed, modes K+1..M left the starts of stages b and d (half a step past
 the stage before) stalled.  Per stage a-d, the 16 input variants' median
 start residual (solves from step 11 on) and their mean residual evaluations
-per solve, with K+1..M held and 3 steps, against K+1..M rotated and p = 7:
+per solve, with K+1..M held and 3 steps, against K+1..M rotated and p = 7,
+and that again with the contraction stop (below):
 
     hkappa_evolve  start, held      4.7e-14  1.9e-7   1.6e-12  1.9e-7
                    start, rotated   4.5e-15  2.4e-11  4.0e-14  2.4e-11
                    solve, held      2.08     3.57     2.42     3.57    (2.91)
                    solve, rotated   2.01     2.82     2.08     2.82    (2.43)
+                   solve, stop      2.00     2.02     2.00     2.02    (2.01)
     cut_compare    start, held      1.4e-15  1.3e-12  1.4e-15  1.3e-12
                    start, rotated   1.9e-14  2.2e-14  2.2e-14  2.4e-14
                    solve, held      2.26     3.31     2.10     3.31    (2.75)
                    solve, rotated   2.30     2.51     2.15     2.51    (2.37)
+                   solve, stop      2.23     2.31     2.05     2.31    (2.23)
 
 (in brackets the mean over all four).  p was chosen on the residual
 evaluations per stage solve with the rotation, 16-variant means:
 
     p                          3     4     5     6     7     8
     hkappa_evolve (kappa = 4)  2.85  2.73  2.60  2.54  2.43  2.34
+                  with stop    2.30  2.18  2.07  2.04  2.01  2.01
     cut_compare (kappa = 1)    2.75  2.37  2.37  2.37  2.37  2.52
+                  with stop    2.21  2.23  2.23  2.23  2.23  2.27
 
-p = 7 is the largest at which ``cut_compare`` stays at its floor.  A warm
-start that fails to certify is retried cold, so a poor guess costs Newton
-steps only.
+p = 7 is the largest at which ``cut_compare`` stays at its floor.  With the
+contraction stop (below) p = 7 is where ``hkappa_evolve`` reaches its floor of
+two residuals, the start's and one diagonal step's, and ``cut_compare`` is
+flat from p = 4 to 7.  A warm start that fails to certify is retried cold, so
+a poor guess costs Newton steps only.
 
 ``_newton`` takes one (2, M + 1) pair or a stack (S, 2, M + 1) of them, one
 per row of qhat.  A stack is iterated as one: every stopping test compares
@@ -160,6 +167,18 @@ after NEWTON_PATIENCE = 3 steps without a new smallest residual, and it keeps
 the iterate with the smallest residual.  On hard data (l = 64, kappa = 4,
 ||B||_HS = 1.5) Newton's residual does not fall every step, and stopping at
 the first rise left cases uncertified that the dense route shows positive.
+
+An accepted diagonal step that takes the residual from r to r' also ends the
+solve, the contraction stop, when r' <= NEWTON_RTOL max |qhat| and
+r'^2 <= ROUNDING_RTOL max |qhat| r: the next diagonal step, cutting by the
+same ratio r'/r, is predicted to land below rounding, so it would buy only
+digits the certified level does not ask for, at two transforms.  On the warm
+stage starts of ``hkappa_evolve`` (16 variants, solves after the first 8
+steps) the start residual is ~4e-12 max |qhat|, the first diagonal step cuts
+it 2000x (median; 90% of the cuts lie between 86x and 12800x), and 42% of
+those steps land above ROUNDING_RTOL, where without the stop the solve takes
+a third residual; the stop ends every one of them after the first step.
+
 Averaging the equation of w_- gives, exactly,
 
     theta - kappa = (qhat(0) - mean(w_-^2)) / (2 kappa),
@@ -191,14 +210,15 @@ K* = 64 is the smallest K listed at which the cold Riccati route wins in both
 rows; warm, it wins from K = 48.
 
 A warm solve costs what numpy charges per call more than arithmetic.  On the
-799 warm stage inputs of ``hkappa_evolve`` (seed 0; K = 64, n = 294, started
-from the previous stage's N;
-in-process minima, one BLAS thread, 2 vCPU) one takes ~83 us over 4.25
-residuals: their two transforms ~41 us (irfft 4.2, rfft 5.4 us), the rest of
-each residual (w^2, lin w-hat, max |F|) ~4 us, a diagonal step ~3 us, and the
-rest goes to the start, the per-step checks, certification and state; the
-readout of g adds one rfft, ~6 us with its arithmetic.  Four ways to cut it
-were measured and dropped (the last two are since taken up):
+799 warm stage inputs of ``hkappa_evolve`` (seed 0; K = 64, n = 300, started
+as the flow starts them; in-process minima of 15 passes, one BLAS thread,
+2 vCPU) one takes ~36 us over 2.02 residuals (~45 us over 2.53 without the
+contraction stop): a residual ~11.6 us, of which its two transforms of the
+(2, M + 1) pair take ~8.2 us (irfft 3.5, rfft 4.6 us); a diagonal step
+~2.8 us; and ~10 us for the start, the per-step checks, certification and
+state.  The readout of g adds one rfft, ~5 us with its arithmetic.  Four ways
+to cut it were measured on an earlier tree, where a warm solve took ~83 us
+over 4.25 residuals, and dropped (the last two are since taken up):
 
   - trimming the numpy calls around the transforms (per-step checks on
     Python floats, no list of starts, the readout of g in place): ~83 -> ~79
@@ -648,12 +668,16 @@ def _newton(plan, qh, wh, scale):
             diagonal = False  # retake the step from wh as a Newton correction
             continue
         halved = new_res <= 0.5 * best[3]
+        # a next diagonal step, cutting by the same ratio, would land below rounding
+        contracted = (diagonal and new_res <= NEWTON_RTOL * scale
+                      and new_res * new_res <= ROUNDING_RTOL * scale * res)
         wh, w, fh, res = new, new_w, new_fh, new_res
         if res < best[3]:
             best, stale = (wh, w, fh, res), 0
         else:
             stale += 1  # Newton need not decrease the residual every step (a nan never does)
-        if not halved and best[3] <= NEWTON_RTOL * scale or stale == NEWTON_PATIENCE:
+        if (contracted or not halved and best[3] <= NEWTON_RTOL * scale
+                or stale == NEWTON_PATIENCE):
             break
     return best
 

@@ -2,16 +2,22 @@
 
 Floats are written with repr (shortest round-trip form), files are digested
 with sha256, and manifests serialize with sorted keys, so re-running a
-configuration byte-reproduces every artifact.  A manifest's ``versions``
-lists the libraries the run loaded: kdvlab, numpy and Python always, scipy
-only when the dense resolvent route imported its LAPACK.
+configuration byte-reproduces every artifact.  A rerun into the same output
+directory unlinks each old file and creates it anew: on ext4, a file truncated
+and rewritten in place is flushed at close, ~56 ms per 180 KB file against
+~0.03 ms for unlink and create (medians of 10 writes, 2 vCPU box, virtual
+disk).  A manifest's ``versions`` lists the libraries the run loaded:
+kdvlab, numpy and Python always, scipy only when the dense resolvent route
+imported its LAPACK.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
+import stat
 import sys
 from dataclasses import dataclass, field
 
@@ -29,13 +35,23 @@ def _fmt(x):
     return str(x)
 
 
+def _write_new(path, text):
+    """Write text to path as a new file, unlinking a regular file already there."""
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def write_csv(path, header, rows):
     """Plain deterministic CSV: header row, repr-formatted numeric cells."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_new(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -90,9 +106,6 @@ class RunManifest:
 
 def run_report(manifest, out_dir):
     """Write manifest.json next to the outputs it records; returns paths."""
-    import os
-
     path = os.path.join(str(out_dir), "manifest.json")
-    with open(path, "w") as fh:
-        fh.write(manifest.to_json() + "\n")
+    _write_new(path, manifest.to_json() + "\n")
     return [path] + [os.path.join(str(out_dir), k) for k in sorted(manifest.outputs)]

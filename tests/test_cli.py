@@ -378,6 +378,28 @@ def test_manifest_records_the_radius_and_repeats_byte_identically(tmp_path):
     assert manifests[0] == manifests[1]
 
 
+def test_evolve_reruns_into_one_out_byte_identically(tmp_path):
+    # a rerun unlinks each old file and creates it anew: with a hard link held
+    # to each first-run file, its old inode cannot be reused by the rerun
+    cfg = dict(EVOLVE, probes=[2.0])
+    code, out = run_cli(tmp_path, "evolve", cfg)
+    assert code == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(first) == {"trajectory.csv", "monitors.csv", "manifest.json"}
+    held = tmp_path / "held"
+    held.mkdir()
+    for name in first:
+        os.link(out / name, held / name)
+    code, _ = run_cli(tmp_path, "evolve", cfg)
+    assert code == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    outputs = json.loads(first["manifest.json"])["outputs"]
+    assert outputs == {name: sha256_digest(out / name) for name in outputs}
+    for name in first:
+        assert (held / name).read_bytes() == first[name]
+        assert os.stat(held / name).st_ino != os.stat(out / name).st_ino
+
+
 # q = 6 cos x: ||q||_{H^-1} ~ 10, far outside the HM1_RADIUS ball, while
 # -d^2 + q + kappa^2 stays positive at kappa = 4
 OUTSIDE_BALL = {"modes": [{"j": 1, "re": 3.0}, {"j": -1, "re": 3.0}]}

@@ -385,6 +385,25 @@ def benchmark_hkappa_input(grid, seed=0):
     return make_field(grid, coeffs=c * (0.1 / size))
 
 
+def cut_circle_input():
+    """The shape of cut_compare's circle flow: the band-projected prototype on
+    L = 32, K = 128, and its flow at kappa = 1 over the band [1/8, 2]."""
+    grid = TorusGrid.make(32.0, 128)
+    band = MultiplierSpec.band(0.125, 2.0)
+    q0 = lp_project(periodized_field(prototype_callable(
+        {"kind": "gauss_prime", "width": 1.0, "amplitude": 0.1}), grid), band)
+    return q0, HamiltonianSpec.hkappa_band(1.0, 0.125, 2.0)
+
+
+def hkappa_evolve_input():
+    """The hkappa_evolve benchmark's input (variant 0) and its flow at kappa = 4."""
+    return benchmark_hkappa_input(TorusGrid.make(TWO_PI, K_STAR)), HamiltonianSpec.hkappa(4.0)
+
+
+# stage solves before every stage's start extrapolates through the full order
+WARM_UP = 4 * (flows.EXTRAPOLATION_ORDER + 1)
+
+
 def rough_small(grid, rng, hm1=0.05):
     k = grid.cutoff
     f = make_field(grid, coeffs=rng.standard_normal(2 * k + 1)
@@ -475,49 +494,66 @@ class TestHkappaNonlinear:
         assert len(calls) <= 2 * residuals + 1
 
     def test_stage_starts_take_at_most_three_residuals_per_solve(self, monkeypatch):
-        # the shape of cut_compare's circle flow: kappa = 1, L = 32, K = 128
-        grid = TorusGrid.make(32.0, 128)
-        band = MultiplierSpec.band(0.125, 2.0)
-        q0 = lp_project(periodized_field(prototype_callable(
-            {"kind": "gauss_prime", "width": 1.0, "amplitude": 0.1}), grid), band)
-        calls = record_transforms(monkeypatch)
-        residuals = []  # per stage solve: the inverse transforms of its w-hat pair
-        solve = flows._riccati_half
-
-        def counted(*args):
-            before = len(calls)
-            out = solve(*args)
-            residuals.append(calls[before:].count(("irfft", (2, 3 * 128 // 2 + 1))))
-            return out
-
-        monkeypatch.setattr(flows, "_riccati_half", counted)
-        evolve(q0, FlowSpec(HamiltonianSpec.hkappa_band(1.0, 0.125, 2.0), dt=1e-3,
-                            T=6e-3, saves=1))
+        q0, ham = cut_circle_input()
+        residuals = count_stage_residuals(monkeypatch)
+        evolve(q0, FlowSpec(ham, dt=1e-3, T=6e-3, saves=1))
         assert len(residuals) == 6 * 4
-        # from step 4 on the start extrapolates the last three steps' increments
+        # from step 4 on every start extrapolates its stage's increments
         assert np.mean(residuals[12:]) <= 3.0
 
     def test_stage_starts_on_the_hkappa_evolve_input(self, monkeypatch):
         # kappa = 4, K = 64: modes K+1..M of w rotate by up to ~5 rad a step, so
         # stages b and d need the transport on them to extrapolate
-        grid = TorusGrid.make(TWO_PI, K_STAR)
+        q0, ham = hkappa_evolve_input()
         residuals = count_stage_residuals(monkeypatch)
-        evolve(benchmark_hkappa_input(grid),
-               FlowSpec(HamiltonianSpec.hkappa(4.0), dt=1e-3, T=0.05, saves=1))
+        evolve(q0, FlowSpec(ham, dt=1e-3, T=0.05, saves=1))
         assert len(residuals) == 50 * 4
         assert np.mean(residuals) <= 2.8  # warm-up included
 
     def test_stage_starts_on_the_cut_compare_circle_flow(self, monkeypatch):
         # the shape of cut_compare's circle flow over its 20 steps
-        grid = TorusGrid.make(32.0, 128)
-        band = MultiplierSpec.band(0.125, 2.0)
-        q0 = lp_project(periodized_field(prototype_callable(
-            {"kind": "gauss_prime", "width": 1.0, "amplitude": 0.1}), grid), band)
+        q0, ham = cut_circle_input()
         residuals = count_stage_residuals(monkeypatch)
-        evolve(q0, FlowSpec(HamiltonianSpec.hkappa_band(1.0, 0.125, 2.0), dt=1e-3,
-                            T=0.02, saves=1))
+        evolve(q0, FlowSpec(ham, dt=1e-3, T=0.02, saves=1))
         assert len(residuals) == 20 * 4
         assert np.mean(residuals) <= 2.55  # warm-up included
+
+    @pytest.mark.parametrize("flow, steps", [(hkappa_evolve_input, 50), (cut_circle_input, 20)],
+                             ids=["hkappa_evolve", "cut_circle"])
+    def test_warm_solves_stop_after_one_diagonal_step(self, monkeypatch, flow, steps):
+        # a warm start's first diagonal step leaves a residual far below
+        # NEWTON_RTOL; the next, cutting by the same ratio, would only reach
+        # rounding, so the solve stops: two residuals, the start's and the step's
+        q0, ham = flow()
+        residuals = count_stage_residuals(monkeypatch)
+        evolve(q0, FlowSpec(ham, dt=1e-3, T=steps * 1e-3, saves=1))
+        assert len(residuals) == steps * 4
+        assert np.mean(residuals[WARM_UP:]) <= 2.05
+
+    @pytest.mark.parametrize("flow", [hkappa_evolve_input, cut_circle_input],
+                             ids=["hkappa_evolve", "cut_circle"])
+    def test_every_solve_and_probe_row_ends_at_the_certified_level(self, monkeypatch, flow):
+        # the residual of each Newton result, recomputed from its w-hat, against
+        # NEWTON_RTOL times its own row's max |qhat|: stage pairs and alpha stacks
+        solves = []
+        newton = greens._newton
+
+        def recording(plan, qh, wh, scale):
+            out = newton(plan, qh, wh, scale)
+            solves.append((plan, qh, out[0]))
+            return out
+
+        monkeypatch.setattr(greens, "_newton", recording)
+        q0, ham = flow()
+        evolve(q0, FlowSpec(ham, dt=1e-3, T=0.02, saves=4, probes=(1.0, 2.0)))
+        assert [np.shape(wh)[:-2] for _, _, wh in solves] == [()] * 80 + [(5,)] * 2
+        for plan, qh, wh in solves:
+            m, n, ik, _, _, two_kappa = plan
+            w = np.fft.irfft(wh, n, norm="forward")
+            fh = (ik[:m + 1] + two_kappa) * wh + np.fft.rfft(w * w, norm="forward")[..., :m + 1]
+            fh[..., :qh.shape[-1]] -= qh[..., None, :]
+            rows = np.abs(fh).max(axis=(-2, -1))
+            assert np.all(rows <= greens.NEWTON_RTOL * np.abs(qh).max(axis=-1))
 
     def test_kernel_is_cached_and_read_only(self):
         grid = TorusGrid.make(TWO_PI, K_STAR)
@@ -569,10 +605,10 @@ class TestMonitors:
                                probes=(2.0, 4.0)))
         recomputed = monitors(replace(traj, monitors={}))
 
-        def no_resolvent(*args):
-            raise AssertionError("monitors() rebuilt a resolvent")
+        def no_probe(*args):
+            raise AssertionError("monitors() recomputed a stored probe")
 
-        monkeypatch.setattr("kdvlab.flows.assemble_resolvent", no_resolvent)
+        monkeypatch.setattr(flows, "alphas_of", no_probe)
         rep = monitors(traj)
         assert rep.drifts == recomputed.drifts
         assert rep.scales == recomputed.scales
