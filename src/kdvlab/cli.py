@@ -61,7 +61,7 @@ from .flows import (
     sup_distance,
 )
 from .greens import alpha_of, green_of
-from .reporting import RunManifest, run_report, write_csv
+from .reporting import RunManifest, run_report, write_csv, write_json
 from .spectral import lp_project, sobolev_norm
 from .squeeze import (
     SearchBudget,
@@ -209,14 +209,13 @@ def cmd_cutcompare(cfg, out):
         box_cutoff = config_number(box_cutoff, "cutcompare config", "box_cutoff", int)
     times, errs, (circle, line, q0) = compare_local(
         u0, plan, _kappa(cfg), band, **_time_from(cfg, 8), box_cutoff=box_cutoff)
-    with open(os.path.join(out, "cutplan.json"), "w") as fh:
-        json.dump(plan.to_json_dict(), fh, sort_keys=True, indent=2)
+    p_plan = write_json(os.path.join(out, "cutplan.json"), plan.to_json_dict())
     rows = list(zip(times, errs))
     p = write_csv(os.path.join(out, "cut_error.csv"), ["t", "error_hm1"], rows)
     print(f"cut case {plan.case}, windows {plan.indices}, "
           f"|int q0| = {plan.integral_defect:.3e}, "
           f"||q0||_H-1 = {sobolev_norm(q0, -1.0):.4g}")
-    return _manifest(cfg, [p, os.path.join(out, "cutplan.json")], out, trajs=(circle, line))
+    return _manifest(cfg, [p, p_plan], out, trajs=(circle, line))
 
 
 def cmd_squeeze(cfg, out):

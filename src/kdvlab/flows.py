@@ -51,15 +51,19 @@ At K >= K* it is ``_hkappa_nonlinear``, cached per (grid, flow), once per half
 row and stage: one Riccati solve for P_band q, then g less g0 and less its
 first-order part, times 16 kappa^5 (2 pi i j / l) P_band; the transport term
 and the first-order part of g are in the exactly propagated symbol.  Each row
-keeps a ``_StageHistory``, dropped with the row: the nonlinear part of its
-newest Riccati solve, and per RK stage the increments over the solve before
-of that stage's last EXTRAPOLATION_ORDER = 7 steps, one (4, 7, 2, M + 1)
-complex array (M = 3K/2).  Its next solve starts from the newest one plus
-this stage's increment, extrapolated through those steps by binomial weights
-times the powers of the full-step multiplier, precomputed once per row: three
-numpy calls per start at any order.  The multiplier is e^{lambda dt} on modes
-0..K and, on the modes K+1..M that only w has, the rotation
-e^{8 pi i kappa^2 j dt / l} of the transport 4 kappa^2 d/dx (the greens
+keeps a ``_StageHistory``, dropped with the row: the nonlinear part N that
+its newest Riccati solve returned, and per RK stage the increments over the
+solve before of that stage's last EXTRAPOLATION_ORDER = 7 steps, one
+(4, 7, 2, M + 1) complex array (M = 3K/2).  The N a solve returns is not its
+certified iterate's but one diagonal Newton step past it, taken from the
+residual the solve already has (``greens._riccati_half``), so a solve whose
+start certifies as it stands still records new information.  Its next solve
+starts from the newest N plus this stage's increment, extrapolated through
+those steps by binomial weights times the powers of the full-step
+multiplier, precomputed once per row: three numpy calls per start at any
+order.  The multiplier is e^{lambda dt} on modes 0..K and, on the modes
+K+1..M that only w has, the rotation e^{8 pi i kappa^2 j dt / l} of the
+transport 4 kappa^2 d/dx (the greens
 docstring has the start residuals and the choice of the order).  The loop,
 not greens, builds the start, since the RK cadence and the multiplier are its
 facts.  A poor start costs Newton steps only: the solve still certifies or
@@ -128,8 +132,9 @@ class HamiltonianSpec:
         if self.kind not in ALL_KINDS:
             raise PreconditionError(f"unknown flow kind {self.kind!r}")
         if self.kind in HKAPPA_KINDS:
-            if self.kappa is None or self.kappa < 1:
-                raise PreconditionError("hkappa flows need kappa >= 1")
+            if self.kappa is None or not 1 <= self.kappa < math.inf:
+                raise PreconditionError(
+                    f"hkappa flows need a finite kappa >= 1, got {self.kappa}")
         if self.kind == "hkappa_band":
             if self.band is None or self.band.kind != "band":
                 raise PreconditionError("hkappa_band needs a band MultiplierSpec")
@@ -270,10 +275,11 @@ EXTRAPOLATION_ORDER = 7  # past steps a stage start extrapolates: the table in t
 
 
 class _StageHistory:
-    """One row's Riccati stage solves as their nonlinear parts N (w-hat less its
-    linear response): the newest N, and for each of the four RK stages the
-    increments D_j of its solves over the solve before them, j = 1..p steps
-    back, newest first, p = EXTRAPOLATION_ORDER.
+    """One row's Riccati stage solves as the nonlinear parts N they return (w-hat
+    less its linear response, one diagonal step past the certified iterate): the
+    newest N, and for each of the four RK stages the increments D_j of its
+    solves over the solve before them, j = 1..p steps back, newest first,
+    p = EXTRAPOLATION_ORDER.
 
     With T the full-step multiplier (e^{lambda dt} on modes 0..K, and on modes
     K+1..M, which only the transport 4 kappa^2 d/dx moves, e^{8 pi i kappa^2 j dt / l}),
@@ -401,10 +407,11 @@ class FlowSpec:
     probes: tuple = ()
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise PreconditionError("dt must be positive")
-        if self.T < 0:
-            raise PreconditionError("T must be nonnegative")
+        # written so that NaN fails each test, as +-inf does
+        if not 0 < self.dt < math.inf:
+            raise PreconditionError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.T < math.inf:
+            raise PreconditionError(f"T must be nonnegative and finite, got {self.T}")
         if self.T > 0 and self.dt > self.T + 1e-15:
             raise PreconditionError("dt must not exceed T")
         if self.saves < 1:

@@ -104,33 +104,47 @@ Held fixed, modes K+1..M left the starts of stages b and d (half a step past
 the stage before) stalled.  Per stage a-d, the 16 input variants' median
 start residual (solves from step 11 on) and their mean residual evaluations
 per solve, with K+1..M held and 3 steps, against K+1..M rotated and p = 7,
-and that again with the contraction stop (below):
+that again with the contraction stop, and that with the start stop and the
+history's diagonal step (below; "cert."):
 
     hkappa_evolve  start, held      4.7e-14  1.9e-7   1.6e-12  1.9e-7
                    start, rotated   4.5e-15  2.4e-11  4.0e-14  2.4e-11
+                   start, stop      6.2e-15  2.4e-11  4.1e-14  2.4e-11
+                   start, cert.     4.4e-15  2.4e-11  4.0e-14  2.4e-11
                    solve, held      2.08     3.57     2.42     3.57    (2.91)
                    solve, rotated   2.01     2.82     2.08     2.82    (2.43)
                    solve, stop      2.00     2.02     2.00     2.02    (2.01)
+                   solve, cert.     1.00     2.00     1.07     2.00    (1.52)
     cut_compare    start, held      1.4e-15  1.3e-12  1.4e-15  1.3e-12
                    start, rotated   1.9e-14  2.2e-14  2.2e-14  2.4e-14
+                   start, stop      1.0e-12  5.8e-13  3.8e-13  9.4e-13
+                   start, cert.     2.3e-14  2.5e-14  3.2e-14  3.8e-14
                    solve, held      2.26     3.31     2.10     3.31    (2.75)
                    solve, rotated   2.30     2.51     2.15     2.51    (2.37)
                    solve, stop      2.23     2.31     2.05     2.31    (2.23)
+                   solve, cert.     1.00     1.00     1.00     1.00    (1.00)
 
 (in brackets the mean over all four).  p was chosen on the residual
-evaluations per stage solve with the rotation, 16-variant means:
+evaluations per stage solve with the rotation, 16-variant means over whole
+runs:
 
     p                          3     4     5     6     7     8
     hkappa_evolve (kappa = 4)  2.85  2.73  2.60  2.54  2.43  2.34
                   with stop    2.30  2.18  2.07  2.04  2.01  2.01
+                  cert.        1.97  1.78  1.64  1.58  1.54  1.53
     cut_compare (kappa = 1)    2.75  2.37  2.37  2.37  2.37  2.52
                   with stop    2.21  2.23  2.23  2.23  2.23  2.27
+                  cert.        1.76  1.36  1.36  1.36  1.36  1.37
 
 p = 7 is the largest at which ``cut_compare`` stays at its floor.  With the
-contraction stop (below) p = 7 is where ``hkappa_evolve`` reaches its floor of
-two residuals, the start's and one diagonal step's, and ``cut_compare`` is
-flat from p = 4 to 7.  A warm start that fails to certify is retried cold, so
-a poor guess costs Newton steps only.
+contraction stop (below) p = 7 is where ``hkappa_evolve`` reached two
+residuals per solve, the start's and one diagonal step's, and ``cut_compare``
+is flat from p = 4 to 7.  With the start stop a solve whose start already
+certifies takes the start's residual alone: stages a and c of
+``hkappa_evolve``, and every stage of ``cut_compare`` after its warm-up.  The
+b and d starts of ``hkappa_evolve``, at ~2.4e-11, still take one diagonal
+step.  A warm start that fails to certify is retried cold, so a poor guess
+costs Newton steps only.
 
 ``_newton`` takes one (2, M + 1) pair or a stack (S, 2, M + 1) of them, one
 per row of qhat.  A stack is iterated as one: every stopping test compares
@@ -161,7 +175,8 @@ the end of the shorter diagonal phase), at 31-32 transforms per solve at
 ||B||_HS = 0.9-0.99 against 28 at 0.1 and 37-39 at 0.5.
 
 The solve stops at a residual (modes 0..M of F) of
-ROUNDING_RTOL = 4 eps max |qhat|; once in the Newton phase also when the
+ROUNDING_RTOL = 4 eps max |qhat|, or of NEWTON_RTOL max |qhat| at its start
+(the start stop, below); once in the Newton phase also when the
 residual stops halving at an accepted level (NEWTON_RTOL max |qhat|), or
 after NEWTON_PATIENCE = 3 steps without a new smallest residual, and it keeps
 the iterate with the smallest residual.  On hard data (l = 64, kappa = 4,
@@ -178,6 +193,19 @@ steps) the start residual is ~4e-12 max |qhat|, the first diagonal step cuts
 it 2000x (median; 90% of the cuts lie between 86x and 12800x), and 42% of
 those steps land above ROUNDING_RTOL, where without the stop the solve takes
 a third residual; the stop ends every one of them after the first step.
+
+The start itself is held to NEWTON_RTOL max |qhat|, not to rounding: a start
+at the certified level ends the solve with no step (the start stop), and
+every later iterate keeps the tests above.  The outputs are then read from
+an iterate whose residual was computed and is certified, as before, but a
+solve that takes no step learns nothing new, and a history that stored its
+iterate would extrapolate its own extrapolations.  So the nonlinear part
+``_riccati_half`` returns for the next start is the certified iterate's N
+less one diagonal correction F-hat / (lin + 2 Re w-hat_0), built from the
+residual the solve already has, at no transform.  Without that step the
+residuals per ``hkappa_evolve`` run (16-variant means) fell only from 1610
+to 1567 under the start stop; with it they fall to 1230, and ``cut_compare``'s
+from 356 to 218.
 
 Averaging the equation of w_- gives, exactly,
 
@@ -216,7 +244,9 @@ as the flow starts them; in-process minima of 15 passes, one BLAS thread,
 contraction stop): a residual ~11.6 us, of which its two transforms of the
 (2, M + 1) pair take ~8.2 us (irfft 3.5, rfft 4.6 us); a diagonal step
 ~2.8 us; and ~10 us for the start, the per-step checks, certification and
-state.  The readout of g adds one rfft, ~5 us with its arithmetic.  Four ways
+state.  The readout of g adds one rfft, ~5 us with its arithmetic.  The start
+stop brings the mean to 1.54 residuals per stage solve on ``hkappa_evolve``
+and 1.36 on ``cut_compare``, warm-up included.  Four ways
 to cut it were measured on an earlier tree, where a warm solve took ~83 us
 over 4.25 residuals, and dropped (the last two are since taken up):
 
@@ -385,10 +415,10 @@ def _hankel(v, k):
 
 
 def _check_domain(c, kappa):
-    """The preconditions of both routes: kappa >= 1 and real q, for the coefficient
+    """The preconditions of both routes: a finite kappa >= 1 and real q, for the coefficient
     row c of one q or a stack (..., 2K + 1) of them."""
-    if kappa < 1:
-        raise PreconditionError(f"kappa must be >= 1, got {kappa}")
+    if not 1 <= kappa < math.inf:
+        raise PreconditionError(f"kappa must be finite and >= 1, got {kappa}")
     if np.any(abs(c - c[..., ::-1].conj()).max(axis=-1) > HERMITIAN_RTOL * abs(c).max(axis=-1)):
         raise PreconditionError("q is not real: its coefficients are not Hermitian-symmetric")
 
@@ -652,9 +682,11 @@ def _newton(plan, qh, wh, scale):
     w, fh, res = residual(wh)
     best = wh, w, fh, res
     diagonal, stale = True, 0
+    done = NEWTON_RTOL * scale  # a start at the certified level ends the solve
     for _ in range(NEWTON_MAX_STEPS):
-        if res <= ROUNDING_RTOL * scale:
+        if res <= done:
             break
+        done = ROUNDING_RTOL * scale  # every later iterate goes on to rounding
         mean_m = 0.5 * two_kappa + wh[..., :1].real  # (theta, -theta) at a solution
         if not (two_kappa * mean_m).min() > 0.0:
             break  # both corrections are singular at mean(m) = 0, in any row
@@ -696,6 +728,9 @@ def _riccati_half(grid, qh, kappa, nonlinear=None):
     The nonlinear part is w-hat less the linear response of qh, a (2, M + 1)
     array.  Given one (None for a cold start), the solve starts from the
     linear response plus it; a warm start that does not certify is retried cold.
+    The one returned is the certified iterate's less one diagonal correction
+    F-hat / (lin + 2 Re w-hat_0), from the residual the solve already has: the
+    next start, not the iterate the outputs were read from.
     """
     plan = _riccati_plan(grid, kappa)
     m, _, _, lin, _, two_kappa = plan
@@ -706,7 +741,7 @@ def _riccati_half(grid, qh, kappa, nonlinear=None):
     cold[:, :k + 1] = qh / lin[:, :k + 1]
     starts = [cold] if nonlinear is None else [cold + nonlinear, cold]
     for start in starts:
-        wh, w, _, res = _newton(plan, qh, start, scale)
+        wh, w, fh, res = _newton(plan, qh, start, scale)
         sq = float(w[0] @ w[0]) / len(w[0])
         dtheta = (float(qh[0].real) - sq) / (2.0 * kappa)
         d = two_kappa[0] + w[0] - w[1]
@@ -721,7 +756,8 @@ def _riccati_half(grid, qh, kappa, nonlinear=None):
         raise CertificationError(
             f"Riccati branches do not certify -d^2 + q + kappa^2 > 0 at kappa={kappa:g}: "
             f"theta = {kappa + dtheta:.3e}, min(m_- - m_+) = {d.min():.3e}")
-    return d, dtheta, sq, wh - cold
+    # one diagonal step past the certified iterate, from the residual at hand
+    return d, dtheta, sq, (wh - cold) - fh / (lin + 2.0 * wh[:, :1].real)
 
 
 def _riccati_stack(grid, qh, kappa):

@@ -55,6 +55,12 @@ def write_csv(path, header, rows):
     return path
 
 
+def write_json(path, payload):
+    """Deterministic JSON: sorted keys, two-space indent, no trailing newline."""
+    _write_new(path, json.dumps(payload, sort_keys=True, indent=2))
+    return path
+
+
 def sha256_digest(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:

@@ -1,6 +1,7 @@
 """CLI subcommands: config parsing, outputs, manifests, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -218,17 +219,19 @@ def test_sweep_band_evolves_the_full_flow_once(tmp_path, monkeypatch):
     assert (out / "band_sweep.csv").read_bytes() == expected.read_bytes()
 
 
+CUTCOMPARE = {
+    "grid": {"length": 16.0, "cutoff": 64, "samples": 512},
+    "initial": {"prototype": {"kind": "gauss_prime", "width": 1.0,
+                              "amplitude": 0.1}},
+    "partition": {"N": 32},
+    "band": {"m": 0.25, "M": 2.0},
+    "flow": {"kappa": 1.0},
+    "time": {"dt": 2e-3, "T": 0.01, "saves": 1},
+}
+
+
 def test_cutcompare(tmp_path):
-    cfg = {
-        "grid": {"length": 16.0, "cutoff": 64, "samples": 512},
-        "initial": {"prototype": {"kind": "gauss_prime", "width": 1.0,
-                                  "amplitude": 0.1}},
-        "partition": {"N": 32},
-        "band": {"m": 0.25, "M": 2.0},
-        "flow": {"kappa": 1.0},
-        "time": {"dt": 2e-3, "T": 0.01, "saves": 1},
-    }
-    code, out = run_cli(tmp_path, "cutcompare", cfg)
+    code, out = run_cli(tmp_path, "cutcompare", CUTCOMPARE)
     assert code == 0
     plan = json.loads((out / "cutplan.json").read_text())
     assert plan["case"] in ("single", "pair-left", "pair-right")
@@ -398,6 +401,54 @@ def test_evolve_reruns_into_one_out_byte_identically(tmp_path):
     for name in first:
         assert (held / name).read_bytes() == first[name]
         assert os.stat(held / name).st_ino != os.stat(out / name).st_ino
+
+
+def test_cutcompare_reruns_replace_every_artifact(tmp_path):
+    # each first-run file is held by a hard link: a rerun that wrote one in
+    # place would leave the link and the file one inode
+    code, out = run_cli(tmp_path, "cutcompare", CUTCOMPARE)
+    assert code == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["cut_error.csv", "cutplan.json", "manifest.json"]
+    held = tmp_path / "held"
+    held.mkdir()
+    for name in names:
+        os.link(out / name, held / name)
+    code, _ = run_cli(tmp_path, "cutcompare", CUTCOMPARE)
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == names
+    digests = [json.loads((d / "manifest.json").read_text())["outputs"] for d in (held, out)]
+    assert digests[0] == digests[1]
+    for name in names:
+        assert not os.path.samefile(held / name, out / name)
+        assert (held / name).read_bytes() == (out / name).read_bytes()
+
+
+@pytest.mark.parametrize("block, key, value", [("flow", "kappa", math.nan),
+                                               ("time", "dt", math.nan),
+                                               ("time", "T", math.inf)],
+                         ids=["kappa-nan", "dt-nan", "T-inf"])
+def test_non_finite_flow_parameter_exit_code_2(tmp_path, capsys, block, key, value):
+    # json writes and reads these as NaN and Infinity
+    cfg = {"grid": {"length": 6.283185307179586, "cutoff": 16}, "initial": MODES,
+           "flow": {"kind": "hkappa", "kappa": 2.0},
+           "time": {"dt": 1e-3, "T": 0.004, "saves": 1}}
+    cfg[block] = dict(cfg[block], **{key: value})
+    code, out = run_cli(tmp_path, "evolve", cfg)
+    assert code == 2
+    assert f"{key} " in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["greens", "alpha"])
+@pytest.mark.parametrize("kappa", [math.nan, math.inf])
+def test_non_finite_kappa_exit_code_2(tmp_path, capsys, command, kappa):
+    cfg = {"grid": {"length": 6.283185307179586, "cutoff": 16}, "initial": MODES,
+           "kappas": [kappa]}
+    code, out = run_cli(tmp_path, command, cfg)
+    assert code == 2
+    assert "kappa must be finite" in capsys.readouterr().err
+    assert not list(out.iterdir())
 
 
 # q = 6 cos x: ||q||_{H^-1} ~ 10, far outside the HM1_RADIUS ball, while

@@ -54,6 +54,7 @@ from kdvlab.greens import (
     alphas_of,
     _riccati_green_hat,
     _riccati_half,
+    _riccati_plan,
     assemble_resolvent,
 )
 from kdvlab.spectral import PeriodicField, product_coeffs
@@ -489,9 +490,54 @@ class TestHkappaNonlinear:
         # each residual evaluation starts with the inverse transform of the
         # w-hat pair on modes 0..M, M = 3K/2
         residuals = calls.count(("irfft", (2, 3 * K_STAR // 2 + 1)))
-        assert residuals >= 2  # the start's and at least one Newton step's
+        # a start 1e-3 away does not certify: its residual and at least one step's
+        assert residuals >= 2
         # two per residual and one for the readout of g
         assert len(calls) <= 2 * residuals + 1
+
+    def test_certified_warm_start_makes_one_residual_and_the_readout(self, monkeypatch):
+        grid = TorusGrid.make(TWO_PI, K_STAR)
+        term = _hkappa_nonlinear(grid, HamiltonianSpec.hkappa(4.0))
+        history = still_history(K_STAR)
+        h = small_smooth(grid).coeffs[K_STAR:]
+        term(h, history)
+        calls = record_transforms(monkeypatch)
+        term(h, history)  # the same q again: its start is already certified
+        # the start's residual, an irfft and an rfft of the w-hat pair, then the readout of g
+        assert [name for name, _ in calls] == ["irfft", "rfft", "rfft"]
+        assert calls[0] == ("irfft", (2, 3 * K_STAR // 2 + 1))
+
+    def test_pushed_nonlinear_part_is_one_diagonal_step_past_the_solve(self, monkeypatch):
+        # N - F-hat / (lin + 2 Re w-hat_0), bitwise, for a cold solve and for a
+        # warm one whose start certifies and so takes no step
+        grid = TorusGrid.make(TWO_PI, K_STAR)
+        term = _hkappa_nonlinear(grid, HamiltonianSpec.hkappa(4.0))
+        _, kappa, w, _, _ = term.args
+        m, _, _, lin, _, _ = _riccati_plan(grid, kappa)
+        solves = []
+        newton = greens._newton
+
+        def recording(*args):
+            out = newton(*args)
+            solves.append(out)
+            return out
+
+        monkeypatch.setattr(greens, "_newton", recording)
+        history = still_history(K_STAR)
+        h = small_smooth(grid).coeffs[K_STAR:]
+        qh = w * h
+        cold = np.zeros((2, m + 1), dtype=complex)
+        cold[:, :K_STAR + 1] = qh / lin[:, :K_STAR + 1]
+        for _ in range(2):
+            start = history.start()
+            term(h, history)
+            wh, _, fh, res = solves[-1]
+            assert np.array_equal(history.newest,
+                                  (wh - cold) - fh / (lin + 2.0 * wh[:, :1].real))
+        assert len(solves) == 2
+        assert res <= greens.NEWTON_RTOL * np.abs(qh).max()
+        assert np.array_equal(wh, cold + start)  # the warm solve took no step
+        assert not np.array_equal(history.newest, start)
 
     def test_stage_starts_take_at_most_three_residuals_per_solve(self, monkeypatch):
         q0, ham = cut_circle_input()
@@ -523,12 +569,30 @@ class TestHkappaNonlinear:
     def test_warm_solves_stop_after_one_diagonal_step(self, monkeypatch, flow, steps):
         # a warm start's first diagonal step leaves a residual far below
         # NEWTON_RTOL; the next, cutting by the same ratio, would only reach
-        # rounding, so the solve stops: two residuals, the start's and the step's
+        # rounding, so the solve stops: at most two residuals, the start's and
+        # the step's (one where the start already certifies)
         q0, ham = flow()
         residuals = count_stage_residuals(monkeypatch)
         evolve(q0, FlowSpec(ham, dt=1e-3, T=steps * 1e-3, saves=1))
         assert len(residuals) == steps * 4
         assert np.mean(residuals[WARM_UP:]) <= 2.05
+
+    def test_stages_a_and_c_end_at_their_start_on_the_hkappa_evolve_input(self, monkeypatch):
+        # the starts of stages a and c certify, so they take their start's
+        # residual only; b and d, half a step past them, take one diagonal step
+        q0, ham = hkappa_evolve_input()
+        residuals = count_stage_residuals(monkeypatch)
+        evolve(q0, FlowSpec(ham, dt=1e-3, T=0.05, saves=1))
+        per_step = np.reshape(residuals[WARM_UP:], (-1, 4))
+        assert len(per_step) == 50 - WARM_UP // 4
+        assert (per_step == [1, 2, 1, 2]).all()
+
+    def test_cut_circle_starts_certify_after_the_warm_up(self, monkeypatch):
+        q0, ham = cut_circle_input()
+        residuals = count_stage_residuals(monkeypatch)
+        evolve(q0, FlowSpec(ham, dt=1e-3, T=0.02, saves=1))
+        assert len(residuals) == 20 * 4
+        assert np.mean(residuals[WARM_UP:]) <= 1.05
 
     @pytest.mark.parametrize("flow", [hkappa_evolve_input, cut_circle_input],
                              ids=["hkappa_evolve", "cut_circle"])
