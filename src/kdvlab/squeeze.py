@@ -156,6 +156,11 @@ class SqueezeScenario:
     seed: int = 0
 
     def __post_init__(self):
+        # written so that NaN fails each test, as +-inf does
+        for name, value in (("r", self.r), ("R", self.R), ("T", self.T),
+                            ("alpha", self.alpha_target)):
+            if not abs(value) < math.inf:
+                raise PreconditionError(f"scenario {name} must be finite, got {value}")
         if not (0 < self.r < self.R):
             raise PreconditionError("need 0 < r < R")
         nrm = sobolev_norm(self.observable, 0.5, homogeneous=True)
@@ -204,12 +209,12 @@ def build_scenario(config):
 # ball sampling
 # ---------------------------------------------------------------------------
 
-def _random_direction(scenario, rng):
-    grid = scenario.grid
+def _random_direction(grid, dead, rng):
+    """A random real direction with the modes of the mask ``dead`` and the mean cleared."""
     k = grid.cutoff
     c = rng.standard_normal(2 * k + 1) + 1j * rng.standard_normal(2 * k + 1)
     c = _hermitize(c)
-    c[~scenario.live_modes()] = 0.0
+    c[dead] = 0.0
     c[k] = 0.0
     return PeriodicField(grid, _hermitize(c))
 
@@ -227,9 +232,10 @@ def sample_ball(scenario, count, seed=None):
     if count < 1:
         raise PreconditionError("count must be >= 1")
     rng = np.random.default_rng(scenario.seed if seed is None else seed)
+    dead = ~scenario.live_modes()
     out = []
     for _ in range(count):
-        v = _random_direction(scenario, rng)
+        v = _random_direction(scenario.grid, dead, rng)
         frac = rng.uniform(0.0, 1.0)
         nrm = _half_norm(v)
         if nrm < 1e-300:
@@ -291,8 +297,10 @@ class SearchBudget:
         if self.starts < 1 or self.rounds < 0 or self.directions < 0:
             raise PreconditionError("search budget needs starts >= 1, rounds >= 0 and "
                                     f"directions >= 0, got {self}")
-        if not (self.step > 0 and self.dt > 0):
-            raise PreconditionError(f"search budget needs step > 0 and dt > 0, got {self}")
+        # written so that NaN fails, as +-inf does
+        if not (0 < self.step < math.inf and 0 < self.dt < math.inf):
+            raise PreconditionError("search budget needs 0 < step < inf and 0 < dt < inf, "
+                                    f"got {self}")
 
 
 @dataclass
@@ -307,22 +315,30 @@ class SearchResult:
 def escape_search(scenario, budget=SearchBudget()):
     """Maximize |<l, q(T)> - alpha| over the ball by multi-start + ascent.
 
-    Starts: seeded ball samples plus the two informed starts along the dual
-    of the back-propagated observable (exact for the linear flows), evolved
-    as one batch.  Ascent: Jacobi rounds of one batch each; a round's trials
-    are +- coordinate steps on the highest-weight modes from the best point
-    at its start, projected back into the ball, and the search moves to the
-    best trial if it gains, else halves the step.  Deterministic for a fixed
+    Starts: seeded ball samples plus the two informed starts z +- R dual along
+    the dual of the back-propagated observable U(-T) l (exact for the linear
+    flows).  Ascent: Jacobi rounds of one batch each; a round's trials are +-
+    coordinate steps on the highest-weight modes from the best point at its
+    start, projected back into the ball, and the search moves to the best
+    trial if it gains, else halves the step.  Deterministic for a fixed
     (scenario, seed, budget) triple.
+
+    The first round is speculative: before any evolve the search guesses the
+    best start as the informed start whose linearised pairing is larger
+    (z + R dual when <U(-T) l, z> - alpha >= 0, else z - R dual) and evolves
+    that start's trials in the starts' batch.  When the scored best start is
+    the guess, round 1 scores those rows; otherwise it drops them unscored and
+    evolves its trials from the real best, as every later round does.  A
+    wrong guess costs one batch of trials more; the result is the same.
     """
     failures = []
     evaluations = 0
 
-    def scored(q0s, label):
-        """(value, q0) per member of q0s that evolved, from one batch."""
+    def scored(q0s, qTs, label):
+        """(value, q0) per member of q0s that evolved, qTs their evolved states."""
         nonlocal evaluations
         out = []
-        for i, (q0, qT) in enumerate(zip(q0s, _evolve_all(scenario, q0s, budget.dt))):
+        for i, (q0, qT) in enumerate(zip(q0s, qTs)):
             evaluations += 1
             try:
                 out.append((evolved_pairing(scenario, qT), q0))
@@ -338,25 +354,6 @@ def escape_search(scenario, budget=SearchBudget()):
             return scenario.center + v * (cap / nrm)
         return q0
 
-    candidates = sample_ball(scenario, budget.starts)
-    # informed starts: dual of the back-propagated observable, both signs
-    # (back-propagation along the flow's linear part; exact for linear kinds)
-    back = _propagate_linear(scenario.observable, scenario.flow, -scenario.T)
-    try:
-        dual = _dual_direction(scenario, back)
-        for sgn in (+1.0, -1.0):
-            candidates.append(clipped(scenario.center + dual * (sgn * scenario.R)))
-    except PreconditionError:
-        pass
-
-    starts = scored(candidates, "candidate {}")
-    if not starts:
-        raise SearchFailureError(
-            "all candidate evolutions failed: " + "; ".join(failures[:4])
-        )
-    # max keeps the first of equal values: the lowest start, or trial, index
-    best_val, best = max(starts, key=lambda t: t[0])
-
     grid = scenario.grid
     live = np.flatnonzero(scenario.live_modes() & (grid.modes > 0))
     weights = np.abs(scenario.observable.coeffs[live])
@@ -366,11 +363,45 @@ def escape_search(scenario, budget=SearchBudget()):
                   for idx in order for unit in (1.0, 1.0j)]
     norms = [_half_norm(d) for d in directions]
     step = budget.step * scenario.R
+
+    def ascent_trials(best):
+        return [clipped(best + direction * (sgn * step / nrm))
+                for direction, nrm in zip(directions, norms) for sgn in (+1.0, -1.0)]
+
+    candidates = sample_ball(scenario, budget.starts)
+    # informed starts: dual of the back-propagated observable, both signs
+    # (back-propagation along the flow's linear part; exact for linear kinds)
+    back = _propagate_linear(scenario.observable, scenario.flow, -scenario.T)
+    guess, speculative = None, []
+    try:
+        dual = _dual_direction(scenario, back)
+    except PreconditionError:
+        pass
+    else:
+        informed = [clipped(scenario.center + dual * (sgn * scenario.R)) for sgn in (+1.0, -1.0)]
+        candidates += informed
+        # the guessed best start: the informed start with the larger linearised pairing
+        guess = informed[0 if pairing(back, scenario.center) >= scenario.alpha_target else 1]
+        if budget.rounds:
+            speculative = ascent_trials(guess)
+
+    evolved = _evolve_all(scenario, candidates + speculative, budget.dt)
+    starts = scored(candidates, evolved[:len(candidates)], "candidate {}")
+    if not starts:
+        raise SearchFailureError(
+            "all candidate evolutions failed: " + "; ".join(failures[:4])
+        )
+    # max keeps the first of equal values: the lowest start, or trial, index
+    best_val, best = max(starts, key=lambda t: t[0])
+    # round 1's rows, if the guess was the best start
+    ready = (speculative, evolved[len(candidates):]) if best is guess else None
     for _ in range(budget.rounds):
-        trials = [clipped(best + direction * (sgn * step / nrm))
-                  for direction, nrm in zip(directions, norms) for sgn in (+1.0, -1.0)]
-        val, trial = max(scored(trials, "ascent"), key=lambda t: t[0],
+        if ready is None:
+            trials = ascent_trials(best)
+            ready = (trials, _evolve_all(scenario, trials, budget.dt))
+        val, trial = max(scored(*ready, "ascent"), key=lambda t: t[0],
                          default=(-math.inf, None))
+        ready = None
         if val > best_val + 1e-15:
             best_val, best = val, trial
         else:

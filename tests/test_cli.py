@@ -477,9 +477,9 @@ def test_certified_evolve_exits_0_and_says_so(tmp_path):
 
 
 @pytest.mark.parametrize("search", [{"dt": -1.0}, {"starts": -5}, {"rounds": -3},
-                                    {"step": -1.0}],
+                                    {"step": -1.0}, {"step": math.inf}, {"dt": math.inf}],
                          ids=["negative_dt", "negative_starts", "negative_rounds",
-                              "negative_step"])
+                              "negative_step", "infinite_step", "infinite_dt"])
 def test_out_of_domain_search_budget_exit_code_2(tmp_path, capsys, monkeypatch, search):
     def never(*args, **kwargs):
         raise AssertionError("evolve_batch must not run")
@@ -490,6 +490,21 @@ def test_out_of_domain_search_budget_exit_code_2(tmp_path, capsys, monkeypatch, 
     assert code == 2
     assert "search budget" in capsys.readouterr().err
     assert not (out / "squeeze.csv").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [("squeeze", "alpha", math.nan),
+                                                 ("squeeze", "R", math.inf),
+                                                 ("squeeze", "r", math.nan),
+                                                 ("area", "T", math.nan),
+                                                 ("area", "T", -math.inf)],
+                         ids=["alpha-nan", "R-inf", "r-nan", "T-nan", "T-minus-inf"])
+def test_non_finite_scenario_field_exit_code_2(tmp_path, capsys, command, key, value):
+    # json writes and reads these as NaN and Infinity
+    cfg = {"scenario": dict(SCENARIO, flow={"kind": "kdv"}, **{key: value})}
+    code, out = run_cli(tmp_path, command, cfg)
+    assert code == 2
+    assert f"scenario {key} must be finite" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_squeeze_repeats_byte_identically(tmp_path):

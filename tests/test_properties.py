@@ -1,12 +1,13 @@
 """Property tests over drawn data (hypothesis, derandomized so every run draws the same cases)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdvlab import TorusGrid, make_field
+from kdvlab import TorusGrid, build_scenario, escape_search, make_field, pairing
 from kdvlab.greens import (
     NEWTON_RTOL,
     RICCATI_MIN_CUTOFF,
@@ -16,6 +17,9 @@ from kdvlab.greens import (
     alpha_of,
     alphas_of,
 )
+
+from kdvlab.squeeze import SearchBudget, _propagate_linear
+from search_reference import assert_same_search, sequential_search
 
 K_STAR = RICCATI_MIN_CUTOFF
 
@@ -61,3 +65,27 @@ def test_warm_start_near_the_solve_gives_the_cold_g(seed, kappa, band, length, d
     d, dtheta, _, _ = _riccati_half(grid, qh, kappa, nonlinear + nudge)
     warm = _riccati_green_hat(grid, kappa, d, dtheta)
     assert np.abs(warm - cold).max() <= 1e-11 * np.abs(cold).max()
+
+
+# the KdV desk scenario of the squeeze tests at K = 16, with alpha drawn
+SMALL_DESK = {"grid": {"length": 16.0, "cutoff": 16}, "band": {"m": 0.25, "M": 2.0},
+              "center": {"kind": "gauss_prime", "width": 1.0, "amplitude": 0.05},
+              "observable": {"kind": "gauss_bump", "width": 1.5, "amplitude": 1.0},
+              "r": 0.02, "R": 0.04, "T": 0.2}
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["kdv", "kdv_linear"]),
+       shift=st.one_of(st.floats(-2e-6, 2e-6), st.floats(-0.02, 0.02)),
+       starts=st.integers(1, 4), rounds=st.integers(0, 2), directions=st.integers(0, 3))
+def test_escape_search_equals_the_sequential_search(seed, kind, shift, starts, rounds,
+                                                     directions):
+    # alpha = <U(-T) l, z> + shift.  The guessed start, z + R dual for shift <= 0
+    # and z - R dual otherwise, is the best start unless KdV moves the two
+    # informed starts' values apart by more than the shift (~1e-6 here); right
+    # or wrong, the search equals the one-batch-per-phase search
+    scenario = build_scenario(dict(SMALL_DESK, flow={"kind": kind}, seed=seed))
+    back = _propagate_linear(scenario.observable, scenario.flow, -scenario.T)
+    scenario = replace(scenario, alpha_target=pairing(back, scenario.center) + shift)
+    budget = SearchBudget(starts=starts, rounds=rounds, directions=directions, dt=2e-3)
+    assert_same_search(escape_search(scenario, budget), sequential_search(scenario, budget))

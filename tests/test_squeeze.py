@@ -24,8 +24,11 @@ from kdvlab import (
 from kdvlab.errors import BlowUpError, KdvLabError, PreconditionError
 from kdvlab.flows import FlowSpec, evolve, evolve_batch
 from kdvlab.spectral import PeriodicField
-from kdvlab.squeeze import (LOOP_POINTS, SearchBudget, hilbert_partner, slice_basis,
-                            slice_loop)
+from kdvlab.squeeze import (LOOP_POINTS, SearchBudget, _propagate_linear, evolved_pairing,
+                            hilbert_partner, slice_basis, slice_loop)
+
+import search_reference
+from search_reference import assert_same_search, sequential_search
 
 
 def base_config(**overrides):
@@ -218,9 +221,10 @@ class TestBatchedEvaluations:
         assert batched.area == pytest.approx(serial.area, rel=1e-12)
 
 
-def recorded_batches(monkeypatch, fail=()):
+def recorded_batches(monkeypatch, fail=(), zeroed=()):
     """Each ``evolve_batch`` call of the search as (q0s, results); the rows
-    (call, row) in ``fail`` come back as a BlowUpError."""
+    (call, row) in ``fail`` come back as a BlowUpError, those in ``zeroed`` as
+    the zero field."""
     batches = []
 
     def recording(q0s, spec):
@@ -228,6 +232,9 @@ def recorded_batches(monkeypatch, fail=()):
         for call, row in fail:
             if call == len(batches):
                 out[row] = BlowUpError("guard tripped", time=0.01)
+        for call, row in zeroed:
+            if call == len(batches):
+                out[row] = out[row] * 0.0
         batches.append((list(q0s), out))
         return out
 
@@ -238,16 +245,25 @@ def recorded_batches(monkeypatch, fail=()):
 def replay_search(scenario, budget, batches):
     """(best value, best point, rounds that gained) rebuilt from the recorded
     batches, asserting that each round's trials lie within its step of the
-    round's starting best and pair up as +- steps around it."""
+    round's starting best and pair up as +- steps around it.
+
+    Batch 0 holds the starts and then round 1's speculative trials; round 1
+    scored those when the search made one batch fewer than it has rounds + 1."""
     def scored(batch):
         return [(abs(pairing(scenario.observable, qT) - scenario.alpha_target), q0)
                 for q0, qT in zip(*batch) if not isinstance(qT, KdvLabError)]
 
-    best_val, best = max(scored(batches[0]), key=lambda t: t[0])
+    n = budget.starts + 2
+    q0s, out = batches[0]
+    assert len(q0s) == n + (4 * budget.directions if budget.rounds else 0)
+    rounds = batches[1:]
+    if len(batches) == budget.rounds:
+        rounds = [(q0s[n:], out[n:])] + rounds
+    best_val, best = max(scored((q0s[:n], out[:n])), key=lambda t: t[0])
     step = budget.step * scenario.R
     cap = 0.9999 * scenario.R * (1 - 1e-9)
     gains = 0
-    for batch in batches[1:]:
+    for batch in rounds:
         trials = batch[0]
         dist = [sobolev_norm(t - best, -0.5, True) for t in trials]
         assert max(dist) <= step * (1 + 1e-12)
@@ -275,7 +291,8 @@ class TestSearchPhases:
     def test_one_batch_per_phase_and_jacobi_rounds(self, kdv_scenario, monkeypatch):
         batches = recorded_batches(monkeypatch, fail=self.INFORMED)
         res = escape_search(kdv_scenario, self.BUDGET)
-        assert [len(q0s) for q0s, _ in batches] == [2 + 2] + [4 * 2] * 3
+        # batch 0 also holds round 1's trials around the guessed start, dropped
+        assert [len(q0s) for q0s, _ in batches] == [2 + 2 + 8] + [8] * 3
         assert res.evaluations == 4 + 3 * 8
         assert res.failures == ["candidate 2: guard tripped", "candidate 3: guard tripped"]
         value, witness, gains = replay_search(kdv_scenario, self.BUDGET, batches)
@@ -302,10 +319,83 @@ class TestSearchPhases:
         assert np.array_equal(res.witness.coeffs, witness.coeffs)
 
 
+def guess_row(scenario, budget):
+    """Row of the starts' batch holding the guessed best start: the informed
+    start whose linearised pairing is larger (z + R dual is the first)."""
+    back = _propagate_linear(scenario.observable, scenario.flow, -scenario.T)
+    return budget.starts + int(pairing(back, scenario.center) < scenario.alpha_target)
+
+
+class TestSpeculativeRound:
+    BUDGET = SearchBudget(starts=16, rounds=1, directions=8, dt=2e-3)  # the bench's search
+    ROWS = 16 + 2 + 4 * 8
+
+    def test_right_guess_is_one_batch(self, desk_scenario, monkeypatch):
+        reference = sequential_search(desk_scenario, self.BUDGET)
+        batches = recorded_batches(monkeypatch)
+        res = escape_search(desk_scenario, self.BUDGET)
+        assert [len(q0s) for q0s, _ in batches] == [self.ROWS]
+        assert_same_search(res, reference)
+        assert res.evaluations == self.ROWS
+
+    @pytest.mark.parametrize("failed", [True, False], ids=["failed", "scored_below_the_best"])
+    def test_wrong_guess_evolves_round_one_from_the_real_best(self, desk_scenario,
+                                                               monkeypatch, failed):
+        # the guessed start's row stops, or evolves to 0 (|<l, 0> - alpha| = alpha)
+        guess = ((0, guess_row(desk_scenario, self.BUDGET)),)
+        wrong = {"fail": guess} if failed else {"zeroed": guess}
+        sequential = recorded_batches(monkeypatch, **wrong)
+        reference = sequential_search(desk_scenario, self.BUDGET)
+        batches = recorded_batches(monkeypatch, **wrong)
+        paired = []
+
+        def counted(scenario, qT):
+            paired.append(qT)
+            return evolved_pairing(scenario, qT)
+
+        monkeypatch.setattr("kdvlab.squeeze.evolved_pairing", counted)
+        res = escape_search(desk_scenario, self.BUDGET)
+        assert [len(q0s) for q0s, _ in batches] == [self.ROWS, 32]
+        assert_same_search(res, reference)
+        assert res.failures == ([f"candidate {guess[0][1]}: guard tripped"] if failed else [])
+        # the speculative rows are dropped unscored
+        assert len(paired) == res.evaluations == 18 + 32
+        assert not any(qT is seen for qT in batches[0][1][18:] for seen in paired)
+        # round 1 steps from the real best start, as the sequential search does
+        assert [len(q0s) for q0s, _ in sequential] == [18, 32]
+        assert all(np.array_equal(a.coeffs, b.coeffs)
+                   for a, b in zip(batches[1][0], sequential[1][0]))
+
+    @pytest.mark.parametrize("rounds, directions", [(0, 8), (2, 0)])
+    def test_no_trials_build_no_speculative_rows(self, desk_scenario, monkeypatch, rounds,
+                                                 directions):
+        budget = replace(self.BUDGET, rounds=rounds, directions=directions)
+        reference = sequential_search(desk_scenario, budget)
+        batches = recorded_batches(monkeypatch)
+        res = escape_search(desk_scenario, budget)
+        assert [len(q0s) for q0s, _ in batches if q0s] == [18]
+        assert_same_search(res, reference)
+        assert res.evaluations == 18
+
+    def test_degenerate_dual_direction_has_no_guess(self, desk_scenario, monkeypatch):
+        def degenerate(scenario, w):
+            raise PreconditionError("degenerate dual direction (observable outside band)")
+
+        monkeypatch.setattr("kdvlab.squeeze._dual_direction", degenerate)
+        monkeypatch.setattr(search_reference, "_dual_direction", degenerate)
+        reference = sequential_search(desk_scenario, self.BUDGET)
+        batches = recorded_batches(monkeypatch)
+        res = escape_search(desk_scenario, self.BUDGET)
+        assert [len(q0s) for q0s, _ in batches] == [16, 32]
+        assert_same_search(res, reference)
+
+
 class TestSearchBudget:
     @pytest.mark.parametrize("field, value", [
         ("starts", 0), ("starts", -5), ("rounds", -3), ("directions", -1),
         ("step", 0.0), ("step", -1.0), ("dt", 0.0), ("dt", -1.0),
+        ("step", math.inf), ("step", -math.inf), ("step", math.nan),
+        ("dt", math.inf), ("dt", -math.inf), ("dt", math.nan),
     ])
     def test_rejects_out_of_domain_field(self, field, value):
         with pytest.raises(PreconditionError, match="search budget"):
