@@ -25,16 +25,10 @@ from .spectral import (
     line_norm_refinement,
     lp_project,
     make_field,
-    make_line_field,
     pairing,
-    periodize,
-    rescale,
     sobolev_norm,
     symplectic_form,
-    tail_mass,
-    translate,
     truncate_field,
-    zero_field,
 )
 from .greens import (
     AlphaResult,
@@ -59,14 +53,11 @@ from .flows import (
     HamiltonianSpec,
     Trajectory,
     calibrate_budget,
-    compare_flows,
     evolve,
     evolve_batch,
-    hamiltonian_value,
     kappa_sweep,
     monitors,
     rhs,
-    time_equicontinuity,
 )
 from .squeeze import (
     AreaResult,
@@ -87,9 +78,7 @@ _BRIDGE_NAMES = frozenset({
     "RampBump",
     "build_partition",
     "compare_local",
-    "finite_speed_probe",
     "localized_norms",
-    "localized_smoothing_check",
     "select_cut",
     "unwrap",
 })

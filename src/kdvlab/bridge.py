@@ -34,17 +34,14 @@ import numpy as np
 from .errors import (
     NoAdmissibleWindowError,
     PreconditionError,
-    SupportError,
     UnderResolvedError,
 )
 from .flows import FlowSpec, HamiltonianSpec, evolve
-from .greens import green_of
 from .spectral import (
     LineField,
     PeriodicField,
     TorusGrid,
     _coeffs_from_samples,
-    derivative,
     make_field,
     next_fast_len,
     periodize_samples,
@@ -92,11 +89,6 @@ class RampBump:
         """sum_j bump(x + j * period), evaluated exactly (<= 2 live translates)."""
         return self.profile(_circle_distance(np.asarray(x, dtype=float) - self.center, period))
 
-    def fourier(self, xi):
-        """Line Fourier transform at frequencies xi (exact closed form)."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return self.centered_fourier(xi) * np.exp(-2j * math.pi * xi * self.center)
-
     def centered_fourier(self, xi):
         """Line Fourier transform of this bump moved to center 0 (real, even), at the
         float array xi; a translate's transform is this times its phase."""
@@ -114,13 +106,6 @@ class RampBump:
             sgn = np.sign(sp[nearp])
             out[nearp] = 0.5 * w * np.sin(sgn * pole * (self.support + self.plateau) / 2.0)
         return out
-
-    def derivative_l2(self):
-        """||bump'||_{L^2}; the two cosine-squared ramps give pi/(2 sqrt(w))."""
-        return 0.5 * math.pi / math.sqrt(self.ramp_width)
-
-    def derivative_linf(self):
-        return 0.5 * math.pi / self.ramp_width
 
 
 # ---------------------------------------------------------------------------
@@ -479,67 +464,3 @@ def compare_local(u0, plan, kappa, band, T, dt, saves=8, box_cutoff=None):
         errors.append(sobolev_norm(uq - back_full, -1.0))
     return circle.times, np.array(errors), (circle, line, q0)
 
-
-def finite_speed_probe(q0, kappa, T, margin, dt, ramp=None, saves=8, box_cutoff=None):
-    """Exterior H^{-1} mass of the evolved unwrapped data, outside the
-    margin-fattened support, with (||chi'||_{L^2}, ||chi'||_{L^inf}) of the
-    exterior cutoff chi = 1 - interior bump."""
-    if margin < 10.0 * kappa ** 2 * T:
-        raise PreconditionError(
-            f"margin {margin:.3g} below the transport reach 10*kappa^2*T = "
-            f"{10 * kappa ** 2 * T:.3g}"
-        )
-    a, b = q0.support
-    w = ramp if ramp is not None else margin / 4
-    lam = q0.box_length
-    if (b - a) + 2 * (margin + w) >= lam:
-        raise SupportError("margin-fattened support does not fit inside the box")
-    interior = RampBump(center=0.5 * (a + b), plateau=0.5 * (b - a) + margin,
-                        support=0.5 * (b - a) + margin + w)
-    kev = box_cutoff if box_cutoff is not None else min(
-        256, (q0.box.grid.samples - 2) // 3
-    )
-    ev0 = _evolution_field(q0, kev)
-    traj = evolve(ev0, FlowSpec(HamiltonianSpec.hkappa(kappa), dt=dt, T=T, saves=saves))
-    n_ev = ev0.grid.samples
-    x_box = q0.box_start + np.arange(n_ev) * (lam / n_ev)
-    chi_ext = 1.0 - interior.periodized(x_box, lam)
-    masses = []
-    for state in traj.states:
-        prod = chi_ext * state.samples_values()
-        f = make_field(ev0.grid, samples=prod)
-        masses.append(sobolev_norm(f, -1.0))
-    return traj.times, np.array(masses), (interior.derivative_l2(),
-                                          interior.derivative_linf())
-
-
-def localized_smoothing_check(q, chi, kappa):
-    """(lhs, rhs) pair for the localized smoothing bound.
-
-    lhs = ||chi g'(q)||_{L^2}; rhs = ||chi q||_{H^{-1}} + ||chi'||_{L^2} +
-    ||chi'||_{L^inf}.  ``chi`` is a RampBump (or any callable) evaluated on a
-    padded copy of the field's grid; the caller records the lhs/rhs ratio.
-    """
-    if isinstance(q, LineField):
-        field, x_start = q.box, q.box_start
-    else:
-        field, x_start = q, 0.0
-    n_pad = next_fast_len(2 * field.grid.samples)
-    xp = x_start + np.arange(n_pad) * (field.grid.length / n_pad)
-    chi_pad = chi(xp) if callable(chi) else np.asarray(chi, dtype=float)
-
-    gprime = derivative(green_of(field, kappa).g, 1)
-    prod = chi_pad * gprime.samples_values(n_pad)
-    lhs = math.sqrt(field.grid.length * float(np.mean(prod ** 2)))
-
-    prod_q = chi_pad * field.samples_values(n_pad)
-    grid_pad = TorusGrid(field.grid.length, (n_pad - 1) // 2, n_pad)
-    chi_q = make_field(grid_pad, samples=prod_q)
-    rhs_val = sobolev_norm(chi_q, -1.0)
-    if isinstance(chi, RampBump):
-        dl2, dinf = chi.derivative_l2(), chi.derivative_linf()
-    else:
-        dchi = np.gradient(chi_pad, field.grid.length / n_pad)
-        dl2 = math.sqrt(field.grid.length * float(np.mean(dchi ** 2)))
-        dinf = float(np.max(np.abs(dchi)))
-    return lhs, rhs_val + dl2 + dinf

@@ -9,7 +9,8 @@ outputs are CSV tables plus a manifest with sha256 digests.  Config blocks:
            or {prototype: {kind: gauss_prime | gauss_bump, width, amplitude,
            center}} periodized onto the grid
   flow     {kind: kdv | kdv_linear | hkappa | hkappa_linear | hkappa_band,
-           kappa, band: {m, M} (hkappa_band only)}
+           kappa, band: {m, M} (hkappa_band only)}; sweep-band and cutcompare
+           take {kappa, kind: hkappa (optional)}, as they set the bands
   time     {dt, T, saves (optional)}
 
 Other top-level keys: probes (evolve), kappas (greens, alpha, sweep-kappa),
@@ -27,11 +28,13 @@ the default of squeeze.SearchBudget or squeeze.image_area:
   area     (area) {dt: time step}; the squeeze.LOOP_POINTS points of the
            slice circle are evolved as one batch
 
-Exit codes: 0 success, 2 precondition failure (such as a mode with |j| > K,
-a mode entry without j, a missing required block or key, a value of the
-wrong type, or an unknown key at the top level or in an initial, grid, time,
-flow, band, partition, search, area, scenario, prototype or mode entry
-block), 3 numerical certification failure.  An evolve, sweep-band,
+Exit codes: 0 success, 2 precondition failure (such as a config file that
+is missing or holds no JSON object, a report file that cannot be read, a
+mode with |j| > K, a mode entry without j, a missing required block or key,
+a value of the wrong type, a flow kind or key the subcommand does not take,
+or an unknown key at the top level or in an initial, grid, time, flow, band,
+partition, search, area, scenario, prototype or mode entry block),
+3 numerical certification failure.  An evolve, sweep-band,
 sweep-kappa or cutcompare one of whose H_kappa trajectories leaves the
 flows.HM1_RADIUS ball still writes its outputs and manifest, with
 certified: false and the warnings in the manifest, and exits 3; every
@@ -94,9 +97,11 @@ def _time_from(cfg, saves):
 
 
 def _kappa(cfg):
-    """kappa from the flow block."""
-    return config_numbers(cfg["flow"], "flow block", ("kappa",), kind=None, kappa=float,
-                          band=None)["kappa"]
+    """kappa from a flow block that names the H_kappa flow or no kind."""
+    flow = config_numbers(cfg["flow"], "flow block", ("kappa",), kind=None, kappa=float)
+    if flow.get("kind", "hkappa") != "hkappa":
+        raise PreconditionError(f'flow block "kind" must be "hkappa" here, got {flow["kind"]!r}')
+    return flow["kappa"]
 
 
 def _numbers(cfg, key, default):
@@ -247,9 +252,16 @@ def cmd_area(cfg, out):
 
 
 def cmd_report(cfg, out):
+    files = cfg.get("files", [])
+    if not (isinstance(files, list) and all(isinstance(p, str) for p in files)):
+        raise PreconditionError('report config "files" must be a list of file paths')
     man = RunManifest(config=cfg)
-    for path in cfg.get("files", []):
-        man.add_output(path)
+    for path in files:
+        try:
+            man.add_output(path)
+        except OSError as exc:
+            raise PreconditionError(
+                f'report config "files" names {path!r}: {exc.strerror}') from exc
     paths = run_report(man, out)
     print(f"manifest with {len(man.outputs)} entries -> {paths[0]}")
     return paths
@@ -270,6 +282,21 @@ COMMANDS = {
 }
 
 
+def _read_config(path):
+    """The JSON object in the config file; a file that cannot be read or does
+    not hold one is a PreconditionError naming it."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise PreconditionError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise PreconditionError(f"config file {path} is not JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise PreconditionError(f"config file {path} holds no JSON object")
+    return cfg
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="kdvlab", description=__doc__,
@@ -281,8 +308,7 @@ def main(argv=None):
     os.makedirs(args.out, exist_ok=True)
     command, required, optional = COMMANDS[args.command]
     try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        cfg = _read_config(args.config)
         config_numbers(cfg, f"{args.command} config", required,
                        **dict.fromkeys(required + optional))
         command(cfg, args.out)

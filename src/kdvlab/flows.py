@@ -30,21 +30,10 @@ matrix takes q^2 to modes 0..K with the 1/n and the 6 pi i j / l folded in
 forward real FFT of the real-transform length next_fast_len(3K+1, real=True):
 400 and 800 points in place of 385 and 770 at K = 128 and 256 take 0.91x the
 time per call at B = 1 and 0.70-0.78x at B = 18 (one thread, 2 vCPU Xeon).
-At small K numpy's per-call FFT overhead, not arithmetic, sets the
-cost.  The cutoff is where the routes' costs cross: us per kernel call
-(l = 16, one BLAS thread, FFT rows at the complex length; per cell the median of three runs, each the median
-of 7 blocks of 1000 calls, on a 2 vCPU Xeon):
-
-    K                16     32     48     64     80     96    128
-    B = 1   FFT     25.6   27.1   30.1   30.7   33.5   34.5   39.7
-            matrix   8.3   10.4   14.0   18.6   23.1   30.5   61.4
-    B = 18  FFT     49.0   68.8   89.0  111.5  125.4  142.5  192.5
-            matrix  13.6   25.2   42.3   76.3  105.8  163.9  319.4
-
-The matrices cost O(B K^2) and the FFTs O(B K log K), so the matrix route's
-lead shrinks with K and B.  DFT_MAX_CUTOFF = 64 is the largest K listed at
-which the matrices are at least a quarter faster in both rows (at K = 80 the
-B = 18 lead is 16%, and at K = 96 the matrices lose at B = 18).
+At small K numpy's per-call FFT overhead, not arithmetic, sets the cost,
+and the matrices' O(B K^2) lead over the FFTs' O(B K log K) shrinks with K
+and B: DFT_MAX_CUTOFF = 64 is the largest K at which the matrices were at
+least a quarter faster at both B = 1 and B = 18 (timings in CHANGES.md).
 
 The H_kappa remainder takes one of two routes by K* = greens.RICCATI_MIN_CUTOFF.
 At K >= K* it is ``_hkappa_nonlinear``, cached per (grid, flow), once per half
@@ -63,20 +52,19 @@ those steps by binomial weights times the powers of the full-step
 multiplier, precomputed once per row: three numpy calls per start at any
 order.  The multiplier is e^{lambda dt} on modes 0..K and, on the modes
 K+1..M that only w has, the rotation e^{8 pi i kappa^2 j dt / l} of the
-transport 4 kappa^2 d/dx (the greens
-docstring has the start residuals and the choice of the order).  The loop,
-not greens, builds the start, since the RK cadence and the multiplier are its
-facts.  A poor start costs Newton steps only: the solve still certifies or
-raises, and a warm start that fails is retried cold.
+transport 4 kappa^2 d/dx; 7 is the largest order at which cut_compare's
+residuals per solve stayed at their floor (CHANGES.md).  The loop, not greens,
+builds the start, since the RK cadence and the multiplier are its facts.  A poor start costs Newton steps only: the
+solve still certifies or raises, and a warm start that fails is retried cold.
 Below K* (and for the linear kinds) it is ``rhs`` on the full row less the
 linear symbol's part, with g from ``greens.green_of`` (dense below K*), which
 raises a CertificationError where the dense I + B is not positive definite, as
 the Riccati route does where -d^2 + q + kappa^2 is not positive.
-``hamiltonian_value`` and the alpha monitors take alpha on the route of g, so
-the flow conserves the alpha its g belongs to.  ``evolve`` computes the
-monitors of its saved states after the loop, alpha and hs as one
-``alphas_of`` stack per probe kappa; ``FlowSpec`` refuses a probe kappa
-outside [1, inf) before anything is evolved.  A row whose
+The alpha monitors take alpha on the route of g, so the flow conserves the
+alpha its g belongs to.  ``evolve`` computes the monitors of its saved states
+after the loop, alpha and hs as one ``alphas_of`` stack per probe kappa;
+``FlowSpec`` refuses a probe kappa outside [1, inf), or two whose monitor
+columns alpha(kappa:g) coincide, before anything is evolved.  A row whose
 remainder raises or whose L^2 norm doubles in a step stops with its error
 while the other rows go on.
 """
@@ -95,7 +83,6 @@ from .greens import (
     _riccati_green_hat,
     _riccati_half,
     _riccati_plan,
-    alpha_of,
     alphas_of,
     assemble_resolvent,
     first_order_green,
@@ -109,7 +96,6 @@ from .spectral import (
     PeriodicField,
     TorusGrid,
     _hermitize,
-    cubic_integral,
     derivative,
     make_field,
     next_fast_len,
@@ -222,7 +208,7 @@ def _full_rows(h):
     return np.concatenate((np.conj(h[..., :0:-1]), h), axis=-1)
 
 
-DFT_MAX_CUTOFF = 64  # largest K on the matrix route: the crossover table in the module docstring
+DFT_MAX_CUTOFF = 64  # largest K on the matrix route: the module docstring says why
 
 
 @lru_cache(maxsize=8)
@@ -271,7 +257,7 @@ def _kdv_dft(grid):
     return partial(_dft_term, to_q, to_out)
 
 
-EXTRAPOLATION_ORDER = 7  # past steps a stage start extrapolates: the table in the greens docstring
+EXTRAPOLATION_ORDER = 7  # past steps a stage start extrapolates: the module docstring says why
 
 
 class _StageHistory:
@@ -362,21 +348,6 @@ def rhs(q, ham):
     return transport + 16.0 * kap ** 5 * PeriodicField(grid, gp.coeffs * w)
 
 
-def hamiltonian_value(q, ham):
-    """The conserved functional generating the flow (under omega_{-1/2})."""
-    _, momentum, energy = polynomial_invariants(q)
-    if ham.kind == "kdv":
-        return energy
-    if ham.kind == "kdv_linear":
-        return energy - cubic_integral(q)
-    kap = ham.kappa
-    if ham.kind == "hkappa_linear":
-        return 4.0 * kap ** 2 * momentum
-    qin = PeriodicField(q.grid, q.coeffs * _band_values(ham, q.grid))
-    a = alpha_of(qin, kap).value
-    return -16.0 * kap ** 5 * a + 4.0 * kap ** 2 * momentum
-
-
 def linear_symbol(grid, ham):
     """Fourier symbol of the flow's linearization at q = 0 (exactly propagated)."""
     two_pi_i_k = 2j * math.pi * grid.frequencies
@@ -416,9 +387,15 @@ class FlowSpec:
             raise PreconditionError("dt must not exceed T")
         if self.saves < 1:
             raise PreconditionError("need at least one save interval")
+        columns = {}  # monitor column -> the probe it holds
         for kap in self.probes:
             if not 1.0 <= kap < math.inf:
                 raise PreconditionError(f"alpha probes need a finite kappa >= 1, got {kap}")
+            label = f"alpha({kap:g})"
+            if label in columns:
+                raise PreconditionError(f"alpha probes {columns[label]!r} and {kap!r} share "
+                                        f"the monitor column {label}")
+            columns[label] = kap
 
 
 @dataclass
@@ -600,9 +577,6 @@ class ConservationReport:
     scales: dict
     certified: dict
 
-    def max_drift(self):
-        return max(self.drifts.values())
-
 
 def monitors(traj, probes=None):
     """Max relative drift of M, P, H_kdv, and alpha at the probe points.
@@ -630,18 +604,6 @@ def monitors(traj, probes=None):
     return ConservationReport(drifts=drifts, scales=scales, certified=cert)
 
 
-def compare_flows(q0u, q0v, spec_a, spec_b):
-    """t -> ||u(t) - v(t)||_{H^{-1}} for two evolutions on a shared output grid."""
-    if q0u.grid != q0v.grid:
-        raise PreconditionError("compare_flows needs a shared grid")
-    if not (spec_a.T == spec_b.T and spec_a.saves == spec_b.saves):
-        raise PreconditionError("compare_flows needs shared output times")
-    tu = evolve(q0u, spec_a)
-    tv = evolve(q0v, spec_b)
-    errs = np.array([sobolev_norm(u - v, -1.0) for u, v in zip(tu.states, tv.states)])
-    return tu.times, errs, (tu, tv)
-
-
 def sup_distance(ref, traj):
     """sup over the saves of ||ref(t) - traj(t)||_{H^{-1}} for two trajectories
     on shared output times: a reference evolved once serves many flows."""
@@ -655,15 +617,3 @@ def kappa_sweep(q0, kappas, T, dt, saves=10):
              for ham in [HamiltonianSpec.kdv()] + [HamiltonianSpec.hkappa(k) for k in kappas]]
     return {float(kap): sup_distance(trajs[0], t) for kap, t in zip(kappas, trajs[1:])}, trajs
 
-
-def time_equicontinuity(traj, deltas=None):
-    """Table of sup { ||q(t)-q(s)||_{H^{-1}} : |t-s| <= delta } over a delta grid."""
-    if len(traj.states) < 3:
-        raise PreconditionError("need at least 3 saved states")
-    times = traj.times
-    span = float(times[-1] - times[0])
-    if deltas is None:
-        deltas = span * np.array([0.125, 0.25, 0.5, 1.0])
-    dist = np.array([[sobolev_norm(a - b, -1.0) for b in traj.states] for a in traj.states])
-    gap = np.abs(times[:, None] - times[None, :])
-    return [(float(d), float(np.max(dist[gap <= d + 1e-12]))) for d in deltas]

@@ -92,59 +92,12 @@ up to ~5 rad a step at kappa = 4, K = 64, dt = 1e-3.  The H_kappa flow
 guesses, per Lawson-RK4 row, the previous stage's N plus this stage's
 increment extrapolated through its last p = ``flows.EXTRAPOLATION_ORDER``
 steps and carried by the full-step multiplier: e^{lambda dt} on modes 0..K
-and the transport's rotation on K+1..M (``flows._StageHistory``).  Median
-relative start residuals over the stage solves at seed 7, for the first
-starts tried:
-
-                               cold     previous N    3 steps, K+1..M held
-    hkappa_evolve (kappa = 4)  7.0e-4   2.5e-6        8.1e-8
-    cut_compare (kappa = 1)    5.7e-3   1.0e-5        1.1e-12
-
-Held fixed, modes K+1..M left the starts of stages b and d (half a step past
-the stage before) stalled.  Per stage a-d, the 16 input variants' median
-start residual (solves from step 11 on) and their mean residual evaluations
-per solve, with K+1..M held and 3 steps, against K+1..M rotated and p = 7,
-that again with the contraction stop, and that with the start stop and the
-history's diagonal step (below; "cert."):
-
-    hkappa_evolve  start, held      4.7e-14  1.9e-7   1.6e-12  1.9e-7
-                   start, rotated   4.5e-15  2.4e-11  4.0e-14  2.4e-11
-                   start, stop      6.2e-15  2.4e-11  4.1e-14  2.4e-11
-                   start, cert.     4.4e-15  2.4e-11  4.0e-14  2.4e-11
-                   solve, held      2.08     3.57     2.42     3.57    (2.91)
-                   solve, rotated   2.01     2.82     2.08     2.82    (2.43)
-                   solve, stop      2.00     2.02     2.00     2.02    (2.01)
-                   solve, cert.     1.00     2.00     1.07     2.00    (1.52)
-    cut_compare    start, held      1.4e-15  1.3e-12  1.4e-15  1.3e-12
-                   start, rotated   1.9e-14  2.2e-14  2.2e-14  2.4e-14
-                   start, stop      1.0e-12  5.8e-13  3.8e-13  9.4e-13
-                   start, cert.     2.3e-14  2.5e-14  3.2e-14  3.8e-14
-                   solve, held      2.26     3.31     2.10     3.31    (2.75)
-                   solve, rotated   2.30     2.51     2.15     2.51    (2.37)
-                   solve, stop      2.23     2.31     2.05     2.31    (2.23)
-                   solve, cert.     1.00     1.00     1.00     1.00    (1.00)
-
-(in brackets the mean over all four).  p was chosen on the residual
-evaluations per stage solve with the rotation, 16-variant means over whole
-runs:
-
-    p                          3     4     5     6     7     8
-    hkappa_evolve (kappa = 4)  2.85  2.73  2.60  2.54  2.43  2.34
-                  with stop    2.30  2.18  2.07  2.04  2.01  2.01
-                  cert.        1.97  1.78  1.64  1.58  1.54  1.53
-    cut_compare (kappa = 1)    2.75  2.37  2.37  2.37  2.37  2.52
-                  with stop    2.21  2.23  2.23  2.23  2.23  2.27
-                  cert.        1.76  1.36  1.36  1.36  1.36  1.37
-
-p = 7 is the largest at which ``cut_compare`` stays at its floor.  With the
-contraction stop (below) p = 7 is where ``hkappa_evolve`` reached two
-residuals per solve, the start's and one diagonal step's, and ``cut_compare``
-is flat from p = 4 to 7.  With the start stop a solve whose start already
-certifies takes the start's residual alone: stages a and c of
-``hkappa_evolve``, and every stage of ``cut_compare`` after its warm-up.  The
-b and d starts of ``hkappa_evolve``, at ~2.4e-11, still take one diagonal
-step.  A warm start that fails to certify is retried cold, so a poor guess
-costs Newton steps only.
+and the transport's rotation on K+1..M (``flows._StageHistory``).  Held
+fixed, modes K+1..M stalled the starts of stages b and d, half a step past
+the stage before, and p = 7 is the largest order at which cut_compare's
+residuals per stage solve stayed at their floor (tables in CHANGES.md).
+A warm start that fails to certify is retried cold, so a poor guess costs
+Newton steps only.
 
 ``_newton`` takes one (2, M + 1) pair or a stack (S, 2, M + 1) of them, one
 per row of qhat.  A stack is iterated as one: every stopping test compares
@@ -161,18 +114,8 @@ such a step is kept while it cuts the residual to DIAGONAL_CUT = 1/4 or less.
 The first that does not is taken again as the exact Newton correction: with
 Phi = d^{-1}[2 (m - mean m)] periodic, y = e^Phi delta solves
 y' + 2 mean(m) y = -e^Phi F, which is diagonal in Fourier space (four more
-transforms).  On the stage inputs of ``hkappa_evolve`` and ``cut_compare``
-(seed 7) every diagonal step cut the residual 11x or more (median 2000x and
-110x).  Transforms per g there are the same for every cut from 0.1 to 0.5:
-11.0 cold and 7.9 warm on ``hkappa_evolve`` (9.0 warm at a cut of 0.003, and
-16.0 for the Newton-only cold solve this replaced), 15.0 and 10.1 on
-``cut_compare`` (22.0 before).  The cut was chosen on a sweep of 1296 cold
-solves (K = 64; l = 2 pi, 16, 32, 64; kappa = 1, 2, 4; three decays and seeds;
-||B||_HS = +-0.9, +-0.99, +-1.5): 1/4 is the smallest of 0.1, 0.2, 0.25, 0.3
-and 0.5 that certifies every case whose I + B is positive definite (0.1
-misses 5, at l = 64, kappa = 4, ||B||_HS = 1.5, where Newton diverges from
-the end of the shorter diagonal phase), at 31-32 transforms per solve at
-||B||_HS = 0.9-0.99 against 28 at 0.1 and 37-39 at 0.5.
+transforms).  1/4 is the smallest cut tried that certifies every case of a
+sweep of hard cold solves whose I + B is positive definite (CHANGES.md).
 
 The solve stops at a residual (modes 0..M of F) of
 ROUNDING_RTOL = 4 eps max |qhat|, or of NEWTON_RTOL max |qhat| at its start
@@ -187,12 +130,7 @@ An accepted diagonal step that takes the residual from r to r' also ends the
 solve, the contraction stop, when r' <= NEWTON_RTOL max |qhat| and
 r'^2 <= ROUNDING_RTOL max |qhat| r: the next diagonal step, cutting by the
 same ratio r'/r, is predicted to land below rounding, so it would buy only
-digits the certified level does not ask for, at two transforms.  On the warm
-stage starts of ``hkappa_evolve`` (16 variants, solves after the first 8
-steps) the start residual is ~4e-12 max |qhat|, the first diagonal step cuts
-it 2000x (median; 90% of the cuts lie between 86x and 12800x), and 42% of
-those steps land above ROUNDING_RTOL, where without the stop the solve takes
-a third residual; the stop ends every one of them after the first step.
+digits the certified level does not ask for, at two transforms.
 
 The start itself is held to NEWTON_RTOL max |qhat|, not to rounding: a start
 at the certified level ends the solve with no step (the start stop), and
@@ -202,10 +140,8 @@ solve that takes no step learns nothing new, and a history that stored its
 iterate would extrapolate its own extrapolations.  So the nonlinear part
 ``_riccati_half`` returns for the next start is the certified iterate's N
 less one diagonal correction F-hat / (lin + 2 Re w-hat_0), built from the
-residual the solve already has, at no transform.  Without that step the
-residuals per ``hkappa_evolve`` run (16-variant means) fell only from 1610
-to 1567 under the start stop; with it they fall to 1230, and ``cut_compare``'s
-from 356 to 218.
+residual the solve already has, at no transform; without that step the
+start stop saved few residuals (CHANGES.md).
 
 Averaging the equation of w_- gives, exactly,
 
@@ -218,57 +154,9 @@ form g0 at d = 0, so q = 0 gives g0 and exact zeros.  The route raises
 ``CertificationError`` unless Newton converged, m_- - m_+ > 0 everywhere and
 theta > 0; those certify -d^2 + q + kappa^2 > 0 on T_l.
 
-K* is where the routes' costs cross: ms per g, one BLAS thread, on the 20
-stage inputs of a 5-step H_kappa run from data shaped like the
-``hkappa_evolve`` input (||q||_{H^-1} = 0.1, dt = 1e-3), cold (no state) and
-warm (one state along the run); per cell the median of three runs, each the
-median of 15 alternating rounds, on a 2 vCPU Xeon:
-
-    K                    12    24    32    48    64    96   128   288
-    l = 2 pi, kappa = 4
-      dense            0.12  0.25  0.33  0.35  0.74  2.14  3.75  23.5
-      Riccati, cold    0.19  0.25  0.41  0.26  0.45  0.46  0.38  0.53
-      Riccati, warm    0.14  0.20  0.32  0.20  0.34  0.33  0.32  0.40
-    l = 32, kappa = 1
-      dense            0.14  0.19  0.29  0.42  0.63  1.43  2.69  24.5
-      Riccati, cold    0.27  0.31  0.51  0.46  0.54  0.61  0.60  0.86
-      Riccati, warm    0.14  0.18  0.35  0.27  0.35  0.38  0.36  0.51
-
-K* = 64 is the smallest K listed at which the cold Riccati route wins in both
-rows; warm, it wins from K = 48.
-
-A warm solve costs what numpy charges per call more than arithmetic.  On the
-799 warm stage inputs of ``hkappa_evolve`` (seed 0; K = 64, n = 300, started
-as the flow starts them; in-process minima of 15 passes, one BLAS thread,
-2 vCPU) one takes ~36 us over 2.02 residuals (~45 us over 2.53 without the
-contraction stop): a residual ~11.6 us, of which its two transforms of the
-(2, M + 1) pair take ~8.2 us (irfft 3.5, rfft 4.6 us); a diagonal step
-~2.8 us; and ~10 us for the start, the per-step checks, certification and
-state.  The readout of g adds one rfft, ~5 us with its arithmetic.  The start
-stop brings the mean to 1.54 residuals per stage solve on ``hkappa_evolve``
-and 1.36 on ``cut_compare``, warm-up included.  Four ways
-to cut it were measured on an earlier tree, where a warm solve took ~83 us
-over 4.25 residuals, and dropped (the last two are since taken up):
-
-  - trimming the numpy calls around the transforms (per-step checks on
-    Python floats, no list of starts, the readout of g in place): ~83 -> ~79
-    us per warm stage, but in paired cut_compare runs the Python-float checks
-    alone gave 0.97x wall time in one set (faster in 8 of 10 pairs, a median
-    gain of 1.1 ms against a 3.8 ms quartile spread) and no gain in a second
-    set of 12, so the benchmark does not resolve it;
-  - real-DFT matrices for the residual, as in ``flows._kdv_dft``: at n = 294
-    the pair costs 4.7 + 4.6 us against 4.3 + 5.0 us for irfft + rfft;
-  - better warm starts for RK stages b and d, by linear extrapolation or by
-    transport with the linear flow: the start residual fell from 1.3e-6 to
-    1e-7 - 2e-7, but no Newton step was saved.  That was measured at
-    kappa = 4 with modes K+1..M of the start held fixed, and those modes set
-    the stall: with the transport's rotation on them and seven steps
-    extrapolated, the b and d starts reach ~2e-11 and their solves take 2.82
-    residuals in place of 3.57 (the table above);
-  - stacking the save-time alpha probes: 42 cold solves took 1.2 ms as one
-    stack against 3.8 ms one by one, bitwise equal, but the per-row stack
-    checks cost the one-row flow path ~0.8 us per Newton step.  Since taken
-    up as ``alphas_of``, with one check of all rows per Newton step.
+K* = 64 is where the routes' costs cross: the smallest K at which the cold
+Riccati g was faster than the dense one on both data shapes timed, l = 2 pi
+with kappa = 4 and l = 32 with kappa = 1 (timings in CHANGES.md).
 """
 
 from __future__ import annotations
@@ -626,7 +514,7 @@ def alpha_series(ctx, l_max):
 # Floquet-Riccati route, and the choice of route
 # ---------------------------------------------------------------------------
 
-RICCATI_MIN_CUTOFF = 64  # K*: from the crossover table in the module docstring
+RICCATI_MIN_CUTOFF = 64  # K*: the module docstring says why
 NEWTON_MAX_STEPS = 40
 NEWTON_RTOL = 1e-12      # converged: residual <= NEWTON_RTOL * max |qhat|
 ROUNDING_RTOL = 4 * EPS  # done: residual <= ROUNDING_RTOL * max |qhat|, rounding level

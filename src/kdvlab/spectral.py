@@ -129,13 +129,6 @@ class PeriodicField:
 
     # -- basic accessors ----------------------------------------------------
 
-    def coeff(self, j):
-        """Coefficient fhat(j/l) for integer |j| <= K."""
-        k = self.grid.cutoff
-        if abs(j) > k:
-            return 0.0 + 0.0j
-        return self.coeffs[j + k]
-
     @property
     def mean(self):
         """The spatial mean fhat(0)."""
@@ -208,10 +201,6 @@ def make_field(grid, samples=None, coeffs=None):
     return PeriodicField(grid, _coeffs_from_samples(grid, s))
 
 
-def zero_field(grid):
-    return PeriodicField(grid, np.zeros(2 * grid.cutoff + 1, dtype=complex))
-
-
 def field_from_modes(grid, entries):
     """Field from a sparse mode list [(j, complex amplitude), ...], |j| <= K.
 
@@ -260,62 +249,11 @@ class LineField:
         if self.exact_samples is not None:
             self.exact_samples.setflags(write=False)
 
-    @property
-    def box_length(self):
-        return self.box.grid.length
-
-    @property
-    def spacing(self):
-        return self.box.grid.spacing
-
-    def line_points(self):
-        return self.box_start + self.box.grid.points
-
     def samples_values(self):
         """Exact cut samples when available, else the band-limited ones."""
         if self.exact_samples is not None:
             return self.exact_samples
         return self.box.samples_values()
-
-    def support_vanishing_defect(self):
-        """Largest |sample| outside the support, relative to the field scale."""
-        s = self.samples_values()
-        x = self.line_points()
-        outside = (x < self.support[0] - 1e-12) | (x > self.support[1] + 1e-12)
-        scale = max(float(np.max(np.abs(s))), 1e-300)
-        if not np.any(outside):
-            return 0.0
-        return float(np.max(np.abs(s[outside]))) / scale
-
-    def mean_zero_flag(self):
-        return self.box.is_mean_zero()
-
-    def integral(self):
-        return self.box_length * self.box.mean
-
-
-def make_line_field(box_length, cutoff, func, support, box_start=None, samples=None,
-                    pin_integral=None):
-    """Embed a compactly supported callable (or sample array) on a box.
-
-    The representative keeps modes |j| <= cutoff of the box DFT.  When
-    ``pin_integral`` is given, mode 0 is set to that exact value (used by the
-    cutting pipeline where the integral is known analytically).
-    """
-    if box_start is None:
-        box_start = -box_length / 2
-    n = samples if samples is not None else next_fast_len(3 * cutoff + 1)
-    grid = TorusGrid(box_length, cutoff, n)
-    x = box_start + grid.points
-    vals = np.asarray(func(x), dtype=float) if callable(func) else np.asarray(func, float)
-    if len(vals) != n:
-        raise PreconditionError("sample array length does not match the box grid")
-    c = _coeffs_from_samples(grid, vals)
-    if pin_integral is not None:
-        c[grid.cutoff] = pin_integral / box_length
-    field = PeriodicField(grid, c)
-    return LineField(box=field, box_start=float(box_start), support=tuple(support),
-                     exact_samples=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +321,6 @@ def sobolev_norm(f, s, homogeneous=False):
     if isinstance(f, LineField):
         return line_norm_refinement(f, s, homogeneous)[1]
     return _circle_norm(f, s, homogeneous)
-
-
-def tail_mass(f, lam):
-    """Discrete high-frequency tail  l * sum_{|k| >= lam} (1+k^2)^{-1} |fhat|^2."""
-    if lam <= 0:
-        raise PreconditionError("tail threshold must be positive")
-    g = f.grid
-    k = g.frequencies
-    sel = np.abs(k) >= lam
-    w = (1.0 + k[sel] ** 2) ** (-1.0)
-    return g.length * float(np.sum(w * np.abs(f.coeffs[sel]) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -516,26 +443,6 @@ def symplectic_form(u, v):
     return pairing(u, derivative(v, -1))
 
 
-def translate(f, h):
-    """f(. + h): coefficient phases rotate, all Sobolev norms unchanged."""
-    phase = np.exp(2j * np.pi * f.grid.frequencies * float(h))
-    return PeriodicField(f.grid, _hermitize(f.coeffs * phase))
-
-
-def rescale(q, lam):
-    """KdV scaling q^lam(x) = lam^2 q(lam x); circle length becomes l/lam."""
-    lam = float(lam)
-    if lam <= 0:
-        raise PreconditionError("scaling parameter must be positive")
-    if isinstance(q, LineField):
-        exact = None if q.exact_samples is None else lam ** 2 * q.exact_samples
-        return LineField(box=rescale(q.box, lam), box_start=q.box_start / lam,
-                         support=(q.support[0] / lam, q.support[1] / lam), exact_samples=exact)
-    g = q.grid
-    grid = TorusGrid(g.length / lam, g.cutoff, g.samples)
-    return PeriodicField(grid, q.coeffs * lam ** 2)
-
-
 # ---------------------------------------------------------------------------
 # dealiased products
 # ---------------------------------------------------------------------------
@@ -581,36 +488,6 @@ def truncate_field(f, cutoff, samples=None):
 # ---------------------------------------------------------------------------
 # periodization
 # ---------------------------------------------------------------------------
-
-def periodize(f, L):
-    """L-periodization  sum_j f(x + j*L)  of a compactly supported line field.
-
-    Requires the support to fit in an interval of length < L and the box to
-    hold an integer number p of L-periods; the result keeps modes up to
-    cutoff//p (exact decimation of the box coefficients).
-    """
-    a, b = f.support
-    if not (b - a < L):
-        raise SupportError(f"support length {b - a:.6g} does not fit in period {L:.6g}")
-    lam = f.box_length
-    p = lam / L
-    if abs(p - round(p)) > 1e-9 or round(p) < 1:
-        raise SupportError(f"box length {lam:.6g} is not an integer multiple of {L:.6g}")
-    p = int(round(p))
-    if f.box.grid.samples % p != 0:
-        raise SupportError("box sample count is not divisible by the period ratio")
-    kL = min(f.box.grid.cutoff // p, (f.box.grid.samples // p - 1) // 2)
-    if kL < 1:
-        raise SupportError("periodization leaves no resolvable modes")
-    kbox = f.box.grid.cutoff
-    js = np.arange(-kL, kL + 1)
-    idx = p * js + kbox
-    # decimated coefficients live in the box frame; shift to line coordinates
-    phase = np.exp(-2j * np.pi * js * (f.box_start / L))
-    c = p * f.box.coeffs[idx] * phase
-    grid = TorusGrid(L, kL, f.box.grid.samples // p)
-    return PeriodicField(grid, _hermitize(c))
-
 
 def periodize_samples(samples, box_start, L, spacing):
     """Block-sum periodization of an explicit sample array onto the T_L grid."""

@@ -8,10 +8,12 @@ import sys
 
 import pytest
 
-from kdvlab import FlowSpec, HamiltonianSpec, compare_flows, flows, squeeze
+from kdvlab import FlowSpec, HamiltonianSpec, flows, squeeze
 from kdvlab.cli import main
 from kdvlab.reporting import sha256_digest, write_csv
 from kdvlab.squeeze import band_from_config, field_from_config, grid_from_config
+
+from oracles import compare_flows
 
 
 def run_cli(tmp_path, name, cfg, out="out"):
@@ -168,15 +170,17 @@ def test_uncertified_sweep_band_exit_code_3(tmp_path, capsys):
     assert set(manifest["outputs"]) == {"band_sweep.csv"}
 
 
+SWEEP_BAND = {
+    "grid": {"length": 16.0, "cutoff": 48},
+    "initial": {"modes": [{"j": 20, "re": 0.01}, {"j": -20, "re": 0.01}]},
+    "flow": {"kind": "hkappa", "kappa": 2.0},
+    "time": {"dt": 5e-3, "T": 0.05, "saves": 2},
+    "bands": [{"m": 0.25, "M": 2.0}],
+}
+
+
 def test_sweep_band(tmp_path):
-    cfg = {
-        "grid": {"length": 16.0, "cutoff": 48},
-        "initial": {"modes": [{"j": 20, "re": 0.01}, {"j": -20, "re": 0.01}]},
-        "flow": {"kind": "hkappa", "kappa": 2.0},
-        "time": {"dt": 5e-3, "T": 0.05, "saves": 2},
-        "bands": [{"m": 0.25, "M": 2.0}],
-    }
-    code, out = run_cli(tmp_path, "sweep-band", cfg)
+    code, out = run_cli(tmp_path, "sweep-band", SWEEP_BAND)
     assert code == 0
     lines = (out / "band_sweep.csv").read_text().splitlines()
     assert lines[0] == "m,M,sup_error,rate,ratio"
@@ -185,13 +189,8 @@ def test_sweep_band(tmp_path):
 
 
 def test_sweep_band_evolves_the_full_flow_once(tmp_path, monkeypatch):
-    cfg = {
-        "grid": {"length": 16.0, "cutoff": 48},
-        "initial": {"modes": [{"j": 20, "re": 0.01}, {"j": -20, "re": 0.01}]},
-        "flow": {"kind": "hkappa", "kappa": 2.0},
-        "time": {"dt": 5e-3, "T": 0.05, "saves": 2},
-        "bands": [{"m": 0.25, "M": 2.0}, {"m": 0.5, "M": 2.0}, {"m": 0.25, "M": 4.0}],
-    }
+    cfg = dict(SWEEP_BAND, bands=[{"m": 0.25, "M": 2.0}, {"m": 0.5, "M": 2.0},
+                                  {"m": 0.25, "M": 4.0}])
     # the table as one compare_flows pair per band evolves it
     q0 = field_from_config(cfg["initial"], grid_from_config(cfg["grid"]))
     full = FlowSpec(HamiltonianSpec.hkappa(2.0), dt=5e-3, T=0.05, saves=2)
@@ -671,3 +670,50 @@ def test_empty_search_block_gives_default_budget(tmp_path, monkeypatch):
     code, _ = run_cli(tmp_path, "squeeze", {"scenario": SCENARIO, "search": {}})
     assert code == 0
     assert seen == [SearchBudget()]
+
+
+def test_probes_sharing_a_monitor_column_exit_code_2(tmp_path, capsys):
+    # alpha(2) would hold both 2.0 and 2.0000001, and one of them would be lost
+    code, out = run_cli(tmp_path, "evolve", dict(EVOLVE, probes=[2.0, 2.0000001, 3.0]))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:") and "2.0 " in err and "2.0000001" in err
+    assert not (out / "monitors.csv").exists()
+
+
+@pytest.mark.parametrize("command, cfg", [("sweep-band", SWEEP_BAND),
+                                          ("cutcompare", CUTCOMPARE)])
+@pytest.mark.parametrize("flow, key", [
+    ({"kind": "kdv", "kappa": 2.0}, '"kind"'),
+    ({"kind": "hkappa_band", "kappa": 2.0}, '"kind"'),
+    ({"kind": "hkappa", "kappa": 2.0, "band": {"m": 0.25, "M": 2.0}}, '"band"'),
+], ids=["kdv", "hkappa_band", "band"])
+def test_flow_block_other_than_hkappa_exit_code_2(tmp_path, capsys, command, cfg, flow, key):
+    # these subcommands run H_kappa and set their own bands
+    code, _ = run_cli(tmp_path, command, dict(cfg, flow=flow))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:") and key in err
+
+
+@pytest.mark.parametrize("text", [None, '{"grid": ', "[1, 2]", "\udcff"],
+                         ids=["missing_file", "malformed_json", "not_an_object", "not_text"])
+def test_unreadable_config_exit_code_2(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    code = main(["evolve", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:") and str(path) in err
+
+
+@pytest.mark.parametrize("files, named", [("s", '"files"'), (["nope.csv"], "nope.csv"),
+                                          ([3], '"files"')],
+                         ids=["string", "missing_file", "not_a_path"])
+def test_report_of_files_it_cannot_read_exit_code_2(tmp_path, capsys, monkeypatch, files, named):
+    monkeypatch.chdir(tmp_path)
+    code, _ = run_cli(tmp_path, "report", {"files": files})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:") and named in err

@@ -25,9 +25,7 @@ from kdvlab import (
     pairing,
     polynomial_invariants,
     sobolev_norm,
-    translate,
     truncate_field,
-    zero_field,
 )
 from kdvlab.errors import (
     CertificationError,
@@ -49,6 +47,7 @@ from kdvlab.greens import (
 from kdvlab.spectral import PeriodicField, product_coeffs
 
 from conftest import random_field
+from oracles import translate, zero_field
 
 
 def small_random(grid, rng, target_hs, kappa):
