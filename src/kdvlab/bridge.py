@@ -415,7 +415,7 @@ def fattened_cutoff(linefield, pad_plateau, pad_support):
                     support=half + pad_support)
 
 
-def compare_local(u0, plan, kappa, band, T, dt, saves=8, box_cutoff=None):
+def compare_local(u0, plan, kappa, band, T, dt, saves=8):
     """Error curve t -> ||u(t) - ring(chi* q(t))_L||_{H^{-1}(T_L)}.
 
     u evolves under the band-truncated flow on T_L, the unwrapped data under
@@ -440,10 +440,7 @@ def compare_local(u0, plan, kappa, band, T, dt, saves=8, box_cutoff=None):
 
     q0 = unwrap(u0, plan)
     k_l = u0.grid.cutoff
-    kev = box_cutoff if box_cutoff is not None else min(
-        2 * k_l + 32, (q0.box.grid.samples - 2) // 3
-    )
-    ev0 = _evolution_field(q0, kev)
+    ev0 = _evolution_field(q0, min(2 * k_l + 32, (q0.box.grid.samples - 2) // 3))
     line_spec = FlowSpec(HamiltonianSpec.hkappa(kappa), dt=dt, T=T, saves=saves)
     line = evolve(ev0, line_spec)
 

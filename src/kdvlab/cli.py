@@ -14,7 +14,7 @@ outputs are CSV tables plus a manifest with sha256 digests.  Config blocks:
   time     {dt, T, saves (optional)}
 
 Other top-level keys: probes (evolve), kappas (greens, alpha, sweep-kappa),
-bands (sweep-band), band, partition, box_cutoff (cutcompare), files (report).
+bands (sweep-band), band, partition (cutcompare), files (report).
 
 squeeze and area take a scenario block instead (see squeeze.build_scenario),
 and each an optional block whose keys are all optional; a key left out takes
@@ -31,14 +31,15 @@ the default of squeeze.SearchBudget or squeeze.image_area:
 Exit codes: 0 success, 2 precondition failure (such as a config file that
 is missing or holds no JSON object, a report file that cannot be read, a
 mode with |j| > K, a mode entry without j, a missing required block or key,
-a value of the wrong type, a flow kind or key the subcommand does not take,
-or an unknown key at the top level or in an initial, grid, time, flow, band,
-partition, search, area, scenario, prototype or mode entry block),
-3 numerical certification failure.  An evolve, sweep-band,
-sweep-kappa or cutcompare one of whose H_kappa trajectories leaves the
-flows.HM1_RADIUS ball still writes its outputs and manifest, with
-certified: false and the warnings in the manifest, and exits 3; every
-manifest of these four records certified and warnings.
+a block or mode entry that is not a JSON object, a modes, probes, kappas or
+bands value that is not a list, a value of the wrong type, a flow kind or key
+the subcommand does not take, or an unknown key at the top level or in an
+initial, grid, time, flow, band, partition, search, area, scenario,
+prototype or mode entry block), 3 numerical certification failure.  An
+evolve, sweep-band, sweep-kappa or cutcompare one of whose H_kappa
+trajectories leaves the flows.HM1_RADIUS ball still writes its outputs and
+manifest, with certified: false and the warnings in the manifest, and exits
+3; every manifest of these four records certified and warnings.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from .squeeze import (
     SearchBudget,
     band_from_config,
     build_scenario,
+    config_list,
     config_number,
     config_numbers,
     escape_search,
@@ -106,7 +108,7 @@ def _kappa(cfg):
 
 def _numbers(cfg, key, default):
     """The list cfg[key] (``default`` when absent), each entry checked to be a number."""
-    return [config_number(v, f"{key} list", key) for v in cfg.get(key, default)]
+    return [config_number(v, f"{key} list", key) for v in config_list(cfg.get(key, default), key)]
 
 
 def _manifest(cfg, outputs, out_dir, seeds=None, trajs=()):
@@ -130,7 +132,7 @@ def cmd_evolve(cfg, out):
     grid = grid_from_config(cfg["grid"])
     q0 = _field_from(cfg, grid)
     spec = FlowSpec(flow_from_config(cfg["flow"]), **_time_from(cfg, 10),
-                    probes=tuple(_numbers(cfg, "probes", ())))
+                    probes=tuple(_numbers(cfg, "probes", [])))
     traj = evolve(q0, spec)
     coeff_header = ["t"]
     for j in range(-grid.cutoff, grid.cutoff + 1):
@@ -180,7 +182,7 @@ def cmd_sweep_band(cfg, out):
     kap = _kappa(cfg)
     trajs = [evolve(q0, FlowSpec(HamiltonianSpec.hkappa(kap), **time_kw))]
     rows = []
-    for band in map(band_from_config, cfg["bands"]):
+    for band in map(band_from_config, config_list(cfg["bands"], "bands")):
         m, M = band.N, band.M
         trajs.append(evolve(q0, FlowSpec(HamiltonianSpec.hkappa_band(kap, m, M), **time_kw)))
         sup = sup_distance(trajs[0], trajs[-1])
@@ -209,11 +211,8 @@ def cmd_cutcompare(cfg, out):
     u0 = lp_project(_field_from(cfg, grid), band)
     n_windows = config_numbers(cfg["partition"], "partition block", ("N",), N=int)["N"]
     plan = select_cut(u0, build_partition(grid.length, n_windows))
-    box_cutoff = cfg.get("box_cutoff")
-    if box_cutoff is not None:
-        box_cutoff = config_number(box_cutoff, "cutcompare config", "box_cutoff", int)
-    times, errs, (circle, line, q0) = compare_local(
-        u0, plan, _kappa(cfg), band, **_time_from(cfg, 8), box_cutoff=box_cutoff)
+    times, errs, (circle, line, q0) = compare_local(u0, plan, _kappa(cfg), band,
+                                                    **_time_from(cfg, 8))
     p_plan = write_json(os.path.join(out, "cutplan.json"), plan.to_json_dict())
     rows = list(zip(times, errs))
     p = write_csv(os.path.join(out, "cut_error.csv"), ["t", "error_hm1"], rows)
@@ -275,7 +274,7 @@ COMMANDS = {
     "sweep-band": (cmd_sweep_band, ("grid", "initial", "flow", "time", "bands"), ()),
     "sweep-kappa": (cmd_sweep_kappa, ("grid", "initial", "time"), ("kappas",)),
     "cutcompare": (cmd_cutcompare, ("grid", "initial", "band", "partition", "flow", "time"),
-                   ("box_cutoff",)),
+                   ()),
     "squeeze": (cmd_squeeze, ("scenario",), ("search",)),
     "area": (cmd_area, ("scenario",), ("area",)),
     "report": (cmd_report, (), ("files",)),

@@ -578,20 +578,13 @@ class ConservationReport:
     certified: dict
 
 
-def monitors(traj, probes=None):
-    """Max relative drift of M, P, H_kdv, and alpha at the probe points.
-
-    The columns ``evolve`` stored in ``traj.monitors`` are read back; only
-    probes it did not record are computed from the saved states.
-    """
-    if probes is None:
-        probes = traj.spec.probes
+def monitors(traj):
+    """Max relative drift of M, P, H_kdv, and alpha at each probe of the flow's
+    spec, read back from the columns ``evolve`` stored in ``traj.monitors``."""
+    probes = traj.spec.probes
     if len(probes) < 1:
         raise PreconditionError("need at least one alpha probe")
     series = traj.monitors
-    missing = [kap for kap in probes if f"alpha({kap:g})" not in series]
-    if missing:
-        series = {**_monitor_columns(traj.states, missing), **series}
     drifts, scales, cert = {}, {}, {}
     for key in ["M", "P", "H_kdv"] + [f"alpha({kap:g})" for kap in probes]:
         vals = series[key]

@@ -81,14 +81,17 @@ transforms gives 294, 588 and 1320; one irfft, square and rfft of the
 (2, M + 1) stack took 8.2, 10.9 and 17.4 us against 9.1, 12.1 and 19.0 us
 (timeit minima, one BLAS thread, 2 vCPU).
 
-The cold start is the linear response w' +- 2 kappa w = q, in closed form.
-``green_of`` and ``alpha_of`` always start cold.  A warm start is the linear
-response of the new q plus a guess at the nonlinear part N of w-hat (w-hat
-less the linear response of its q): ``_riccati_half`` takes the guess and
-returns the solve's own N.  RK stages are transported at speed ~4 kappa^2,
-which the linear response absorbs on modes 0..K.  w is translation-covariant,
-so its modes K+1..M, where q has none, rotate with that transport alone: by
-up to ~5 rad a step at kappa = 4, K = 64, dt = 1e-3.  The H_kappa flow
+``_riccati_half`` is the one Riccati driver.  It solves one half row of qhat
+(modes 0..K) or a stack (S, K + 1) of them, from the cold start or a warm
+one.  The cold start is the linear response w' +- 2 kappa w = q, in closed
+form, and ``green_of`` and ``alphas_of`` always start cold.  A warm start is
+the linear response of the new q plus a guess at the nonlinear part N of
+w-hat (w-hat less the linear response of its q): ``_riccati_half`` takes the
+guess, one (2, M + 1) pair per row, and returns the solve's own N.  RK
+stages are transported at speed ~4 kappa^2, which the linear response absorbs
+on modes 0..K.  w is translation-covariant, so its modes K+1..M, where q has
+none, rotate with that transport alone: by up to ~5 rad a step at kappa = 4,
+K = 64, dt = 1e-3.  The H_kappa flow
 guesses, per Lawson-RK4 row, the previous stage's N plus this stage's
 increment extrapolated through its last p = ``flows.EXTRAPOLATION_ORDER``
 steps and carried by the full-step multiplier: e^{lambda dt} on modes 0..K
@@ -96,17 +99,22 @@ and the transport's rotation on K+1..M (``flows._StageHistory``).  Held
 fixed, modes K+1..M stalled the starts of stages b and d, half a step past
 the stage before, and p = 7 is the largest order at which cut_compare's
 residuals per stage solve stayed at their floor (tables in CHANGES.md).
-A warm start that fails to certify is retried cold, so a poor guess costs
-Newton steps only.
+A row whose warm start fails to certify is solved again cold, so a poor
+guess costs Newton steps only.
 
 ``_newton`` takes one (2, M + 1) pair or a stack (S, 2, M + 1) of them, one
-per row of qhat.  A stack is iterated as one: every stopping test compares
-its largest residual with the smallest row's max |qhat|, and the test that
-mean(m_-) > 0 > mean(m_+) covers every row; each row is certified afterwards
-as a pair is.  ``alphas_of`` solves the alpha probes of many states that way
-(``flows.evolve`` makes one stack of all its saved states per probe kappa),
-and a row the stack leaves uncertified, say because another row's trouble
-stopped it, is solved alone.  The flow's stage solves are pairs.
+per row of qhat, through the same ``...`` indexing: one row is never given a
+unit stack axis, which would make every residual dearer.  A stack is iterated
+as one: every stopping test compares its largest residual with the smallest
+row's max |qhat|, and the test that mean(m_-) > 0 > mean(m_+) covers every
+row.  ``_riccati_half`` certifies the whole stack at once when its largest
+residual, its smallest theta and its smallest m_- - m_+ pass; else each row
+as one row is, and a row that fails (say because another row's trouble
+stopped the stack, or its warm start was poor) is solved again alone and
+cold, which certifies it or raises its CertificationError.  ``alphas_of``
+solves the alpha probes of many states as one cold stack (``flows.evolve``
+makes one of all its saved states per probe kappa); the flow's stage solves
+are warm single rows.
 
 Each correction delta solves delta' + 2 m delta = -F.  First with m replaced
 by its mean, delta-hat = -F-hat / (ik + 2 mean m), which needs no transform;
@@ -602,73 +610,53 @@ def _newton(plan, qh, wh, scale):
     return best
 
 
-def _riccati(q, kappa):
-    """``_riccati_half`` of a real q, cold, after the checks of ``_check_domain``."""
-    _check_domain(q.coeffs, kappa)
-    return _riccati_half(q.grid, q.coeffs[q.grid.cutoff:], kappa)
-
-
 def _riccati_half(grid, qh, kappa, nonlinear=None):
     """(samples of m_- - m_+, theta - kappa, mean w_-^2, the nonlinear part of
-    w-hat) from qhat on modes 0..K (the mean is Re qhat(0)): see the module
-    docstring.
+    w-hat) from qhat on modes 0..K (the mean is Re qhat(0)), for one half row qh
+    or for each row of a stack (S, K + 1) of them: see the module docstring.
 
     The nonlinear part is w-hat less the linear response of qh, a (2, M + 1)
-    array.  Given one (None for a cold start), the solve starts from the
-    linear response plus it; a warm start that does not certify is retried cold.
-    The one returned is the certified iterate's less one diagonal correction
+    pair per row.  Given one (None for a cold start), the solve starts from the
+    linear response plus it.  A stack is solved as one and each row certified
+    after; a row that does not certify is solved again alone and cold, which
+    certifies it or raises its CertificationError.  The nonlinear part returned
+    is the certified iterate's less one diagonal correction
     F-hat / (lin + 2 Re w-hat_0), from the residual the solve already has: the
     next start, not the iterate the outputs were read from.
     """
     plan = _riccati_plan(grid, kappa)
-    m, _, _, lin, _, two_kappa = plan
+    m, n, _, lin, _, two_kappa = plan
     k = grid.cutoff
-    scale = float(np.abs(qh).max())
+    scales = np.abs(qh).max(axis=-1)
+    scale = float(min(scales.flat))  # the smallest row's
     # the linear response, w' +- 2 kappa w = q, is the cold start
-    cold = np.zeros((2, m + 1), dtype=complex)
-    cold[:, :k + 1] = qh / lin[:, :k + 1]
-    starts = [cold] if nonlinear is None else [cold + nonlinear, cold]
-    for start in starts:
-        wh, w, fh, res = _newton(plan, qh, start, scale)
-        sq = float(w[0] @ w[0]) / len(w[0])
-        dtheta = (float(qh[0].real) - sq) / (2.0 * kappa)
-        d = two_kappa[0] + w[0] - w[1]
-        converged = res <= NEWTON_RTOL * scale
-        if converged and kappa + dtheta > 0.0 and d.min() > 0.0:
-            break
-    else:
-        if not converged:
+    cold = np.zeros(qh.shape[:-1] + (2, m + 1), dtype=complex)
+    cold[..., :k + 1] = qh[..., None, :] / lin[:, :k + 1]
+    wh, w, fh, res = _newton(plan, qh, cold if nonlinear is None else cold + nonlinear, scale)
+    sq = np.vecdot(w[..., 0, :], w[..., 0, :]) / n
+    dtheta = (qh[..., 0].real - sq) / (2.0 * kappa)
+    d = two_kappa[0] + w[..., 0, :] - w[..., 1, :]
+    # min over .flat is cheap on one row; a nan it may pass over fails res already
+    if res <= NEWTON_RTOL * scale and kappa + min(dtheta.flat) > 0.0 and d.min() > 0.0:
+        # one diagonal step past the certified iterate, from the residual at hand
+        return d, dtheta, sq, (wh - cold) - fh / (lin + 2.0 * wh[..., :1].real)
+    if qh.ndim == 1:  # one row: a warm start is retried cold, a cold one raises
+        if nonlinear is not None:
+            return _riccati_half(grid, qh, kappa)
+        if not res <= NEWTON_RTOL * scale:
             raise CertificationError(
                 f"Riccati Newton did not converge at kappa={kappa:g}, K={k} "
                 f"(residual {res:.3e} against max |qhat| {scale:.3e})")
         raise CertificationError(
             f"Riccati branches do not certify -d^2 + q + kappa^2 > 0 at kappa={kappa:g}: "
             f"theta = {kappa + dtheta:.3e}, min(m_- - m_+) = {d.min():.3e}")
-    # one diagonal step past the certified iterate, from the residual at hand
-    return d, dtheta, sq, (wh - cold) - fh / (lin + 2.0 * wh[:, :1].real)
-
-
-def _riccati_stack(grid, qh, kappa):
-    """(theta - kappa, mean w_-^2) per row of a stack (S, K + 1) of qhat on modes
-    0..K, by one cold Newton solve on the (S, 2, M + 1) stack of w-hat.  Each row
-    is certified as ``_riccati_half`` certifies; a row that is not (the stack
-    stops on its largest residual, so one row's trouble can stop the others) is
-    solved alone, which certifies it or raises its CertificationError."""
-    plan = _riccati_plan(grid, kappa)
-    m, n, _, lin, _, two_kappa = plan
-    k = grid.cutoff
-    scales = np.abs(qh).max(axis=-1)
-    cold = np.zeros((len(qh), 2, m + 1), dtype=complex)
-    cold[..., :k + 1] = qh[:, None, :] / lin[:, :k + 1]
-    _, w, fh, _ = _newton(plan, qh, cold, float(scales.min()))
-    sq = np.einsum("si,si->s", w[:, 0], w[:, 0]) / n
-    dtheta = (qh[:, 0].real - sq) / (2.0 * kappa)
-    d_min = (two_kappa[0] + w[:, 0] - w[:, 1]).min(axis=-1)
     certified = ((np.abs(fh).max(axis=(1, 2)) <= NEWTON_RTOL * scales)
-                 & (kappa + dtheta > 0.0) & (d_min > 0.0))
+                 & (kappa + dtheta > 0.0) & (d.min(axis=-1) > 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):  # its failed rows are replaced
+        step = (wh - cold) - fh / (lin + 2.0 * wh[..., :1].real)
     for i in np.flatnonzero(~certified):
-        _, dtheta[i], sq[i], _ = _riccati_half(grid, qh[i], kappa)
-    return dtheta, sq
+        d[i], dtheta[i], sq[i], step[i] = _riccati_half(grid, qh[i], kappa)
+    return d, dtheta, sq, step
 
 
 def _riccati_green_hat(grid, kappa, d, dtheta):
@@ -691,7 +679,8 @@ def green_of(q, kappa):
             raise CertificationError("-d^2 + q + kappa^2 is not positive: I + B is not "
                                      "positive definite (the dense inverse fell back to LU)")
         return green
-    d, dtheta, _, _ = _riccati(q, kappa)
+    _check_domain(q.coeffs, kappa)
+    d, dtheta, _, _ = _riccati_half(grid, q.coeffs[grid.cutoff:], kappa)
     gh = _riccati_green_hat(grid, kappa, d, dtheta)
     free = free_diagonal_constant(kappa, grid.length)
     gh[0] += free
@@ -710,7 +699,7 @@ def alphas_of(qs, kappa):
         return [alpha(assemble_resolvent(q, kappa)) for q in qs]
     c = np.array([q.coeffs for q in qs])
     _check_domain(c, kappa)
-    dthetas, sqs = _riccati_stack(grid, c[:, grid.cutoff:], kappa)
+    _, dthetas, sqs, _ = _riccati_half(grid, c[:, grid.cutoff:], kappa)
     length = grid.length
     # Hill's formula with theta - kappa substituted; free_excess = g0 - 1/(2 kappa)
     free_excess = -math.exp(-kappa * length) / (kappa * math.expm1(-kappa * length))

@@ -91,11 +91,21 @@ def config_number(value, where, key, kind=float):
     return kind(value)
 
 
+def config_list(value, key):
+    """value if it is a JSON list; else a PreconditionError naming key."""
+    if not isinstance(value, list):
+        raise PreconditionError(f'"{key}" must be a list, got {value!r}')
+    return value
+
+
 def config_numbers(block, where, required=(), **kinds):
     """The entries block gives, each key one of ``kinds``: a number of its kind
     (``config_number``), or any value where the kind is None (a name, a block).
-    A missing ``required`` key, an unknown key or a wrong type is a
-    PreconditionError naming the key."""
+    A block that is not a JSON object is a PreconditionError naming it; a
+    missing ``required`` key, an unknown key or a wrong type is one naming the
+    key."""
+    if not isinstance(block, dict):
+        raise PreconditionError(f"{where} must be a JSON object, got {block!r}")
     for key in required:
         if key not in block:
             raise PreconditionError(f'{where} lacks the key "{key}"')
@@ -120,7 +130,7 @@ def band_from_config(block):
 
 def flow_from_config(block, band=None):
     """HamiltonianSpec from a {kind, kappa, band} block; a scenario passes its own band."""
-    own_band = block.get("kind") == "hkappa_band" and band is None
+    own_band = band is None and isinstance(block, dict) and block.get("kind") == "hkappa_band"
     f = config_numbers(block, "flow block", ("kind",) + (("kappa", "band") if own_band else ()),
                        kind=None, kappa=float, band=None)
     if own_band:
@@ -131,9 +141,9 @@ def flow_from_config(block, band=None):
 
 def field_from_config(block, grid):
     """Field from a config block: a ``modes`` list {j, re, im}, else a prototype."""
-    if "modes" in block:
+    if isinstance(block, dict) and "modes" in block:
         entries = [config_numbers(e, "modes entry", ("j",), j=int, re=float, im=float)
-                   for e in block["modes"]]
+                   for e in config_list(block["modes"], "modes")]
         return field_from_modes(grid, [(e["j"], complex(e.get("re", 0.0), e.get("im", 0.0)))
                                        for e in entries])
     return periodized_field(prototype_callable(block), grid)

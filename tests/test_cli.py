@@ -717,3 +717,32 @@ def test_report_of_files_it_cannot_read_exit_code_2(tmp_path, capsys, monkeypatc
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition failure:") and named in err
+
+
+GREENS = {"grid": GRID, "initial": MODES}
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("greens", dict(GREENS, grid=5), "grid block must be a JSON object"),
+    ("greens", dict(GREENS, initial=3), "initial block must be a JSON object"),
+    ("greens", dict(GREENS, initial={"modes": [5]}), "modes entry must be a JSON object"),
+    ("greens", dict(GREENS, initial={"modes": {"j": 1}}), '"modes" must be a list'),
+    ("greens", dict(GREENS, kappas=2.0), '"kappas" must be a list'),
+    ("evolve", dict(EVOLVE, probes=2.0), '"probes" must be a list'),
+    ("squeeze", {"scenario": []}, "scenario block must be a JSON object"),
+    ("squeeze", {"scenario": SCENARIO, "search": []}, "search block must be a JSON object"),
+    ("cutcompare", dict(CUTCOMPARE, partition=64), "partition block must be a JSON object"),
+    ("sweep-band", dict(SWEEP_BAND, bands={"m": 0.25, "M": 2.0}), '"bands" must be a list'),
+    ("evolve", dict(EVOLVE, flow=5), "flow block must be a JSON object"),
+    ("squeeze", {"scenario": dict(SCENARIO, center=5)}, "prototype block must be a JSON object"),
+    ("cutcompare", dict(CUTCOMPARE, box_cutoff=96), 'unknown key "box_cutoff"'),
+], ids=["grid_number", "initial_number", "mode_entry_number", "modes_object",
+        "kappas_number", "probes_number", "scenario_list", "search_list", "partition_number",
+        "bands_object", "flow_number", "center_number", "retired_box_cutoff"])
+def test_config_value_of_the_wrong_json_shape_exit_code_2(tmp_path, capsys, command, cfg,
+                                                          named):
+    code, out = run_cli(tmp_path, command, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:") and named in err
+    assert list(out.iterdir()) == []

@@ -629,23 +629,25 @@ class TestMonitors:
     def test_zero_trajectory_all_drifts_zero(self):
         grid = TorusGrid.make(TWO_PI, 16)
         traj = evolve(zero_field(grid), FlowSpec(HamiltonianSpec.kdv(), dt=1e-3,
-                                                 T=0.05, saves=5))
-        rep = monitors(traj, (2.0,))
+                                                 T=0.05, saves=5, probes=(2.0,)))
+        rep = monitors(traj)
         assert all(v == 0.0 for v in rep.drifts.values())
 
     def test_kdv_conserves_its_invariants(self):
         grid = TorusGrid.make(TWO_PI, 32)
         traj = evolve(small_smooth(grid),
-                      FlowSpec(HamiltonianSpec.kdv(), dt=1e-3, T=1.0, saves=8))
-        rep = monitors(traj, (2.0, 4.0))
+                      FlowSpec(HamiltonianSpec.kdv(), dt=1e-3, T=1.0, saves=8,
+                               probes=(2.0, 4.0)))
+        rep = monitors(traj)
         assert max(rep.drifts.values()) <= 1e-6
         assert all(rep.certified.values())
 
     def test_hkappa_conserves_alpha_at_other_kappa(self):
         grid = TorusGrid.make(TWO_PI, 32)
         traj = evolve(small_smooth(grid),
-                      FlowSpec(HamiltonianSpec.hkappa(2.0), dt=1e-3, T=0.5, saves=5))
-        rep = monitors(traj, (2.0, 3.0))
+                      FlowSpec(HamiltonianSpec.hkappa(2.0), dt=1e-3, T=0.5, saves=5,
+                               probes=(2.0, 3.0)))
+        rep = monitors(traj)
         assert rep.drifts["alpha(2)"] <= 1e-7
         assert rep.drifts["alpha(3)"] <= 1e-6
 
@@ -663,16 +665,19 @@ class TestMonitors:
         traj = evolve(small_smooth(grid),
                       FlowSpec(HamiltonianSpec.kdv(), dt=1e-3, T=0.05, saves=5,
                                probes=(2.0, 4.0)))
-        recomputed = monitors(replace(traj, monitors={}))
+        probed = {kap: alphas_of(traj.states, kap) for kap in (2.0, 4.0)}
 
         def no_probe(*args):
             raise AssertionError("monitors() recomputed a stored probe")
 
         monkeypatch.setattr(flows, "alphas_of", no_probe)
         rep = monitors(traj)
-        assert rep.drifts == recomputed.drifts
-        assert rep.scales == recomputed.scales
-        assert rep.certified == recomputed.certified
+        for kap, alphas in probed.items():
+            vals = np.array([a.value for a in alphas])
+            scale = float(np.max(np.abs(vals)))
+            assert rep.scales[f"alpha({kap:g})"] == scale
+            assert rep.drifts[f"alpha({kap:g})"] == float(np.max(np.abs(vals - vals[0]))) / scale
+            assert rep.certified[f"alpha({kap:g})"] == all(a.hs_norm < 1.0 for a in alphas)
 
     def test_stacked_alpha_matches_each_state_alone(self):
         grid = TorusGrid.make(TWO_PI, K_STAR)
@@ -708,7 +713,7 @@ class TestMonitors:
         traj = evolve(zero_field(grid), FlowSpec(HamiltonianSpec.kdv(), dt=1e-3,
                                                  T=0.01, saves=2))
         with pytest.raises(PreconditionError):
-            monitors(traj, ())
+            monitors(traj)
 
 
 class TestCompareFlows:

@@ -609,6 +609,31 @@ class TestRiccatiRoute:
         warm = riccati_g(grid, 2.0, _riccati_half(grid, qh, 2.0, history.start()))
         assert np.linalg.norm(warm - cold) <= 1e-14 * np.linalg.norm(cold)
 
+    def test_warm_stack_retries_its_spoiled_row_cold(self, monkeypatch):
+        # four rows warm-started from their own last solves, one start spoiled 1e3x:
+        # the stack certifies the others and solves that row again alone and cold
+        grid = TorusGrid.make(2 * math.pi, K_STAR)
+        rng = np.random.default_rng(13)
+        qhs = np.array([small_random(grid, rng, hs, 2.0).coeffs[K_STAR:]
+                        for hs in (0.3, -0.5, 0.7, 0.9)])
+        starts = np.array([_riccati_half(grid, qh, 2.0)[3] for qh in qhs])
+        starts[2] *= 1e3
+        serial = [_riccati_half(grid, qh, 2.0, start) for qh, start in zip(qhs, starts)]
+        calls = []
+
+        def recording(grid, qh, kappa, nonlinear=None):
+            calls.append((qh, nonlinear))
+            return _riccati_half(grid, qh, kappa, nonlinear)
+
+        monkeypatch.setattr(greens, "_riccati_half", recording)
+        stack = greens._riccati_half(grid, qhs, 2.0, starts)
+        assert len(calls) == 2 and calls[0][0] is qhs
+        assert np.array_equal(calls[1][0], qhs[2]) and calls[1][1] is None
+        for i, alone in enumerate(serial):
+            g, ref = riccati_g(grid, 2.0, (stack[0][i], stack[1][i])), riccati_g(grid, 2.0, alone)
+            assert np.linalg.norm(g - ref) <= 1e-13 * np.linalg.norm(ref)
+            assert abs(stack[1][i] - alone[1]) <= 1e-13 * (2.0 + alone[1])
+
     def test_non_real_potential_refused(self):
         grid = TorusGrid.make(2 * math.pi, K_STAR)
         c = np.zeros(2 * K_STAR + 1, dtype=complex)

@@ -14,7 +14,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kdvlab"
 # public names no src code references yet, each with the reason it stays
 UNREFERENCED = {
     "product_coeffs": "bench/ksweep.py times it as the spectral product layer",
-    "calibrate_budget": "derives flows.HM1_RADIUS; leaves with the dense-route oracles",
+    "calibrate_budget": ("its green_diagonal and assemble_resolvent imports are the flows "
+                         "bindings that bench/tests/test_bench.py reads"),
     "green_diagonal_series": "dense-route series oracle of the tests; leaves with them",
     "alpha_series": "dense-route series oracle of the tests; leaves with them",
     "alpha_gradient_field": "dense-route oracle of the tests; leaves with them",
