@@ -35,13 +35,10 @@ from .greens import (
     GreenResult,
     ResolventContext,
     alpha,
-    alpha_gradient_field,
     alpha_of,
-    alpha_series,
     assemble_resolvent,
     free_diagonal_constant,
     green_diagonal,
-    green_diagonal_series,
     green_of,
     hs_norm,
     polynomial_invariants,
@@ -52,7 +49,6 @@ from .flows import (
     FlowSpec,
     HamiltonianSpec,
     Trajectory,
-    calibrate_budget,
     evolve,
     evolve_batch,
     kappa_sweep,

@@ -189,10 +189,9 @@ def _window_product_coeffs(u, part, out_cutoff):
     to the constant e^{2 pi i J k/N}, the roll of window 0's length-P transform
     by kP/N: u-hat and window 0 are transformed once, and each window costs
     one inverse FFT.  P keeps every prime factor of N, so a prime N gives
-    transforms of a slower length: on cut_compare's input (K_u = 128)
-    ``localized_norms`` took 2.2 ms at N = 61 and 1.6 ms at N = 64, against
-    5.0 ms at either N with a forward and an inverse transform of smooth
-    length per window.  One window at a time keeps the memory of a row."""
+    transforms of a slower length, still faster than a forward and an inverse
+    transform of smooth length per window (timings in CHANGES.md, issue 23).
+    One window at a time keeps the memory of a row."""
     ku = u.grid.cutoff
     n, j = part.N, out_cutoff + ku
     shift = next_fast_len((2 * j + n) // n)  # so that P = N shift >= 2J + 1

@@ -27,9 +27,8 @@ the float view (re, im, re, ...) of the (B, K+1) half stack: a (2K+2, n)
 matrix of weighted cos/-sin rows gives the samples of q, and an (n, 2K+2)
 matrix takes q^2 to modes 0..K with the 1/n and the 6 pi i j / l folded in
 (n = next_fast_len(3K+1)).  Above it, the kernel is one inverse and one
-forward real FFT of the real-transform length next_fast_len(3K+1, real=True):
-400 and 800 points in place of 385 and 770 at K = 128 and 256 take 0.91x the
-time per call at B = 1 and 0.70-0.78x at B = 18 (one thread, 2 vCPU Xeon).
+forward real FFT of the real-transform length next_fast_len(3K+1, real=True),
+which was faster than the complex length (timings in CHANGES.md, issue 23).
 At small K numpy's per-call FFT overhead, not arithmetic, sets the cost,
 and the matrices' O(B K^2) lead over the FFTs' O(B K log K) shrinks with K
 and B: DFT_MAX_CUTOFF = 64 is the largest K at which the matrices were at
@@ -56,10 +55,11 @@ transport 4 kappa^2 d/dx; 7 is the largest order at which cut_compare's
 residuals per solve stayed at their floor (CHANGES.md).  The loop, not greens,
 builds the start, since the RK cadence and the multiplier are its facts.  A poor start costs Newton steps only: the
 solve still certifies or raises, and a warm start that fails is retried cold.
-Below K* (and for the linear kinds) it is ``rhs`` on the full row less the
-linear symbol's part, with g from ``greens.green_of`` (dense below K*), which
-raises a CertificationError where the dense I + B is not positive definite, as
-the Riccati route does where -d^2 + q + kappa^2 is not positive.
+Below K* it is ``rhs`` on the full row less the linear symbol's part, with g
+from ``greens.green_of`` (dense below K*), which raises a CertificationError
+where the dense I + B is not positive definite, as the Riccati route does
+where -d^2 + q + kappa^2 is not positive.  The linear kinds have no remainder:
+their step is the exact multiplier e^{lambda dt}.
 The alpha monitors take alpha on the route of g, so the flow conserves the
 alpha its g belongs to.  ``evolve`` computes the monitors of its saved states
 after the loop, alpha and hs as one ``alphas_of`` stack per probe kappa;
@@ -84,20 +84,17 @@ from .greens import (
     _riccati_half,
     _riccati_plan,
     alphas_of,
-    assemble_resolvent,
     first_order_green,
-    green_diagonal,
     green_of,
-    hs_norm,
     polynomial_invariants,
 )
+# bench/tests/test_bench.py line 74 reads this binding until ROADMAP item 1 unpins it
+from .greens import green_diagonal  # noqa: F401
 from .spectral import (
     MultiplierSpec,
     PeriodicField,
-    TorusGrid,
     _hermitize,
     derivative,
-    make_field,
     next_fast_len,
     sobolev_norm,
 )
@@ -122,7 +119,7 @@ class HamiltonianSpec:
                 raise PreconditionError(
                     f"hkappa flows need a finite kappa >= 1, got {self.kappa}")
         if self.kind == "hkappa_band":
-            if self.band is None or self.band.kind != "band":
+            if self.band is None:
                 raise PreconditionError("hkappa_band needs a band MultiplierSpec")
 
     @classmethod
@@ -151,45 +148,11 @@ class HamiltonianSpec:
 
 
 # The H^{-1} radius of the small-data regime (the KV18 well-posedness ball) that
-# ``evolve`` holds H_kappa trajectories to.  Frozen from ``calibrate_budget``
-# sweeps over circle lengths 2 and 2*pi, cutoffs 24-32, kappa in {1,2,4,8}
-# (seed 0): the largest H^{-1} ball keeping ||B||_HS <= 1/2 came out at
-# delta0 ~ 1.08; this is the rounded-down value.
+# ``evolve`` holds H_kappa trajectories to.  Frozen from
+# ``tests/oracles.calibrate_budget`` sweeps over circle lengths 2 and 2*pi,
+# cutoffs 24-32, kappa in {1,2,4,8} (seed 0): the largest H^{-1} ball keeping
+# ||B||_HS <= 1/2 came out at delta0 ~ 1.08; this is the rounded-down value.
 HM1_RADIUS = 0.85
-
-
-def calibrate_budget(length, cutoff, kappas=(1.0, 2.0, 4.0, 8.0), trials=24, seed=0):
-    """Empirical smallness budget (delta0, lipschitz) for a grid family.
-
-    delta0: largest H^{-1} radius keeping ||B||_HS <= 1/2 over the kappa grid
-    (worst case over random band-limited directions).  lipschitz: observed
-    bound for ||g(u)-g(v)||_{H^1} / ||u-v||_{H^{-1}} on small random pairs.
-    """
-    grid = TorusGrid.make(length, cutoff)
-    rng = np.random.default_rng(seed)
-    worst_ratio = 0.0  # hs norm per unit H^{-1} norm
-    for _ in range(trials):
-        c = rng.standard_normal(2 * cutoff + 1) + 1j * rng.standard_normal(2 * cutoff + 1)
-        f = make_field(grid, coeffs=c)
-        nrm = sobolev_norm(f, -1.0)
-        for kap in kappas:
-            ratio = hs_norm(assemble_resolvent(f, kap)) / nrm
-            worst_ratio = max(worst_ratio, ratio)
-    delta0 = 0.5 / worst_ratio
-    lip = 0.0
-    for _ in range(trials):
-        c = rng.standard_normal(2 * cutoff + 1) + 1j * rng.standard_normal(2 * cutoff + 1)
-        d = rng.standard_normal(2 * cutoff + 1) + 1j * rng.standard_normal(2 * cutoff + 1)
-        u = make_field(grid, coeffs=c)
-        u = u * (0.25 * delta0 / sobolev_norm(u, -1.0))
-        v = u + make_field(grid, coeffs=d) * (0.05 * delta0 / sobolev_norm(make_field(grid, coeffs=d), -1.0))
-        for kap in kappas:
-            gu = green_diagonal(assemble_resolvent(u, kap)).g
-            gv = green_diagonal(assemble_resolvent(v, kap)).g
-            num = sobolev_norm(gu - gv, 1.0)
-            den = sobolev_norm(u - v, -1.0)
-            lip = max(lip, num / den)
-    return float(delta0), float(lip)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +417,10 @@ def _lawson_rk4(q0s, spec, on_save=None):
     transport = None
     if ham.kind == "kdv":
         nonlinear = _kdv_nonlinear(grid)
+    elif ham.is_linear:
+        nonlinear = np.zeros_like  # no remainder: a step is c <- e^{lambda dt} c
     else:
-        if not ham.is_linear and k >= RICCATI_MIN_CUTOFF:
+        if k >= RICCATI_MIN_CUTOFF:
             row_term = _hkappa_nonlinear(grid, ham)
             # modes K+1..M of w move with the transport 4 kappa^2 d/dx alone
             j = np.arange(_riccati_plan(grid, ham.kappa)[0] + 1)

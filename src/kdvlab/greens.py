@@ -13,7 +13,7 @@ Dense route.  In the Fourier basis e_j of T_l the operator
 
 and A = D^{1/2} (I + B) D^{1/2} with D = diag(omega) defines the normalized
 perturbation B[a, b] = qhat((a-b)/l) / sqrt(omega_a omega_b), the object whose
-Hilbert-Schmidt norm controls every series here.
+Hilbert-Schmidt norm controls the expansions in q.
 
 q is real, so the hot path never forms the complex B.  It works in the
 orthonormal real basis (e_0, cos_1..cos_K, sin_1..sin_K), where B_r = U^H B U
@@ -37,11 +37,10 @@ and the renormalized log-determinant
 
     alpha(kappa; q) = -log det(I + B) + tr B = sum_{l>=2} (-1)^l/l tr(B^l)
 
-are taken from B_r as well.  The complex B, A and ``apply_operator`` are
-built only on first use: they are oracles for the tests and the series routes.
-LAPACK (``scipy.linalg``) is imported on the first dense inverse, and no
-other kdvlab module imports scipy, so a run that stays on the Riccati route,
-or runs no H_kappa flow, never loads scipy at all.
+are taken from B_r as well (the complex B and the Neumann series are test
+oracles, in ``tests/oracles.py``).  LAPACK (``scipy.linalg``) is imported on
+the first dense inverse, and no other kdvlab module imports scipy, so a run
+that stays on the Riccati route, or runs no H_kappa flow, never loads scipy.
 
 Two exactness conventions: the free diagonal constant on the circle is the
 closed form g0 = coth(kappa l / 2) / (2 kappa) rather than the truncated
@@ -53,8 +52,6 @@ closed form (k = d/l)
 
     S(d) / l = 2 g0 / (4 pi^2 k^2 + 4 kappa^2)
                + [d = 0] l e^{-kappa l} / (2 kappa^2 (1 - e^{-kappa l})^2).
-
-The series oracles keep the bare truncation.
 
 Floquet-Riccati route.  m = psi'/psi for the two Floquet solutions of
 -psi'' + (q + kappa^2) psi = 0 gives the periodic branches m_- ~ +kappa and
@@ -71,15 +68,10 @@ transforms, as every transform here is real), so the residual
 
     F-hat = (ik +- 2 kappa) w-hat - qhat + P_M rfft(w^2)
 
-is alias-free and costs two transforms.  With M = K the Riccati g on rough data
-(kappa = 1, ||B||_HS = 0.99, K = 64) was further from the dense g at 4K than
-the dense g at K; with M = 3K/2 it was closer by 900x or more in all 18 cases
-tried (l = 2 pi, 16, 32; K = 48, 64, 128; kappa = 1, 4; rough and smooth q).
-n, M, ik and the other operators are cached per (grid, kappa).  n is 300, 600
-and 1350 at K = 64, 128 and 288, where the 2*3*5*7*11 rule for complex
-transforms gives 294, 588 and 1320; one irfft, square and rfft of the
-(2, M + 1) stack took 8.2, 10.9 and 17.4 us against 9.1, 12.1 and 19.0 us
-(timeit minima, one BLAS thread, 2 vCPU).
+is alias-free and costs two transforms.  M = 3K/2 because with M = K the
+Riccati g on rough data was further from the dense g at 4K than the dense g at
+K (accuracy figures and the real length's transform timings in CHANGES.md,
+issue 23).  n, M, ik and the other operators are cached per (grid, kappa).
 
 ``_riccati_half`` is the one Riccati driver.  It solves one half row of qhat
 (modes 0..K) or a stack (S, K + 1) of them, from the cold start or a warm
@@ -171,7 +163,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -242,26 +234,6 @@ class ResolventContext:
     @property
     def grid(self):
         return self.q.grid
-
-    @cached_property
-    def B(self):
-        """Complex normalized perturbation in the mode basis (oracle)."""
-        k = self.grid.cutoff
-        qext = np.zeros(4 * k + 1, dtype=complex)
-        qext[k:3 * k + 1] = self.q.coeffs  # qext[d + 2k] = qhat(d/l)
-        idx = np.arange(2 * k + 1)
-        inv_sq = 1.0 / np.sqrt(self.omega)
-        return qext[idx[:, None] - idx[None, :] + 2 * k] * np.outer(inv_sq, inv_sq)
-
-    @property
-    def A(self):
-        """Dense Hermitian matrix of -d^2/dx^2 + q + kappa^2 in the mode basis."""
-        sq = np.sqrt(self.omega)
-        return self.B * np.outer(sq, sq) + np.diag(self.omega)
-
-    def apply_operator(self, coeffs):
-        """A acting on a coefficient vector (for oracle checks)."""
-        return self.A @ np.asarray(coeffs, dtype=complex)
 
     def inv_ib(self):
         """Upper triangle of (I + B_r)^{-1}, cached; the strict lower part is zero.
@@ -376,7 +348,6 @@ class GreenResult:
     kappa: float
     method: str
     free_constant: float
-    tail_bound: float | None = None
     certified: bool = True
 
 
@@ -431,45 +402,6 @@ def green_diagonal(ctx):
                        certified=ctx.positive_definite)
 
 
-def green_diagonal_series(q, kappa, l_max):
-    """Partial Neumann series for the diagonal Green's function.
-
-    Term l is (-1)^l times the anti-diagonal sums of D^{-1/2} B^l D^{-1/2};
-    the l=0 term is the exact circle constant.  Certified with a geometric
-    tail bound when ||B||_HS < 1, otherwise returned tagged uncertified.
-    """
-    ctx = assemble_resolvent(q, kappa)
-    grid = ctx.grid
-    free = free_diagonal_constant(kappa, grid.length)
-    _, _, sum_inv_omega = _pair_sums(grid, kappa)
-    inv_sq = 1.0 / np.sqrt(ctx.omega)
-    scale = np.outer(inv_sq, inv_sq)
-
-    c = np.zeros(2 * grid.cutoff + 1, dtype=complex)
-    c[grid.cutoff] = free  # exact free diagonal (l = 0)
-    power = np.eye(ctx.B.shape[0], dtype=complex)
-    sign = 1.0
-    for _ in range(1, int(l_max) + 1):
-        power = power @ ctx.B
-        sign = -sign
-        term = _lag_sums(power * scale)[grid.cutoff:3 * grid.cutoff + 1] / grid.length
-        # keep the exact free constant convention at d = 0
-        c += sign * term
-
-    norm = hs_norm(ctx)
-    if norm < 1.0:
-        tail = norm ** (l_max + 1) / (1.0 - norm) * (sum_inv_omega / grid.length)
-        certified = True
-    else:
-        tail = None
-        certified = False
-    g = PeriodicField(grid, _hermitize(c))
-    return GreenResult(
-        g=g, kappa=float(kappa), method=f"series(l_max={int(l_max)})",
-        free_constant=free, tail_bound=tail, certified=certified,
-    )
-
-
 # ---------------------------------------------------------------------------
 # perturbation determinant
 # ---------------------------------------------------------------------------
@@ -480,8 +412,6 @@ class AlphaResult:
     kappa: float
     method: str
     hs_norm: float
-    tail_bound: float | None = None
-    certified: bool = True
 
 
 def alpha(ctx):
@@ -496,26 +426,6 @@ def alpha(ctx):
     tail = 0.5 * float(np.sum(np.abs(ctx.q.coeffs) ** 2 * (s_full - s_in)))  # second order
     value = -float(np.sum(np.log1p(evals))) + trace_b + tail
     return AlphaResult(value=value, kappa=ctx.kappa, method="logdet", hs_norm=hs_norm(ctx))
-
-
-def alpha_series(ctx, l_max):
-    """Partial sum  sum_{l=2}^{l_max} (-1)^l/l tr(B^l)  with a geometric tail."""
-    evals = np.linalg.eigvalsh(ctx.B)
-    value = 0.0
-    for l in range(2, int(l_max) + 1):
-        value += (-1.0) ** l / l * float(np.sum(evals ** l))
-    norm = hs_norm(ctx)
-    if norm < 1.0:
-        nterm = max(int(l_max) + 1, 2)
-        tail = norm ** nterm / (nterm * (1.0 - norm))
-        certified = True
-    else:
-        tail = None
-        certified = False
-    return AlphaResult(
-        value=value, kappa=ctx.kappa, method=f"series(l_max={int(l_max)})",
-        hs_norm=norm, tail_bound=tail, certified=certified,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -714,14 +624,6 @@ def alpha_of(q, kappa):
     """alpha(kappa; q) for a real q: ``alphas_of`` of the one q."""
     (a,) = alphas_of([q], kappa)
     return a
-
-
-def alpha_gradient_field(ctx):
-    """The variational derivative of alpha as a field: free constant minus g."""
-    res = green_diagonal(ctx)
-    c = -res.g.coeffs.copy()
-    c[ctx.grid.cutoff] += res.free_constant
-    return PeriodicField(ctx.grid, _hermitize(c))
 
 
 # ---------------------------------------------------------------------------

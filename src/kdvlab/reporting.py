@@ -4,9 +4,8 @@ Floats are written with repr (shortest round-trip form), files are digested
 with sha256, and manifests serialize with sorted keys, so re-running a
 configuration byte-reproduces every artifact.  A rerun into the same output
 directory unlinks each old file and creates it anew: on ext4, a file truncated
-and rewritten in place is flushed at close, ~56 ms per 180 KB file against
-~0.03 ms for unlink and create (medians of 10 writes, 2 vCPU box, virtual
-disk).  A manifest's ``versions`` lists the libraries the run loaded:
+and rewritten in place is flushed at close, which unlink and create avoid
+(timings in CHANGES.md, issue 23).  A manifest's ``versions`` lists the libraries the run loaded:
 kdvlab, numpy and Python always, scipy only when the dense resolvent route
 imported its LAPACK.
 """

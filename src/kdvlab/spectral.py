@@ -349,8 +349,6 @@ def bump_profile(xi):
 
 
 def _check_dyadic(value, name):
-    if value is None:
-        return None
     v = float(value)
     if v <= 0:
         raise PreconditionError(f"{name} must be a positive dyadic number")
@@ -362,44 +360,24 @@ def _check_dyadic(value, name):
 
 @dataclass(frozen=True)
 class MultiplierSpec:
-    """Smooth Littlewood-Paley multiplier: low (<=N), high (>N), or band (N,M]."""
+    """Smooth Littlewood-Paley band multiplier on frequencies (N, M]."""
 
-    kind: str  # "low" | "high" | "band"
-    N: float | None = None
-    M: float | None = None
+    N: float
+    M: float
 
     def __post_init__(self):
-        if self.kind not in ("low", "high", "band"):
-            raise PreconditionError(f"unknown multiplier kind {self.kind!r}")
         object.__setattr__(self, "N", _check_dyadic(self.N, "N"))
         object.__setattr__(self, "M", _check_dyadic(self.M, "M"))
-        if self.kind in ("low", "high") and self.N is None:
-            raise PreconditionError("low/high multipliers need a threshold N")
-        if self.kind == "band":
-            if self.N is None or self.M is None:
-                raise PreconditionError("band multiplier needs both N and M")
-            if not self.N < self.M:
-                raise PreconditionError("band multiplier needs N < M")
-
-    @classmethod
-    def low(cls, N):
-        return cls("low", N=N)
-
-    @classmethod
-    def high(cls, N):
-        return cls("high", N=N)
+        if not self.N < self.M:
+            raise PreconditionError("band multiplier needs N < M")
 
     @classmethod
     def band(cls, N, M):
-        return cls("band", N=N, M=M)
+        return cls(N=N, M=M)
 
     def values(self, freqs):
         """Multiplier evaluated on an array of frequencies."""
         xi = np.asarray(freqs, dtype=float)
-        if self.kind == "low":
-            return bump_profile(xi / self.N)
-        if self.kind == "high":
-            return 1.0 - bump_profile(xi / self.N)
         return bump_profile(xi / self.M) - bump_profile(xi / self.N)
 
 

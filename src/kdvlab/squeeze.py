@@ -173,6 +173,10 @@ class SqueezeScenario:
                 raise PreconditionError(f"scenario {name} must be finite, got {value}")
         if not (0 < self.r < self.R):
             raise PreconditionError("need 0 < r < R")
+        if self.T < 0:
+            raise PreconditionError(f"scenario T must be nonnegative, got {self.T}")
+        if self.seed < 0:
+            raise PreconditionError(f"scenario seed must be nonnegative, got {self.seed}")
         nrm = sobolev_norm(self.observable, 0.5, homogeneous=True)
         if abs(nrm - 1.0) > 1e-10:
             raise PreconditionError(f"observable norm {nrm} is not 1 within 1e-10")
@@ -266,11 +270,8 @@ def _propagate_linear(q, ham, T):
 
 
 def _evolve_all(scenario, q0s, dt):
-    """q(T) for each of q0s under the scenario flow: one ``evolve_batch`` on the
-    nonlinear kinds (a stopped member's entry is its KdvLabError), the exact
-    propagator on the linear ones."""
-    if scenario.flow.is_linear:
-        return [_propagate_linear(q0, scenario.flow, scenario.T) for q0 in q0s]
+    """q(T) for each of q0s under the scenario flow, as one ``evolve_batch`` (a
+    stopped member's entry is its KdvLabError)."""
     return evolve_batch(q0s, FlowSpec(scenario.flow, dt=dt, T=scenario.T, saves=1))
 
 
@@ -491,10 +492,10 @@ def image_area(scenario, dt=1e-3):
     """Signed area enclosed by the image of the slice circle under
     q -> <l, q(T)> + i <l_H, q(T)>, with l_H the Hilbert partner of l.
 
-    The LOOP_POINTS points of ``slice_loop`` are evolved as one batch (the
-    exact propagator on the linear kinds), and the first failed point's error
-    is raised.  The loop w(theta) = sum_k what_k e^{i k theta} encloses
-    pi sum_k k |what_k|^2, exact when w has no mode at or beyond n/2.  On a
+    The LOOP_POINTS points of ``slice_loop`` are evolved as one batch, and the
+    first failed point's error is raised.  The loop
+    w(theta) = sum_k what_k e^{i k theta} encloses pi sum_k k |what_k|^2,
+    exact when w has no mode at or beyond n/2.  On a
     unit-modulus linear flow w is the circle of radius R, so the area is
     pi R^2; on a nonlinear flow it is a probe near pi R^2 while the pairings
     stay near-linear on the slice.

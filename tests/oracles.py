@@ -1,22 +1,36 @@
 """Helpers the tests use to check lab code, kept out of the library because no
-subcommand reaches them: field constructors and symmetries, line data and
+subcommand reaches them: field constructors and symmetries, Littlewood-Paley
+low and high projections, the dense route's complex-basis matrices and
+Neumann series, the calibration behind ``flows.HM1_RADIUS``, line data and
 its periodization, the flows' Hamiltonians, trajectory comparisons and the
 locality probes of the circle-to-line bridge."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from kdvlab.bridge import RampBump, _evolution_field
 from kdvlab.errors import PreconditionError, SupportError
 from kdvlab.flows import FlowSpec, HamiltonianSpec, _band_values, evolve
-from kdvlab.greens import alpha_of, green_of, polynomial_invariants
+from kdvlab.greens import (
+    _lag_sums,
+    _pair_sums,
+    alpha_of,
+    assemble_resolvent,
+    free_diagonal_constant,
+    green_diagonal,
+    green_of,
+    hs_norm,
+    polynomial_invariants,
+)
 from kdvlab.spectral import (
     LineField,
     PeriodicField,
     TorusGrid,
     _coeffs_from_samples,
     _hermitize,
+    bump_profile,
     cubic_integral,
     derivative,
     make_field,
@@ -45,6 +59,115 @@ def rescale(q, lam):
     """KdV scaling q^lam(x) = lam^2 q(lam x) (lam > 0); circle length becomes l/lam."""
     g = q.grid
     return PeriodicField(TorusGrid(g.length / lam, g.cutoff, g.samples), q.coeffs * lam ** 2)
+
+
+def low_project(f, N):
+    """Smooth Littlewood-Paley projection onto frequencies <= N."""
+    return PeriodicField(f.grid, f.coeffs * bump_profile(f.grid.frequencies / N))
+
+
+def high_project(f, N):
+    """Smooth Littlewood-Paley projection onto frequencies > N: f less ``low_project``."""
+    return PeriodicField(f.grid, f.coeffs * (1.0 - bump_profile(f.grid.frequencies / N)))
+
+
+def complex_b(ctx):
+    """The normalized perturbation B[a, b] = qhat((a-b)/l) / sqrt(omega_a omega_b) in
+    the complex mode basis, from a ``greens.assemble_resolvent`` context."""
+    k = ctx.grid.cutoff
+    qext = np.zeros(4 * k + 1, dtype=complex)
+    qext[k:3 * k + 1] = ctx.q.coeffs  # qext[d + 2k] = qhat(d/l)
+    idx = np.arange(2 * k + 1)
+    inv_sq = 1.0 / np.sqrt(ctx.omega)
+    return qext[idx[:, None] - idx[None, :] + 2 * k] * np.outer(inv_sq, inv_sq)
+
+
+def operator_matrix(ctx):
+    """Dense Hermitian matrix of -d^2/dx^2 + q + kappa^2 in the mode basis."""
+    sq = np.sqrt(ctx.omega)
+    return complex_b(ctx) * np.outer(sq, sq) + np.diag(ctx.omega)
+
+
+def green_diagonal_series(q, kappa, l_max):
+    """Partial Neumann series for the diagonal Green's function, with the bare
+    truncation (no lattice tail).
+
+    Term l is (-1)^l times the lag sums of D^{-1/2} B^l D^{-1/2}; the l = 0
+    term is the exact circle constant.  Certified with a geometric tail bound
+    when ||B||_HS < 1, else tagged uncertified with no bound.
+    """
+    ctx = assemble_resolvent(q, kappa)
+    grid = ctx.grid
+    k = grid.cutoff
+    b = complex_b(ctx)
+    inv_sq = 1.0 / np.sqrt(ctx.omega)
+    scale = np.outer(inv_sq, inv_sq)
+    c = np.zeros(2 * k + 1, dtype=complex)
+    c[k] = free_diagonal_constant(kappa, grid.length)
+    power = np.eye(len(b), dtype=complex)
+    for l in range(1, int(l_max) + 1):
+        power = power @ b
+        c += (-1.0) ** l * _lag_sums(power * scale)[k:3 * k + 1] / grid.length
+    norm = hs_norm(ctx)
+    certified = norm < 1.0
+    tail = (norm ** (l_max + 1) / (1.0 - norm) * (_pair_sums(grid, kappa)[2] / grid.length)
+            if certified else None)
+    return SimpleNamespace(g=PeriodicField(grid, _hermitize(c)), tail_bound=tail,
+                           certified=certified)
+
+
+def alpha_series(ctx, l_max):
+    """Partial sum sum_{l=2}^{l_max} (-1)^l/l tr(B^l), with a geometric tail bound
+    when ||B||_HS < 1 (else tagged uncertified with no bound)."""
+    evals = np.linalg.eigvalsh(complex_b(ctx))
+    value = sum((-1.0) ** l / l * float(np.sum(evals ** l)) for l in range(2, int(l_max) + 1))
+    norm = hs_norm(ctx)
+    certified = norm < 1.0
+    nterm = max(int(l_max) + 1, 2)
+    tail = norm ** nterm / (nterm * (1.0 - norm)) if certified else None
+    return SimpleNamespace(value=float(value), tail_bound=tail, certified=certified)
+
+
+def alpha_gradient_field(ctx):
+    """The variational derivative of the dense alpha as a field: free constant minus g."""
+    res = green_diagonal(ctx)
+    c = -res.g.coeffs.copy()
+    c[ctx.grid.cutoff] += res.free_constant
+    return PeriodicField(ctx.grid, _hermitize(c))
+
+
+def calibrate_budget(length, cutoff, kappas=(1.0, 2.0, 4.0, 8.0), trials=24, seed=0):
+    """Empirical smallness budget (delta0, lipschitz) for a grid family: the
+    provenance of ``flows.HM1_RADIUS``.
+
+    delta0: largest H^{-1} radius keeping ||B||_HS <= 1/2 over the kappa grid
+    (worst case over random band-limited directions).  lipschitz: observed
+    bound for ||g(u)-g(v)||_{H^1} / ||u-v||_{H^{-1}} on small random pairs.
+    """
+    grid = TorusGrid.make(length, cutoff)
+    rng = np.random.default_rng(seed)
+
+    def random_field():
+        c = rng.standard_normal(2 * cutoff + 1) + 1j * rng.standard_normal(2 * cutoff + 1)
+        return make_field(grid, coeffs=c)
+
+    worst_ratio = 0.0  # hs norm per unit H^{-1} norm
+    for _ in range(trials):
+        f = random_field()
+        nrm = sobolev_norm(f, -1.0)
+        for kap in kappas:
+            worst_ratio = max(worst_ratio, hs_norm(assemble_resolvent(f, kap)) / nrm)
+    delta0 = 0.5 / worst_ratio
+    lip = 0.0
+    for _ in range(trials):
+        u, d = random_field(), random_field()
+        u = u * (0.25 * delta0 / sobolev_norm(u, -1.0))
+        v = u + d * (0.05 * delta0 / sobolev_norm(d, -1.0))
+        for kap in kappas:
+            gu = green_diagonal(assemble_resolvent(u, kap)).g
+            gv = green_diagonal(assemble_resolvent(v, kap)).g
+            lip = max(lip, sobolev_norm(gu - gv, 1.0) / sobolev_norm(u - v, -1.0))
+    return float(delta0), float(lip)
 
 
 def make_line_field(box_length, cutoff, func, support, samples=None):

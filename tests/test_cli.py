@@ -506,6 +506,17 @@ def test_non_finite_scenario_field_exit_code_2(tmp_path, capsys, command, key, v
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["squeeze", "area"])
+@pytest.mark.parametrize("key, value", [("seed", -1), ("T", -0.2)], ids=["seed", "T"])
+def test_negative_scenario_seed_or_time_exit_code_2(tmp_path, capsys, command, key, value):
+    # on the linear flow, whose exact multiplier would run a negative T backwards
+    cfg = {"scenario": dict(SCENARIO, **{key: value})}
+    code, out = run_cli(tmp_path, command, cfg)
+    assert code == 2
+    assert f"scenario {key} must be nonnegative" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_squeeze_repeats_byte_identically(tmp_path):
     # a KdV search: the starts and each ascent round are one evolve batch
     cfg = {"scenario": dict(SCENARIO, flow={"kind": "kdv"}, T=0.05,

@@ -51,10 +51,11 @@ from kdvlab.greens import (
     assemble_resolvent,
 )
 from kdvlab.spectral import PeriodicField, product_coeffs
-from kdvlab.squeeze import periodized_field, prototype_callable
+from kdvlab.squeeze import _propagate_linear, periodized_field, prototype_callable
 
-from oracles import (compare_flows, hamiltonian_value, rescale, time_equicontinuity,
-                     translate, zero_field)
+from conftest import random_field
+from oracles import (calibrate_budget, compare_flows, hamiltonian_value, rescale,
+                     time_equicontinuity, translate, zero_field)
 
 TWO_PI = 2 * math.pi
 
@@ -292,6 +293,21 @@ class TestEvolveBatch:
         q0s = [small_smooth(grid), translate(small_smooth(grid, scale=2.0), 0.5)]
         for got, q0 in zip(evolve_batch(q0s, spec), q0s):
             assert _rel(got, evolve(q0, spec).final()) <= 1e-13
+
+    @pytest.mark.parametrize("ham", [HamiltonianSpec.kdv_linear(),
+                                     HamiltonianSpec.hkappa_linear(2.0)],
+                             ids=["kdv_linear", "hkappa_linear"])
+    def test_linear_kinds_step_the_exact_multiplier(self, ham, rng, monkeypatch):
+        # a linear flow has no remainder: each step is c <- e^{lambda dt} c, no rhs
+        def never(q, ham):
+            raise AssertionError("a linear flow evaluated rhs")
+
+        monkeypatch.setattr(flows, "rhs", never)
+        grid = TorusGrid.make(TWO_PI, 16)
+        q0s = [random_field(grid, rng, decay=1.5) for _ in range(8)]
+        spec = FlowSpec(ham, dt=1e-3, T=0.1, saves=1)
+        for got, q0 in zip(evolve_batch(q0s, spec), q0s):
+            assert _rel(got, _propagate_linear(q0, ham, spec.T)) <= 1e-12
 
     @pytest.mark.parametrize("ham", [HamiltonianSpec.kdv(), HamiltonianSpec.hkappa(2.0),
                                      HamiltonianSpec.hkappa_band(2.0, 0.25, 2.0)],
@@ -805,8 +821,6 @@ class TestGrowthBound:
 
 class TestBudget:
     def test_calibrated_default_matches_recalibration(self):
-        from kdvlab import calibrate_budget
-
         delta0, _ = calibrate_budget(2.0, 24, kappas=(1.0, 2.0), trials=6, seed=0)
         # the shipped radius is the conservative floor of such calibrations
         assert HM1_RADIUS <= delta0 * 1.5

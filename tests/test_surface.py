@@ -2,7 +2,8 @@
 
 Every public top-level function or class of ``src/kdvlab`` is referenced by
 another part of ``src`` (a subcommand's path), not only by ``__init__`` and
-the tests; and no module imports a name it does not use.  Helpers that only
+the tests; and no module imports a name it does not use, but for the
+``# noqa`` imports listed with their reasons.  Helpers that only
 tests need live in ``tests/oracles.py``.
 """
 
@@ -14,12 +15,15 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kdvlab"
 # public names no src code references yet, each with the reason it stays
 UNREFERENCED = {
     "product_coeffs": "bench/ksweep.py times it as the spectral product layer",
-    "calibrate_budget": ("its green_diagonal and assemble_resolvent imports are the flows "
-                         "bindings that bench/tests/test_bench.py reads"),
-    "green_diagonal_series": "dense-route series oracle of the tests; leaves with them",
-    "alpha_series": "dense-route series oracle of the tests; leaves with them",
-    "alpha_gradient_field": "dense-route oracle of the tests; leaves with them",
     "symplectic_form": "the symplectic form, for the slice-area probe to call",
+}
+
+# "module: imported name" of each import that src marks "# noqa", with the reason it stays
+NOQA_IMPORTS = {
+    "spectral: numpy.fft": "loads numpy's FFT module at import time, not in the first transform",
+    "cli: locale": "argparse's gettext imports it when the first parser is built",
+    "flows: green_diagonal": ("bench/tests/test_bench.py reads this binding until ROADMAP "
+                              "item 1 unpins it"),
 }
 
 
@@ -52,7 +56,7 @@ def test_every_public_definition_is_referenced_in_src():
 
 
 def test_no_module_imports_a_name_it_does_not_use():
-    unused = []
+    unused, noqa = [], []
     for name, tree in _modules().items():
         if name == "__init__":  # its imports are the package's exports
             continue
@@ -63,9 +67,12 @@ def test_no_module_imports_a_name_it_does_not_use():
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             if "# noqa" in lines[node.lineno - 1]:
+                noqa += [f"{name}: {alias.name}" for alias in node.names]
                 continue
             for alias in node.names:
                 bound = (alias.asname or alias.name).split(".")[0]
                 if bound not in used:
                     unused.append(f"{name}: {bound}")
     assert unused == []
+    assert sorted(set(noqa) - set(NOQA_IMPORTS)) == []
+    assert sorted(set(NOQA_IMPORTS) - set(noqa)) == []
