@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: evolve, greens, alpha, sweep-band, sweep-kappa, cutcompare,
-squeeze, area, report.  All take a JSON config and an output directory;
+squeeze, area, report.  All take a JSON config and an output directory,
+made at the first output written, so a refused run leaves none behind;
 outputs are CSV tables plus a manifest with sha256 digests.  Config blocks:
 
   grid     {length, cutoff K, samples (optional)}
@@ -304,7 +305,6 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
-    os.makedirs(args.out, exist_ok=True)
     command, required, optional = COMMANDS[args.command]
     try:
         cfg = _read_config(args.config)

@@ -40,9 +40,9 @@ row and stage: one Riccati solve for P_band q, then g less g0 and less its
 first-order part, times 16 kappa^5 (2 pi i j / l) P_band; the transport term
 and the first-order part of g are in the exactly propagated symbol.  Each row
 keeps a ``_StageHistory``, dropped with the row: the nonlinear part N that
-its newest Riccati solve returned, and per RK stage the increments over the
-solve before of that stage's last EXTRAPOLATION_ORDER = 7 steps, one
-(4, 7, 2, M + 1) complex array (M = 3K/2).  The N a solve returns is not its
+its newest Riccati solve returned, and per RK stage its extrapolation order p
+and the increments over the solve before of that stage's last p steps, one
+(4, 12, 2, M + 1) complex array (M = 3K/2).  The N a solve returns is not its
 certified iterate's but one diagonal Newton step past it, taken from the
 residual the solve already has (``greens._riccati_half``), so a solve whose
 start certifies as it stands still records new information.  Its next solve
@@ -51,10 +51,17 @@ those steps by binomial weights times the powers of the full-step
 multiplier, precomputed once per row: three numpy calls per start at any
 order.  The multiplier is e^{lambda dt} on modes 0..K and, on the modes
 K+1..M that only w has, the rotation e^{8 pi i kappa^2 j dt / l} of the
-transport 4 kappa^2 d/dx; 7 is the largest order at which cut_compare's
-residuals per solve stayed at their floor (CHANGES.md).  The loop, not greens,
-builds the start, since the RK cadence and the multiplier are its facts.  A poor start costs Newton steps only: the
-solve still certifies or raises, and a warm start that fails is retried cold.
+transport 4 kappa^2 d/dx.  Every stage starts at p = EXTRAPOLATION_ORDER = 7,
+the largest fixed order at which cut_compare's residuals per solve stayed at
+their floor.  A stage whose start at full order does not certify
+(``greens._riccati_half`` reports it) raises its own p by one, and p never
+falls: stages b and d of hkappa_evolve, half a step past a and c, need more
+steps than 7, and any fixed order above 7 cost cut_compare residuals.  The
+cap EXTRAPOLATION_MAX_ORDER = 12 gave the fewest residuals per solve over
+hkappa_evolve's 16 input variants (tables in CHANGES.md, issue 24).  The
+loop, not greens, builds the start, since the RK cadence and the multiplier
+are its facts.  A poor start costs Newton steps only: the solve still
+certifies or raises, and a warm start that fails is retried cold.
 Below K* it is ``rhs`` on the full row less the linear symbol's part, with g
 from ``greens.green_of`` (dense below K*), which raises a CertificationError
 where the dense I + B is not positive definite, as the Riccati route does
@@ -220,45 +227,67 @@ def _kdv_dft(grid):
     return partial(_dft_term, to_q, to_out)
 
 
-EXTRAPOLATION_ORDER = 7  # past steps a stage start extrapolates: the module docstring says why
+EXTRAPOLATION_ORDER = 7       # a stage's starting order: the module docstring says why
+EXTRAPOLATION_MAX_ORDER = 12  # the cap on a stage's rising order: the module docstring says why
 
 
 class _StageHistory:
     """One row's Riccati stage solves as the nonlinear parts N they return (w-hat
     less its linear response, one diagonal step past the certified iterate): the
-    newest N, and for each of the four RK stages the increments D_j of its
-    solves over the solve before them, j = 1..p steps back, newest first,
-    p = EXTRAPOLATION_ORDER.
+    newest N, and for each of the four RK stages its order p and the increments
+    D_j of its solves over the solve before them, j = 1..p steps back, newest
+    first.
 
     With T the full-step multiplier (e^{lambda dt} on modes 0..K, and on modes
     K+1..M, which only the transport 4 kappa^2 d/dx moves, e^{8 pi i kappa^2 j dt / l}),
     the next solve starts from N + sum_j (-1)^{j+1} C(r, j) T^j D_j: this stage's
     increment extrapolated through its last r steps and transported by the
-    linear flow, where r is the number of increments the stage has, at most p.
-    The start is N while r = 0, and cold (None) before the first solve.  A
-    history with no transport (None) starts from its newest solve only.
+    linear flow, where r, the depth, is the number of increments the stage has,
+    at most p.  The start is N while r = 0, and cold (None) before the first
+    solve.  Every order starts at EXTRAPOLATION_ORDER; a solve at full depth
+    whose start does not certify raises its stage's order by one, up to
+    EXTRAPOLATION_MAX_ORDER, and an order never falls.  A history with no
+    transport (None) starts from its newest solve only.
     """
 
     def __init__(self, transport):
         self.solves = 0
         self.newest = None
-        self.weights = []  # [r]: the (r, 1, M + 1) weights C(r, j) (-1)^{j+1} T^j
+        self.orders = [EXTRAPOLATION_ORDER] * 4
+        self.weights = []  # [r]: the (r, 1, M + 1) weights C(r, j) (-1)^{j+1} T^j, to the top order
         if transport is not None:
-            p = EXTRAPOLATION_ORDER
-            powers = np.cumprod(np.broadcast_to(transport, (p, len(transport))), axis=0)
-            self.weights = [_extrapolation_signs(r) * powers[:r, None, :] for r in range(p + 1)]
+            p = EXTRAPOLATION_MAX_ORDER
+            self.powers = np.cumprod(np.broadcast_to(transport, (p, len(transport))), axis=0)
+            self.weights = [self._weights(r) for r in range(EXTRAPOLATION_ORDER + 1)]
             self.increments = np.zeros((4, p, 2, len(transport)), dtype=complex)
 
+    def _weights(self, r):
+        return _extrapolation_signs(r) * self.powers[:r, None, :]
+
+    def depth(self):
+        """The number of increments the next start extrapolates through."""
+        if not (self.solves and self.weights):
+            return 0
+        return min((self.solves - 1) // 4, self.orders[self.solves % 4])
+
     def start(self):
-        r = min((self.solves - 1) // 4, len(self.weights) - 1)
-        if r <= 0:
+        r = self.depth()
+        if not r:
             return self.newest
         return self.newest + (self.weights[r] * self.increments[self.solves % 4, :r]).sum(axis=0)
 
-    def push(self, nonlinear):
+    def push(self, nonlinear, settled):
+        """Record a solve's N; ``settled``: its start certified as it stood."""
         if self.solves and self.weights:
-            d = self.increments[self.solves % 4]
-            d[1:] = d[:-1]
+            stage = self.solves % 4
+            p = self.orders[stage]
+            # a start at full depth, (solves - 1) // 4 >= p, that did not certify
+            if not settled and p < EXTRAPOLATION_MAX_ORDER and (self.solves - 1) // 4 >= p:
+                p = self.orders[stage] = p + 1
+                if p == len(self.weights):
+                    self.weights.append(self._weights(p))
+            d = self.increments[stage]
+            d[1:p] = d[:p - 1]
             np.subtract(nonlinear, self.newest, out=d[0])
         self.newest = nonlinear
         self.solves += 1
@@ -288,23 +317,23 @@ def _hkappa_nonlinear(grid, ham):
 def _hkappa_term(grid, kappa, w, amp, m_lin, h, history):
     if h[0].imag != 0.0:
         raise PreconditionError("q is not real: Im qhat(0) of its half row is not 0")
-    d, dtheta, _, nonlinear = _riccati_half(grid, w * h, kappa, history.start())
-    history.push(nonlinear)
+    d, dtheta, _, nonlinear, settled = _riccati_half(grid, w * h, kappa, history.start())
+    history.push(nonlinear, settled)
     return amp * (_riccati_green_hat(grid, kappa, d, dtheta) - m_lin * h)
 
 
 def rhs(q, ham):
-    """The right-hand side of the selected evolution at state q."""
+    """The right-hand side of a nonlinear evolution at state q.  The linear kinds
+    are refused: their step is the exact multiplier e^{lambda dt}."""
+    if ham.is_linear:
+        raise PreconditionError(f"rhs takes a nonlinear flow, not {ham.kind!r}, whose "
+                                "vector field is linear_symbol times q")
     grid = q.grid
     if ham.kind == "kdv":
         nonlinear = _kdv_nonlinear(grid)(q.coeffs[grid.cutoff:])
         return PeriodicField(grid, -derivative(q, 3).coeffs + _full_rows(nonlinear))
-    if ham.kind == "kdv_linear":
-        return -1.0 * derivative(q, 3)
     kap = ham.kappa
     transport = 4.0 * kap ** 2 * derivative(q, 1)
-    if ham.kind == "hkappa_linear":
-        return transport
     w = _band_values(ham, grid)
     qin = PeriodicField(grid, q.coeffs * w)
     gp = derivative(green_of(qin, kap).g, 1)

@@ -85,12 +85,15 @@ on modes 0..K.  w is translation-covariant, so its modes K+1..M, where q has
 none, rotate with that transport alone: by up to ~5 rad a step at kappa = 4,
 K = 64, dt = 1e-3.  The H_kappa flow
 guesses, per Lawson-RK4 row, the previous stage's N plus this stage's
-increment extrapolated through its last p = ``flows.EXTRAPOLATION_ORDER``
-steps and carried by the full-step multiplier: e^{lambda dt} on modes 0..K
-and the transport's rotation on K+1..M (``flows._StageHistory``).  Held
-fixed, modes K+1..M stalled the starts of stages b and d, half a step past
-the stage before, and p = 7 is the largest order at which cut_compare's
-residuals per stage solve stayed at their floor (tables in CHANGES.md).
+increment extrapolated through its last p steps and carried by the full-step
+multiplier: e^{lambda dt} on modes 0..K and the transport's rotation on
+K+1..M (``flows._StageHistory``).  Held fixed, modes K+1..M stalled the
+starts of stages b and d, half a step past the stage before.  p starts at
+``flows.EXTRAPOLATION_ORDER`` = 7, the largest fixed order at which
+cut_compare's residuals per stage solve stayed at their floor, and rises by
+one per start at full order that does not certify, up to
+``flows.EXTRAPOLATION_MAX_ORDER`` = 12, separately for each RK stage (the
+rule and the cap are argued in the flows docstring; tables in CHANGES.md).
 A row whose warm start fails to certify is solved again cold, so a poor
 guess costs Newton steps only.
 
@@ -134,14 +137,18 @@ digits the certified level does not ask for, at two transforms.
 
 The start itself is held to NEWTON_RTOL max |qhat|, not to rounding: a start
 at the certified level ends the solve with no step (the start stop), and
-every later iterate keeps the tests above.  The outputs are then read from
-an iterate whose residual was computed and is certified, as before, but a
-solve that takes no step learns nothing new, and a history that stored its
-iterate would extrapolate its own extrapolations.  So the nonlinear part
-``_riccati_half`` returns for the next start is the certified iterate's N
-less one diagonal correction F-hat / (lin + 2 Re w-hat_0), built from the
-residual the solve already has, at no transform; without that step the
-start stop saved few residuals (CHANGES.md).
+every later iterate keeps the tests above.  ``_riccati_half`` takes the
+start's residual itself and calls ``_newton`` only when the start misses,
+which goes on from that residual, so a solve whose start certifies makes one
+residual and the read-out, and reports itself ``settled`` (the flows raise a
+stage's extrapolation order on an unsettled start).  The outputs are then
+read from an iterate whose residual was computed and is certified, as
+before, but a solve that takes no step learns nothing new, and a history
+that stored its iterate would extrapolate its own extrapolations.  So the
+nonlinear part ``_riccati_half`` returns for the next start is the certified
+iterate's N less one diagonal correction F-hat / (lin + 2 Re w-hat_0), built
+from the residual the solve already has, at no transform; without that step
+the start stop saved few residuals (CHANGES.md).
 
 Averaging the equation of w_- gives, exactly,
 
@@ -468,31 +475,29 @@ def _newton_correction(plan, wh, fh, mean_m):
     return np.fft.rfft(np.fft.irfft(yh, n, norm="forward") / e, norm="forward")[..., :m + 1]
 
 
-def _newton(plan, qh, wh, scale):
-    """Correct w-hat from the start wh, one (2, M + 1) pair or a stack (S, 2, M + 1)
-    of them for the rows of qh: (w-hat, samples of w, residual F-hat, its largest
-    |F-hat|) of the iterate with the smallest largest residual over the stack.
-    Every test compares the stack's largest residual with scale, the smallest
-    row's max |qhat|, so one pair is solved as alone.  See the module docstring."""
-    m, n, _, lin, _, two_kappa = plan
-    k = qh.shape[-1] - 1
-    qh = qh[..., None, :]
+def _residual(plan, qh, wh):
+    """(samples of w, F-hat, its largest |F-hat|) at w-hat wh, one (2, M + 1) pair
+    or a stack (S, 2, M + 1), for qh with a unit axis for the pair: (..., 1, K + 1)."""
+    m, n, _, lin, _, _ = plan
+    w = np.fft.irfft(wh, n, norm="forward")
+    fh = np.fft.rfft(w * w, norm="forward")[..., :m + 1]
+    fh += lin * wh
+    fh[..., :qh.shape[-1]] -= qh
+    return w, fh, float(np.abs(fh).max())
 
-    def residual(wh):
-        w = np.fft.irfft(wh, n, norm="forward")
-        fh = np.fft.rfft(w * w, norm="forward")[..., :m + 1]
-        fh += lin * wh
-        fh[..., :k + 1] -= qh
-        return w, fh, float(np.abs(fh).max())
 
-    w, fh, res = residual(wh)
+def _newton(plan, qh, wh, w, fh, res, scale):
+    """Correct w-hat from an iterate wh whose samples w, residual fh and largest
+    |F-hat| res are at hand (a start above NEWTON_RTOL scale), one (2, M + 1) pair
+    or a stack (S, 2, M + 1) of them for the rows of qh (..., 1, K + 1): (w-hat,
+    samples of w, residual F-hat, its largest |F-hat|) of the iterate with the
+    smallest largest residual over the stack.  Every test compares the stack's
+    largest residual with scale, the smallest row's max |qhat|, so one pair is
+    solved as alone.  See the module docstring."""
+    _, _, _, lin, _, two_kappa = plan
     best = wh, w, fh, res
     diagonal, stale = True, 0
-    done = NEWTON_RTOL * scale  # a start at the certified level ends the solve
     for _ in range(NEWTON_MAX_STEPS):
-        if res <= done:
-            break
-        done = ROUNDING_RTOL * scale  # every later iterate goes on to rounding
         mean_m = 0.5 * two_kappa + wh[..., :1].real  # (theta, -theta) at a solution
         if not (two_kappa * mean_m).min() > 0.0:
             break  # both corrections are singular at mean(m) = 0, in any row
@@ -501,7 +506,7 @@ def _newton(plan, qh, wh, scale):
             new = wh - fh / (lin + 2.0 * wh[..., :1].real)
         else:
             new = wh - _newton_correction(plan, wh, fh, mean_m)
-        new_w, new_fh, new_res = residual(new)
+        new_w, new_fh, new_res = _residual(plan, qh, new)
         if diagonal and not new_res <= DIAGONAL_CUT * res:
             diagonal = False  # retake the step from wh as a Newton correction
             continue
@@ -514,45 +519,53 @@ def _newton(plan, qh, wh, scale):
             best, stale = (wh, w, fh, res), 0
         else:
             stale += 1  # Newton need not decrease the residual every step (a nan never does)
-        if (contracted or not halved and best[3] <= NEWTON_RTOL * scale
-                or stale == NEWTON_PATIENCE):
+        if (res <= ROUNDING_RTOL * scale or contracted
+                or not halved and best[3] <= NEWTON_RTOL * scale or stale == NEWTON_PATIENCE):
             break
     return best
 
 
 def _riccati_half(grid, qh, kappa, nonlinear=None):
     """(samples of m_- - m_+, theta - kappa, mean w_-^2, the nonlinear part of
-    w-hat) from qhat on modes 0..K (the mean is Re qhat(0)), for one half row qh
-    or for each row of a stack (S, K + 1) of them: see the module docstring.
+    w-hat, settled) from qhat on modes 0..K (the mean is Re qhat(0)), for one
+    half row qh or for each row of a stack (S, K + 1) of them: see the module
+    docstring.
 
     The nonlinear part is w-hat less the linear response of qh, a (2, M + 1)
     pair per row.  Given one (None for a cold start), the solve starts from the
-    linear response plus it.  A stack is solved as one and each row certified
-    after; a row that does not certify is solved again alone and cold, which
-    certifies it or raises its CertificationError.  The nonlinear part returned
-    is the certified iterate's less one diagonal correction
-    F-hat / (lin + 2 Re w-hat_0), from the residual the solve already has: the
-    next start, not the iterate the outputs were read from.
+    linear response plus it, and ``settled`` is whether that start certified as
+    it stood: one residual, the start stop, and no step or retry.  A stack is
+    solved as one and each row certified after; a row that does not certify is
+    solved again alone and cold, which certifies it or raises its
+    CertificationError.  The nonlinear part returned is the certified iterate's
+    less one diagonal correction F-hat / (lin + 2 Re w-hat_0), from the
+    residual the solve already has: the next start, not the iterate the
+    outputs were read from.
     """
     plan = _riccati_plan(grid, kappa)
     m, n, _, lin, _, two_kappa = plan
     k = grid.cutoff
     scales = np.abs(qh).max(axis=-1)
     scale = float(min(scales.flat))  # the smallest row's
+    pair = qh[..., None, :]  # one row of qhat for both branches
     # the linear response, w' +- 2 kappa w = q, is the cold start
     cold = np.zeros(qh.shape[:-1] + (2, m + 1), dtype=complex)
-    cold[..., :k + 1] = qh[..., None, :] / lin[:, :k + 1]
-    wh, w, fh, res = _newton(plan, qh, cold if nonlinear is None else cold + nonlinear, scale)
+    np.divide(pair, lin[:, :k + 1], out=cold[..., :k + 1])
+    wh = cold if nonlinear is None else cold + nonlinear
+    w, fh, res = _residual(plan, pair, wh)
+    settled = res <= NEWTON_RTOL * scale  # the start stop
+    if not settled:
+        wh, w, fh, res = _newton(plan, pair, wh, w, fh, res, scale)
     sq = np.vecdot(w[..., 0, :], w[..., 0, :]) / n
     dtheta = (qh[..., 0].real - sq) / (2.0 * kappa)
     d = two_kappa[0] + w[..., 0, :] - w[..., 1, :]
     # min over .flat is cheap on one row; a nan it may pass over fails res already
     if res <= NEWTON_RTOL * scale and kappa + min(dtheta.flat) > 0.0 and d.min() > 0.0:
         # one diagonal step past the certified iterate, from the residual at hand
-        return d, dtheta, sq, (wh - cold) - fh / (lin + 2.0 * wh[..., :1].real)
+        return d, dtheta, sq, (wh - cold) - fh / (lin + 2.0 * wh[..., :1].real), settled
     if qh.ndim == 1:  # one row: a warm start is retried cold, a cold one raises
         if nonlinear is not None:
-            return _riccati_half(grid, qh, kappa)
+            return _riccati_half(grid, qh, kappa)[:4] + (False,)
         if not res <= NEWTON_RTOL * scale:
             raise CertificationError(
                 f"Riccati Newton did not converge at kappa={kappa:g}, K={k} "
@@ -565,8 +578,8 @@ def _riccati_half(grid, qh, kappa, nonlinear=None):
     with np.errstate(divide="ignore", invalid="ignore"):  # its failed rows are replaced
         step = (wh - cold) - fh / (lin + 2.0 * wh[..., :1].real)
     for i in np.flatnonzero(~certified):
-        d[i], dtheta[i], sq[i], step[i] = _riccati_half(grid, qh[i], kappa)
-    return d, dtheta, sq, step
+        d[i], dtheta[i], sq[i], step[i], _ = _riccati_half(grid, qh[i], kappa)
+    return d, dtheta, sq, step, False
 
 
 def _riccati_green_hat(grid, kappa, d, dtheta):
@@ -590,7 +603,7 @@ def green_of(q, kappa):
                                      "positive definite (the dense inverse fell back to LU)")
         return green
     _check_domain(q.coeffs, kappa)
-    d, dtheta, _, _ = _riccati_half(grid, q.coeffs[grid.cutoff:], kappa)
+    d, dtheta, _, _, _ = _riccati_half(grid, q.coeffs[grid.cutoff:], kappa)
     gh = _riccati_green_hat(grid, kappa, d, dtheta)
     free = free_diagonal_constant(kappa, grid.length)
     gh[0] += free
@@ -609,7 +622,7 @@ def alphas_of(qs, kappa):
         return [alpha(assemble_resolvent(q, kappa)) for q in qs]
     c = np.array([q.coeffs for q in qs])
     _check_domain(c, kappa)
-    _, dthetas, sqs, _ = _riccati_half(grid, c[:, grid.cutoff:], kappa)
+    _, dthetas, sqs, _, _ = _riccati_half(grid, c[:, grid.cutoff:], kappa)
     length = grid.length
     # Hill's formula with theta - kappa substituted; free_excess = g0 - 1/(2 kappa)
     free_excess = -math.exp(-kappa * length) / (kappa * math.expm1(-kappa * length))

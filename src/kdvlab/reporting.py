@@ -23,6 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+_FLOATS = frozenset({float})
+
+
 def _fmt(x):
     # floats first: most cells are floats, and neither bool nor np.bool_ is one
     if isinstance(x, (float, np.floating)):
@@ -35,7 +38,10 @@ def _fmt(x):
 
 
 def _write_new(path, text):
-    """Write text to path as a new file, unlinking a regular file already there."""
+    """Write text to path as a new file, unlinking a regular file already there.
+    Its directory is made here, at a run's first write, so that a run refused
+    before it writes anything leaves no empty output directory behind."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     try:
         if stat.S_ISREG(os.lstat(path).st_mode):
             os.unlink(path)
@@ -46,10 +52,15 @@ def _write_new(path, text):
 
 
 def write_csv(path, header, rows):
-    """Plain deterministic CSV: header row, repr-formatted numeric cells."""
+    """Plain deterministic CSV: header row, repr-formatted numeric cells.  A row
+    of Python floats only (such as ``Trajectory.coeff_table``'s) is joined from
+    repr directly, which is what ``_fmt`` writes for each of its cells."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+        if _FLOATS.issuperset(map(type, row)):
+            lines.append(",".join(map(repr, row)))
+        else:
+            lines.append(",".join(_fmt(x) for x in row))
     _write_new(path, "\n".join(lines) + "\n")
     return path
 

@@ -320,7 +320,7 @@ def test_out_of_range_mode_exit_code_2(tmp_path, j, capsys):
     code, out = run_cli(tmp_path, "evolve", cfg)
     assert code == 2
     assert f"mode {j} beyond cutoff 8" in capsys.readouterr().err
-    assert not (out / "trajectory.csv").exists()
+    assert not out.exists()
 
 
 def test_out_of_range_scenario_center_exit_code_2(tmp_path):
@@ -356,7 +356,7 @@ def test_uncertified_dense_resolvent_exit_code_3(tmp_path, capsys):
     code, out = run_cli(tmp_path, "evolve", cfg)
     assert code == 3
     assert "not positive definite" in capsys.readouterr().err
-    assert not (out / "trajectory.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cutoff", [12, 64])
@@ -367,7 +367,15 @@ def test_greens_refuses_a_non_positive_operator(tmp_path, capsys, cutoff):
     code, out = run_cli(tmp_path, "greens", cfg)
     assert code == 3
     assert capsys.readouterr().err.startswith("numerical certification failure:")
-    assert not (out / "green_diagonal.csv").exists()
+    assert not out.exists()
+
+
+def test_out_directory_is_made_at_the_first_write(tmp_path):
+    # a nested --out that does not exist yet is made for the run's outputs
+    code, out = run_cli(tmp_path, "evolve", EVOLVE, out="runs/a/b")
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "monitors.csv",
+                                                     "trajectory.csv"]
 
 
 def test_manifest_records_the_radius_and_repeats_byte_identically(tmp_path):
@@ -436,7 +444,7 @@ def test_non_finite_flow_parameter_exit_code_2(tmp_path, capsys, block, key, val
     code, out = run_cli(tmp_path, "evolve", cfg)
     assert code == 2
     assert f"{key} " in capsys.readouterr().err
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["greens", "alpha"])
@@ -447,7 +455,7 @@ def test_non_finite_kappa_exit_code_2(tmp_path, capsys, command, kappa):
     code, out = run_cli(tmp_path, command, cfg)
     assert code == 2
     assert "kappa must be finite" in capsys.readouterr().err
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 # q = 6 cos x: ||q||_{H^-1} ~ 10, far outside the HM1_RADIUS ball, while
@@ -488,7 +496,7 @@ def test_out_of_domain_search_budget_exit_code_2(tmp_path, capsys, monkeypatch, 
     code, out = run_cli(tmp_path, "squeeze", cfg)
     assert code == 2
     assert "search budget" in capsys.readouterr().err
-    assert not (out / "squeeze.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, key, value", [("squeeze", "alpha", math.nan),
@@ -503,7 +511,7 @@ def test_non_finite_scenario_field_exit_code_2(tmp_path, capsys, command, key, v
     code, out = run_cli(tmp_path, command, cfg)
     assert code == 2
     assert f"scenario {key} must be finite" in capsys.readouterr().err
-    assert not out.exists() or not list(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["squeeze", "area"])
@@ -514,7 +522,7 @@ def test_negative_scenario_seed_or_time_exit_code_2(tmp_path, capsys, command, k
     code, out = run_cli(tmp_path, command, cfg)
     assert code == 2
     assert f"scenario {key} must be nonnegative" in capsys.readouterr().err
-    assert not out.exists() or not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_squeeze_repeats_byte_identically(tmp_path):
@@ -689,7 +697,7 @@ def test_probes_sharing_a_monitor_column_exit_code_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition failure:") and "2.0 " in err and "2.0000001" in err
-    assert not (out / "monitors.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, cfg", [("sweep-band", SWEEP_BAND),
@@ -756,4 +764,4 @@ def test_config_value_of_the_wrong_json_shape_exit_code_2(tmp_path, capsys, comm
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition failure:") and named in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()

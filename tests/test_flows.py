@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from kdvlab import (
     HM1_RADIUS,
     FlowSpec,
     HamiltonianSpec,
-    MultiplierSpec,
     TorusGrid,
     derivative,
     evolve,
@@ -19,7 +17,6 @@ from kdvlab import (
     field_from_modes,
     hs_norm,
     kappa_sweep,
-    lp_project,
     make_field,
     monitors,
     polynomial_invariants,
@@ -51,8 +48,19 @@ from kdvlab.greens import (
     assemble_resolvent,
 )
 from kdvlab.spectral import PeriodicField, product_coeffs
-from kdvlab.squeeze import _propagate_linear, periodized_field, prototype_callable
+from kdvlab.squeeze import _propagate_linear
 
+from census import (
+    VARIANTS,
+    benchmark_hkappa_input,
+    count_stage_residuals,
+    cut_circle_census,
+    cut_circle_input,
+    cut_compare_census,
+    hkappa_census,
+    hkappa_evolve_input,
+    record_transforms,
+)
 from conftest import random_field
 from oracles import (calibrate_budget, compare_flows, hamiltonian_value, rescale,
                      time_equicontinuity, translate, zero_field)
@@ -81,12 +89,25 @@ ALL_HAMS = [
 ]
 
 
+def vector_field(q, ham):
+    """dq/dt at q: ``rhs`` for the nonlinear kinds, and for the linear ones,
+    which ``rhs`` refuses, the symbol of their exact multiplier times q."""
+    if ham.is_linear:
+        return PeriodicField(q.grid, linear_symbol(q.grid, ham) * q.coeffs)
+    return rhs(q, ham)
+
+
 class TestRhs:
     @pytest.mark.parametrize("ham", ALL_HAMS, ids=lambda h: h.kind)
     def test_zero_state_gives_zero(self, ham):
         grid = TorusGrid.make(TWO_PI, 16)
-        out = rhs(zero_field(grid), ham)
+        out = vector_field(zero_field(grid), ham)
         assert np.max(np.abs(out.coeffs)) < 1e-14
+
+    @pytest.mark.parametrize("ham", [h for h in ALL_HAMS if h.is_linear], ids=lambda h: h.kind)
+    def test_linear_kinds_are_refused(self, ham):
+        with pytest.raises(PreconditionError, match=ham.kind):
+            rhs(small_smooth(TorusGrid.make(TWO_PI, 16)), ham)
 
     def test_kdv_rhs_of_cosine(self, unit_grid):
         q = field_from_modes(unit_grid, [(1, 0.5), (-1, 0.5)])
@@ -97,7 +118,7 @@ class TestRhs:
 
     @pytest.mark.parametrize("ham", ALL_HAMS, ids=lambda h: h.kind)
     def test_hamiltonian_vector_field_identity(self, ham, rng):
-        # omega(v, rhs(q)) equals the directional derivative of the matching
+        # omega(v, dq/dt) equals the directional derivative of the matching
         # Hamiltonian; verifies the g'-gradient wiring for the hkappa kinds
         grid = TorusGrid.make(TWO_PI, 24)
 
@@ -108,7 +129,7 @@ class TestRhs:
             return f * (amp / sobolev_norm(f, -1.0))
 
         q, v = rnd(0.05), rnd(0.05)
-        lhs = symplectic_form(v, rhs(q, ham))
+        lhs = symplectic_form(v, vector_field(q, ham))
         eps = 1e-5
         fd = (hamiltonian_value(q + v * eps, ham)
               - hamiltonian_value(q + v * (-eps), ham)) / (2 * eps)
@@ -342,79 +363,35 @@ def still_history(cutoff):
     return _StageHistory(np.ones(3 * cutoff // 2 + 1, dtype=complex))
 
 
-def record_transforms(monkeypatch):
-    """The (name, input shape) of each np.fft transform that greens makes from
-    now on, recorded through a proxy for its numpy."""
-    calls = []
-
-    def counted(name):
-        fn = getattr(np.fft, name)
-
-        def wrapper(a, *args, **kwargs):
-            calls.append((name, np.shape(a)))
-            return fn(a, *args, **kwargs)
-        return wrapper
-
-    class CountingNumpy:
-        """numpy, with the transforms of np.fft recorded."""
-        fft = SimpleNamespace(**{name: counted(name)
-                                 for name in ("fft", "ifft", "rfft", "irfft")})
-
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-    monkeypatch.setattr(greens, "np", CountingNumpy())
-    return calls
+# stage solves before every stage's start extrapolates through the starting order
+WARM_UP = 4 * (flows.EXTRAPOLATION_ORDER + 1)
 
 
-def count_stage_residuals(monkeypatch):
-    """Per stage solve of the flows from now on, its residual evaluations: the
-    inverse transforms of its (2, M + 1) w-hat pair, M = 3K/2."""
-    calls = record_transforms(monkeypatch)
-    residuals = []
-    solve = flows._riccati_half
+def record_final_iterates(monkeypatch):
+    """Per Riccati solve from now on, [plan, qh with its pair axis, w-hat, F-hat, stepped]
+    at the iterate it ends at: its start when that certified as it stood, else
+    the result of ``greens._newton`` (stepped)."""
+    solves, in_newton = [], []
+    residual, newton = greens._residual, greens._newton
 
-    def counted(grid, *args):
-        before = len(calls)
-        out = solve(grid, *args)
-        pair = ("irfft", (2, 3 * grid.cutoff // 2 + 1))
-        residuals.append(calls[before:].count(pair))
+    def start(plan, qh, wh):
+        out = residual(plan, qh, wh)
+        if not in_newton:  # the start of a solve, not a Newton iterate
+            solves.append([plan, qh, wh, out[1], False])
         return out
 
-    monkeypatch.setattr(flows, "_riccati_half", counted)
-    return residuals
+    def stepped(plan, qh, *args):
+        in_newton.append(True)
+        try:
+            out = newton(plan, qh, *args)
+        finally:
+            in_newton.pop()
+        solves[-1][2:] = [out[0], out[2], True]
+        return out
 
-
-def benchmark_hkappa_input(grid, seed=0):
-    """The initial data of the hkappa_evolve benchmark workload (variant ``seed``):
-    |qhat(j)| ~ (1 + |j|)^-2 with random phases, real, scaled to radius 0.1."""
-    k, length = grid.cutoff, grid.length
-    js = np.arange(-k, k + 1)
-    rng = np.random.default_rng(seed)
-    c = (rng.standard_normal(2 * k + 1) + 1j * rng.standard_normal(2 * k + 1)) / (1.0 + abs(js)) ** 2
-    c = 0.5 * (c + np.conj(c[::-1]))
-    c[k] = c[k].real
-    size = math.sqrt(length * float(np.sum(abs(c) ** 2 / (1.0 + (js / length) ** 2))))
-    return make_field(grid, coeffs=c * (0.1 / size))
-
-
-def cut_circle_input():
-    """The shape of cut_compare's circle flow: the band-projected prototype on
-    L = 32, K = 128, and its flow at kappa = 1 over the band [1/8, 2]."""
-    grid = TorusGrid.make(32.0, 128)
-    band = MultiplierSpec.band(0.125, 2.0)
-    q0 = lp_project(periodized_field(prototype_callable(
-        {"kind": "gauss_prime", "width": 1.0, "amplitude": 0.1}), grid), band)
-    return q0, HamiltonianSpec.hkappa_band(1.0, 0.125, 2.0)
-
-
-def hkappa_evolve_input():
-    """The hkappa_evolve benchmark's input (variant 0) and its flow at kappa = 4."""
-    return benchmark_hkappa_input(TorusGrid.make(TWO_PI, K_STAR)), HamiltonianSpec.hkappa(4.0)
-
-
-# stage solves before every stage's start extrapolates through the full order
-WARM_UP = 4 * (flows.EXTRAPOLATION_ORDER + 1)
+    monkeypatch.setattr(greens, "_residual", start)
+    monkeypatch.setattr(greens, "_newton", stepped)
+    return solves
 
 
 def rough_small(grid, rng, hm1=0.05):
@@ -487,7 +464,7 @@ class TestHkappaNonlinear:
             h = q.coeffs[K_STAR:]
             start = history.start()
             got = term(h, history)
-            d, dtheta, _, _ = _riccati_half(grid, w * h, kappa, start)
+            d, dtheta = _riccati_half(grid, w * h, kappa, start)[:2]
             assert np.array_equal(got, amp * (_riccati_green_hat(grid, kappa, d, dtheta)
                                               - m_lin * h))
         assert history.solves == 2
@@ -526,15 +503,7 @@ class TestHkappaNonlinear:
         term = _hkappa_nonlinear(grid, HamiltonianSpec.hkappa(4.0))
         _, kappa, w, _, _ = term.args
         m, _, _, lin, _, _ = _riccati_plan(grid, kappa)
-        solves = []
-        newton = greens._newton
-
-        def recording(*args):
-            out = newton(*args)
-            solves.append(out)
-            return out
-
-        monkeypatch.setattr(greens, "_newton", recording)
+        solves = record_final_iterates(monkeypatch)
         history = still_history(K_STAR)
         h = small_smooth(grid).coeffs[K_STAR:]
         qh = w * h
@@ -543,11 +512,11 @@ class TestHkappaNonlinear:
         for _ in range(2):
             start = history.start()
             term(h, history)
-            wh, _, fh, res = solves[-1]
+            _, _, wh, fh, _ = solves[-1]
             assert np.array_equal(history.newest,
                                   (wh - cold) - fh / (lin + 2.0 * wh[:, :1].real))
-        assert len(solves) == 2
-        assert res <= greens.NEWTON_RTOL * np.abs(qh).max()
+        assert [took_steps for *_, took_steps in solves] == [True, False]
+        assert np.abs(fh).max() <= greens.NEWTON_RTOL * np.abs(qh).max()
         assert np.array_equal(wh, cold + start)  # the warm solve took no step
         assert not np.array_equal(history.newest, start)
 
@@ -591,13 +560,16 @@ class TestHkappaNonlinear:
 
     def test_stages_a_and_c_end_at_their_start_on_the_hkappa_evolve_input(self, monkeypatch):
         # the starts of stages a and c certify, so they take their start's
-        # residual only; b and d, half a step past them, take one diagonal step
+        # residual only; b and d, half a step past them, take at most one
+        # diagonal step, and their rising orders make most of their starts certify
         q0, ham = hkappa_evolve_input()
         residuals = count_stage_residuals(monkeypatch)
         evolve(q0, FlowSpec(ham, dt=1e-3, T=0.05, saves=1))
         per_step = np.reshape(residuals[WARM_UP:], (-1, 4))
         assert len(per_step) == 50 - WARM_UP // 4
-        assert (per_step == [1, 2, 1, 2]).all()
+        assert (per_step[:, [0, 2]] == 1).all()
+        assert (per_step[:, [1, 3]] <= 2).all()
+        assert per_step[:, [1, 3]].mean() <= 1.5  # 2 at a fixed order 7
 
     def test_cut_circle_starts_certify_after_the_warm_up(self, monkeypatch):
         q0, ham = cut_circle_input()
@@ -609,27 +581,20 @@ class TestHkappaNonlinear:
     @pytest.mark.parametrize("flow", [hkappa_evolve_input, cut_circle_input],
                              ids=["hkappa_evolve", "cut_circle"])
     def test_every_solve_and_probe_row_ends_at_the_certified_level(self, monkeypatch, flow):
-        # the residual of each Newton result, recomputed from its w-hat, against
-        # NEWTON_RTOL times its own row's max |qhat|: stage pairs and alpha stacks
-        solves = []
-        newton = greens._newton
-
-        def recording(plan, qh, wh, scale):
-            out = newton(plan, qh, wh, scale)
-            solves.append((plan, qh, out[0]))
-            return out
-
-        monkeypatch.setattr(greens, "_newton", recording)
+        # the residual of the iterate each solve ends at (its start, or Newton's
+        # result), recomputed from its w-hat, against NEWTON_RTOL times its own
+        # row's max |qhat|: stage pairs and alpha stacks
+        solves = record_final_iterates(monkeypatch)
         q0, ham = flow()
         evolve(q0, FlowSpec(ham, dt=1e-3, T=0.02, saves=4, probes=(1.0, 2.0)))
-        assert [np.shape(wh)[:-2] for _, _, wh in solves] == [()] * 80 + [(5,)] * 2
-        for plan, qh, wh in solves:
+        assert [np.shape(wh)[:-2] for _, _, wh, _, _ in solves] == [()] * 80 + [(5,)] * 2
+        for plan, qh, wh, _, _ in solves:
             m, n, ik, _, _, two_kappa = plan
             w = np.fft.irfft(wh, n, norm="forward")
             fh = (ik[:m + 1] + two_kappa) * wh + np.fft.rfft(w * w, norm="forward")[..., :m + 1]
-            fh[..., :qh.shape[-1]] -= qh[..., None, :]
+            fh[..., :qh.shape[-1]] -= qh
             rows = np.abs(fh).max(axis=(-2, -1))
-            assert np.all(rows <= greens.NEWTON_RTOL * np.abs(qh).max(axis=-1))
+            assert np.all(rows <= greens.NEWTON_RTOL * np.abs(qh).max(axis=(-2, -1)))
 
     def test_kernel_is_cached_and_read_only(self):
         grid = TorusGrid.make(TWO_PI, K_STAR)
@@ -639,6 +604,84 @@ class TestHkappaNonlinear:
             assert term.func is _hkappa_term
             arrays = [a for a in term.args if isinstance(a, np.ndarray)]
             assert len(arrays) == 3 and not any(a.flags.writeable for a in arrays)
+
+
+class TestStageOrders:
+    """Each RK stage's extrapolation order: it starts at EXTRAPOLATION_ORDER and
+    rises by one for each start at full depth that does not certify, up to
+    EXTRAPOLATION_MAX_ORDER, and never falls."""
+
+    @staticmethod
+    def push(history, steps, settled):
+        """Push steps x 4 solves; (the depth of each start, stage b's order after each step)."""
+        part = np.zeros((2, 3 * K_STAR // 2 + 1), dtype=complex)
+        depths, orders_b = [], []
+        for i in range(4 * steps):
+            depths.append(history.depth())
+            history.start()
+            history.push(part, settled(i))
+            orders_b.append(history.orders[1])
+        return depths, orders_b[1::4]
+
+    def test_warm_up_follows_the_starting_order(self):
+        # WARM_UP is the first solve of the first step whose four starts all
+        # extrapolate through EXTRAPOLATION_ORDER steps
+        p = flows.EXTRAPOLATION_ORDER
+        history = still_history(K_STAR)
+        depths, _ = self.push(history, 12, lambda i: True)
+        assert depths[WARM_UP:] == [p] * (48 - WARM_UP)
+        assert depths[WARM_UP - 4] == p - 1
+        assert history.orders == [p] * 4
+        assert len(history.weights) == p + 1
+
+    def test_an_order_rises_by_one_per_missed_start_at_full_depth_to_the_cap(self):
+        p, cap = flows.EXTRAPOLATION_ORDER, flows.EXTRAPOLATION_MAX_ORDER
+        history = still_history(K_STAR)
+        # stage b's starts never certify, the others' always do
+        depths, orders_b = self.push(history, 20, lambda i: i % 4 != 1)
+        # misses during the warm-up leave the order alone
+        assert orders_b == [p] * p + [min(j, cap) for j in range(p + 1, 21)]
+        assert depths[1::4] == [min(j, cap) for j in range(20)]
+        assert history.orders == [p, cap, p, p]
+        assert len(history.weights) == cap + 1
+        # and certified starts never lower it
+        self.push(history, 5, lambda i: True)
+        assert history.orders == [p, cap, p, p]
+
+    def test_a_history_with_no_transport_starts_from_its_newest_solve(self):
+        history = _StageHistory(None)
+        for _ in range(4 * (flows.EXTRAPOLATION_ORDER + 2)):
+            history.push(np.ones((2, 3)), False)
+            assert history.depth() == 0 and history.start() is history.newest
+        assert history.orders == [flows.EXTRAPOLATION_ORDER] * 4
+
+
+@pytest.fixture(scope="module")
+def hkappa_evolve_census():
+    """Per hkappa_evolve input variant: ((200, 4) residuals per stage solve, orders)."""
+    return [hkappa_census(seed) for seed in range(VARIANTS)]
+
+
+class TestStageCensus:
+    """Residuals per stage solve of the benchmark flows (tests/census.py), counted."""
+
+    def test_hkappa_evolve_stage_solves_mostly_end_at_their_start(self, hkappa_evolve_census):
+        means = [per_step.mean() for per_step, _ in hkappa_evolve_census]
+        assert np.mean(means) <= 1.25  # 1.538 with every order fixed at 7
+        assert sum(m <= 1.05 for m in means) >= 7
+
+    def test_orders_never_exceed_the_cap(self, hkappa_evolve_census):
+        orders = [o for _, (row,) in hkappa_evolve_census for o in row]
+        assert flows.EXTRAPOLATION_ORDER == min(orders)
+        assert max(orders) <= flows.EXTRAPOLATION_MAX_ORDER
+
+    def test_cut_circle_stages_keep_the_starting_order(self):
+        per_step, orders = cut_circle_census()
+        assert orders == [[flows.EXTRAPOLATION_ORDER] * 4]
+        assert per_step[WARM_UP // 4:].mean() <= 1.05
+
+    def test_cut_compare_residuals_per_run_hold(self):
+        assert np.mean([cut_compare_census(seed)[0] for seed in range(VARIANTS)]) <= 217.7
 
 
 class TestMonitors:
@@ -709,17 +752,11 @@ class TestMonitors:
                 assert a.hs_norm == alone.hs_norm
 
     def test_evolve_solves_each_probe_as_one_stack(self, monkeypatch):
-        shapes = []  # the w-hat start of each Newton solve, through a proxy
-        newton = greens._newton
-
-        def counted(plan, qh, wh, scale):
-            shapes.append(wh.shape)
-            return newton(plan, qh, wh, scale)
-
-        monkeypatch.setattr(greens, "_newton", counted)
+        solves = record_final_iterates(monkeypatch)  # the w-hat of each solve
         grid = TorusGrid.make(TWO_PI, K_STAR)
         evolve(small_smooth(grid), FlowSpec(HamiltonianSpec.hkappa(4.0), dt=1e-3, T=5e-3,
                                             saves=5, probes=(2.0, 4.0)))
+        shapes = [wh.shape for _, _, wh, _, _ in solves]
         pair = (2, 3 * K_STAR // 2 + 1)
         assert shapes.count(pair) == 5 * 4  # one per row and stage
         assert [s for s in shapes if s != pair] == [(6,) + pair] * 2  # one per probe

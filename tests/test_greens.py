@@ -607,7 +607,7 @@ class TestRiccatiRoute:
         # a full-order history, so the start extrapolates through every stored step
         for shift in range(4 * flows.EXTRAPOLATION_ORDER + 1):
             qh = translate(q, 1e-3 * shift).coeffs[K_STAR:]
-            history.push(_riccati_half(grid, qh, 2.0, history.start())[3])
+            history.push(*_riccati_half(grid, qh, 2.0, history.start())[3:])
         history.newest = history.newest * spoil  # 1e3: a start Newton cannot use
         qh = small_random(grid, rng, 0.5, 2.0).coeffs[K_STAR:]
         cold = riccati_g(grid, 2.0, _riccati_half(grid, qh, 2.0))

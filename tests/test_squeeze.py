@@ -503,6 +503,16 @@ class TestReporting:
         p2 = write_csv(tmp_path / "b.csv", ["i", "x", "y"], rows)
         assert sha256_digest(p1) == sha256_digest(p2)
 
+    def test_float_rows_are_written_as_each_cell_alone(self, tmp_path):
+        # a row of Python floats is joined from repr, any other row cell by cell
+        # through _fmt (numpy scalars, ints, bools, text): one format either way
+        rows = [[0.1, -2.5e-300, math.inf, math.nan, 1e22, -0.0],
+                [np.float64(0.1), 3, True, np.int64(-4), np.bool_(False), "x"],
+                [], [1.0 / 3.0]]
+        p = write_csv(tmp_path / "t.csv", ["a"], rows)
+        assert p.read_text() == ("a\n0.1,-2.5e-300,inf,nan,1e+22,-0.0\n0.1,3,1,-4,0,x\n"
+                                 "\n0.3333333333333333\n")
+
     def test_manifest_round_trip(self, tmp_path):
         p = write_csv(tmp_path / "t.csv", ["x"], [[1.0]])
         man = RunManifest(config={"demo": True}, seeds={"rng": 0})
