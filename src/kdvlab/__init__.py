@@ -32,7 +32,6 @@ from .spectral import (
 )
 from .greens import (
     AlphaResult,
-    GreenResult,
     ResolventContext,
     alpha,
     alpha_of,

@@ -157,10 +157,7 @@ def cmd_greens(cfg, out):
     q = _field_from(cfg, grid)
     rows = []
     for kap in _numbers(cfg, "kappas", [2.0]):
-        res = green_of(q, kap)
-        xs = grid.points
-        gs = res.g.samples_values()
-        rows += [[kap, x, g] for x, g in zip(xs, gs)]
+        rows += [[kap, x, g] for x, g in zip(grid.points, green_of(q, kap).samples_values())]
     p = write_csv(os.path.join(out, "green_diagonal.csv"), ["kappa", "x", "g"], rows)
     return _manifest(cfg, [p], out)
 

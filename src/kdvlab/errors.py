@@ -3,7 +3,8 @@
 Two broad failure classes matter for callers (and for CLI exit codes):
 ``PreconditionError`` for inputs that violate a documented contract, and
 ``CertificationError`` for computations that ran but whose numerical
-guarantee failed (divergent series, non-positive log-det branch, ...).
+guarantee failed (-d^2 + q + kappa^2 not certified positive on either route
+of g and alpha, a tripped blow-up guard, a search whose every start aborted).
 """
 
 
@@ -37,18 +38,6 @@ class NoAdmissibleWindowError(PreconditionError):
 
 class CertificationError(KdvLabError):
     """A numerical certificate could not be established."""
-
-
-class SingularResolventError(CertificationError):
-    """I + B is numerically singular."""
-
-    def __init__(self, message, smallest_singular_value=None):
-        super().__init__(message)
-        self.smallest_singular_value = smallest_singular_value
-
-
-class LogDetBranchError(CertificationError):
-    """An eigenvalue of I + B left the right half line; log-det is invalid."""
 
 
 class BlowUpError(CertificationError):

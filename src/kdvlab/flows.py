@@ -100,6 +100,7 @@ from .greens import green_diagonal  # noqa: F401
 from .spectral import (
     MultiplierSpec,
     PeriodicField,
+    _full_rows,
     _hermitize,
     derivative,
     next_fast_len,
@@ -122,9 +123,14 @@ class HamiltonianSpec:
         if self.kind not in ALL_KINDS:
             raise PreconditionError(f"unknown flow kind {self.kind!r}")
         if self.kind in HKAPPA_KINDS:
-            if self.kappa is None or not 1 <= self.kappa < math.inf:
+            try:  # the flow's gain 16 kappa^5 must be a float; kappa^5 may overflow
+                valid = (self.kappa is not None and 1 <= self.kappa
+                         and 16.0 * self.kappa ** 5 < math.inf)
+            except OverflowError:
+                valid = False
+            if not valid:
                 raise PreconditionError(
-                    f"hkappa flows need a finite kappa >= 1, got {self.kappa}")
+                    f"hkappa flows need a kappa >= 1 with 16 kappa^5 finite, got {self.kappa}")
         if self.kind == "hkappa_band":
             if self.band is None:
                 raise PreconditionError("hkappa_band needs a band MultiplierSpec")
@@ -171,11 +177,6 @@ def _band_values(ham, grid):
     if ham.band is None:
         return 1.0
     return ham.band.values(grid.frequencies)
-
-
-def _full_rows(h):
-    """Exactly Hermitian rows c_{-K..K} from their nonnegative modes h[..., :K+1]."""
-    return np.concatenate((np.conj(h[..., :0:-1]), h), axis=-1)
 
 
 DFT_MAX_CUTOFF = 64  # largest K on the matrix route: the module docstring says why
@@ -336,7 +337,7 @@ def rhs(q, ham):
     transport = 4.0 * kap ** 2 * derivative(q, 1)
     w = _band_values(ham, grid)
     qin = PeriodicField(grid, q.coeffs * w)
-    gp = derivative(green_of(qin, kap).g, 1)
+    gp = derivative(green_of(qin, kap), 1)
     return transport + 16.0 * kap ** 5 * PeriodicField(grid, gp.coeffs * w)
 
 
@@ -377,6 +378,8 @@ class FlowSpec:
             raise PreconditionError(f"T must be nonnegative and finite, got {self.T}")
         if self.T > 0 and self.dt > self.T + 1e-15:
             raise PreconditionError("dt must not exceed T")
+        if not self.T / self.dt < math.inf:
+            raise PreconditionError(f"dt {self.dt} is too small: T/dt is not finite")
         if self.saves < 1:
             raise PreconditionError("need at least one save interval")
         columns = {}  # monitor column -> the probe it holds

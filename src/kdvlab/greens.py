@@ -4,7 +4,8 @@ g and alpha have two routes, and ``green_of`` and ``alpha_of`` pick one from
 the mode cutoff K alone: the Floquet-Riccati route (below) when
 K >= RICCATI_MIN_CUTOFF = K*, else the dense route (``green_diagonal`` and
 ``alpha`` on ``assemble_resolvent``), which the tests also use as the
-reference.  Both take a real q and kappa >= 1.
+reference.  Both take a real q and kappa >= 1, and both certify
+-d^2 + q + kappa^2 > 0 or raise CertificationError.
 
 Dense route.  In the Fourier basis e_j of T_l the operator
 -d^2/dx^2 + q + kappa^2 is diagonal-plus-Toeplitz,
@@ -32,15 +33,18 @@ g_hat(-d) = conj g_hat(d):
                  + sum_{m+p=d} [(Y_cc - Y_ss) - i (Y_cs + Y_sc)] / 2
                  + sqrt2 (Y_0c(d) - i Y_0s(d))  for d >= 1,  Y_00 for d = 0.
 
-The Frobenius norm and the spectrum are invariant under U, so ``hs_norm``
-and the renormalized log-determinant
+The spectrum is invariant under U, so the renormalized log-determinant
 
     alpha(kappa; q) = -log det(I + B) + tr B = sum_{l>=2} (-1)^l/l tr(B^l)
 
-are taken from B_r as well (the complex B and the Neumann series are test
-oracles, in ``tests/oracles.py``).  LAPACK (``scipy.linalg``) is imported on
-the first dense inverse, and no other kdvlab module imports scipy, so a run
-that stays on the Riccati route, or runs no H_kappa flow, never loads scipy.
+is taken from the eigenvalues of B_r as well (the complex B and the Neumann
+series are test oracles, in ``tests/oracles.py``).  Where I + B_r is not
+positive definite, that is where -d^2 + q + kappa^2 is not positive on modes
+|j| <= K, its Cholesky inverse ``inv_ib`` and ``alpha`` raise
+CertificationError.  ``hs_norm`` (both routes) needs no matrix.  LAPACK
+(``scipy.linalg``) is imported on the first dense inverse, and no other kdvlab
+module imports scipy, so a run that stays on the Riccati route, or runs no
+H_kappa flow, never loads scipy.
 
 Two exactness conventions: the free diagonal constant on the circle is the
 closed form g0 = coth(kappa l / 2) / (2 kappa) rather than the truncated
@@ -174,14 +178,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    CertificationError,
-    LogDetBranchError,
-    PreconditionError,
-    SingularResolventError,
-)
+from .errors import CertificationError, PreconditionError
 from .spectral import (
     PeriodicField,
+    _full_rows,
     _hermitize,
     cubic_integral,
     next_fast_len,
@@ -235,46 +235,29 @@ class ResolventContext:
     kappa: float
     omega: np.ndarray  # omega_j for j = -K..K
     B_r: np.ndarray    # real symmetric, basis (e_0, cos_1..cos_K, sin_1..sin_K)
-    _inv_ib: np.ndarray | None = None
-    positive_definite: bool | None = None  # set by inv_ib: whether dpotrf/dpotri succeeded
 
     @property
     def grid(self):
         return self.q.grid
 
     def inv_ib(self):
-        """Upper triangle of (I + B_r)^{-1}, cached; the strict lower part is zero.
+        """Upper triangle of (I + B_r)^{-1} by dpotrf/dpotri, which fill one triangle
+        only; CertificationError where either fails: I + B_r is not positive definite."""
+        from scipy.linalg import lapack  # LAPACK loads on the first dense inverse
 
-        I + B_r is symmetric positive definite throughout the certified regime
-        (||B|| < 1), where dpotrf/dpotri is the cheapest inverse and fills one
-        triangle only; outside it we fall back to LU so diagnostics still work,
-        and ``positive_definite`` records which of the two ran.
-        """
-        if self._inv_ib is None:
-            from scipy.linalg import lapack  # LAPACK loads on the first dense inverse
-
-            n = len(self.B_r)
-            a = self.B_r.copy()
-            a.flat[::n + 1] += 1.0
-            # factor the lower triangle: LAPACK returns it in Fortran order, so
-            # the transpose is the C-ordered upper triangle of the inverse
-            cf, info = lapack.dpotrf(a, lower=1)
-            if info == 0:
-                inv, info = lapack.dpotri(cf, lower=1, overwrite_c=1)
-                if info == 0:
-                    self.positive_definite = True
-                    self._inv_ib = inv.T
-                    return self._inv_ib
-            self.positive_definite = False
-            try:
-                self._inv_ib = np.triu(np.linalg.inv(a))
-            except np.linalg.LinAlgError as exc:
-                smin = float(np.linalg.svd(a, compute_uv=False)[-1])
-                raise SingularResolventError(
-                    f"I+B is singular (smallest singular value {smin:.3e})",
-                    smallest_singular_value=smin,
-                ) from exc
-        return self._inv_ib
+        n = len(self.B_r)
+        a = self.B_r.copy()
+        a.flat[::n + 1] += 1.0
+        # factor the lower triangle: LAPACK returns it in Fortran order, so
+        # the transpose is the C-ordered upper triangle of the inverse
+        cf, info = lapack.dpotrf(a, lower=1)
+        if info == 0:
+            inv, info = lapack.dpotri(cf, lower=1, overwrite_c=1)
+        if info != 0:
+            raise CertificationError(
+                f"-d^2 + q + kappa^2 is not positive at kappa={self.kappa:g}: I + B is not "
+                f"positive definite (Cholesky info {info})")
+        return inv.T
 
 
 def _real_basis_inv_sqrt(omega):
@@ -331,12 +314,7 @@ def assemble_resolvent(q, kappa):
     return ResolventContext(q=q, kappa=float(kappa), omega=omega, B_r=br)
 
 
-def hs_norm(ctx):
-    """Hilbert-Schmidt (Frobenius) norm of the normalized perturbation B."""
-    return _hs_norm(ctx.q, ctx.kappa)
-
-
-def _hs_norm(q, kappa):
+def hs_norm(q, kappa):
     """||B||_HS of a real q in O(K): ||B||^2_HS = sum_{|d|<=K} |qhat(d)|^2 S_K(d)."""
     k = q.grid.cutoff
     c = q.coeffs[k:]
@@ -348,15 +326,6 @@ def _hs_norm(q, kappa):
 # ---------------------------------------------------------------------------
 # diagonal Green's function
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GreenResult:
-    g: PeriodicField
-    kappa: float
-    method: str
-    free_constant: float
-    certified: bool = True
-
 
 def _lag_sums(x):
     """Diagonal sums of a square matrix: out[d + n - 1] = sum_{i-j=d} x[i, j].
@@ -373,7 +342,7 @@ def _lag_sums(x):
 
 def green_diagonal(ctx):
     """Diagonal Green's function x -> G(x, x; kappa; q) by direct dense solve;
-    certified only if I + B is positive definite (the Cholesky inverse ran)."""
+    raises CertificationError unless I + B is positive definite."""
     grid = ctx.grid
     k = grid.cutoff
     inv_sq = _real_basis_inv_sqrt(ctx.omega)
@@ -398,15 +367,11 @@ def green_diagonal(ctx):
     im[:k] += lag_cs[k - 1:] - lag_cs[k - 1::-1]
     re[2:] += 0.5 * anti_diff[:k - 1]
     im[2:] -= anti_cs[:k - 1]
-    ghat = (re + 1j * im) / grid.length
-    c = np.concatenate((np.conj(ghat[:0:-1]), ghat))
-    free = free_diagonal_constant(ctx.kappa, grid.length)
+    c = _full_rows((re + 1j * im) / grid.length)
     s_in, s_full, sum_inv_omega = _pair_sums(grid, ctx.kappa)
-    c[k] += free - sum_inv_omega / grid.length
+    c[k] += free_diagonal_constant(ctx.kappa, grid.length) - sum_inv_omega / grid.length
     c -= ctx.q.coeffs * (s_full - s_in) / grid.length  # first-order lattice tail
-    g = PeriodicField(grid, _hermitize(c))
-    return GreenResult(g=g, kappa=ctx.kappa, method="direct", free_constant=free,
-                       certified=ctx.positive_definite)
+    return PeriodicField(grid, _hermitize(c))
 
 
 # ---------------------------------------------------------------------------
@@ -416,23 +381,22 @@ def green_diagonal(ctx):
 @dataclass
 class AlphaResult:
     value: float
-    kappa: float
-    method: str
     hs_norm: float
 
 
 def alpha(ctx):
-    """alpha(kappa; q) = -log det(I+B) + tr B via the eigenvalues of B_r."""
+    """alpha(kappa; q) = -log det(I+B) + tr B via the eigenvalues of B_r; raises
+    CertificationError unless I + B is positive definite."""
     evals = np.linalg.eigvalsh(ctx.B_r)
     if np.min(1.0 + evals) <= 0.0:
-        raise LogDetBranchError(
-            f"eigenvalue of I+B at or below zero (min {1.0 + float(np.min(evals)):.3e})"
-        )
+        raise CertificationError(
+            f"-d^2 + q + kappa^2 is not positive at kappa={ctx.kappa:g}: I + B is not "
+            f"positive definite (smallest eigenvalue {1.0 + float(np.min(evals)):.3e})")
     s_in, s_full, sum_inv_omega = _pair_sums(ctx.grid, ctx.kappa)
     trace_b = float(ctx.q.coeffs[ctx.grid.cutoff].real) * sum_inv_omega
     tail = 0.5 * float(np.sum(np.abs(ctx.q.coeffs) ** 2 * (s_full - s_in)))  # second order
     value = -float(np.sum(np.log1p(evals))) + trace_b + tail
-    return AlphaResult(value=value, kappa=ctx.kappa, method="logdet", hs_norm=hs_norm(ctx))
+    return AlphaResult(value=value, hs_norm=hs_norm(ctx.q, ctx.kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -594,21 +558,15 @@ def green_of(q, kappa):
     """The diagonal Green's function of a real q: by the Riccati route when the
     mode cutoff is at least RICCATI_MIN_CUTOFF, else by ``green_diagonal``.
     Either route raises CertificationError unless -d^2 + q + kappa^2 > 0 is
-    certified (on the dense route: Cholesky of I + B ran)."""
+    certified."""
     grid = q.grid
     if grid.cutoff < RICCATI_MIN_CUTOFF:
-        green = green_diagonal(assemble_resolvent(q, kappa))
-        if not green.certified:
-            raise CertificationError("-d^2 + q + kappa^2 is not positive: I + B is not "
-                                     "positive definite (the dense inverse fell back to LU)")
-        return green
+        return green_diagonal(assemble_resolvent(q, kappa))
     _check_domain(q.coeffs, kappa)
     d, dtheta, _, _, _ = _riccati_half(grid, q.coeffs[grid.cutoff:], kappa)
     gh = _riccati_green_hat(grid, kappa, d, dtheta)
-    free = free_diagonal_constant(kappa, grid.length)
-    gh[0] += free
-    g = PeriodicField(grid, np.concatenate((np.conj(gh[:0:-1]), gh)))
-    return GreenResult(g=g, kappa=float(kappa), method="riccati", free_constant=free)
+    gh[0] += free_diagonal_constant(kappa, grid.length)
+    return PeriodicField(grid, _full_rows(gh))
 
 
 def alphas_of(qs, kappa):
@@ -629,7 +587,7 @@ def alphas_of(qs, kappa):
     free_log = 2.0 * math.log1p(-math.exp(-kappa * length))
     return [AlphaResult(value=(length * sq / (2.0 * kappa) + length * float(q.mean) * free_excess
                                + free_log - 2.0 * math.log1p(-math.exp(-(kappa + dtheta) * length))),
-                        kappa=float(kappa), method="hill", hs_norm=_hs_norm(q, kappa))
+                        hs_norm=hs_norm(q, kappa))
             for q, dtheta, sq in zip(qs, dthetas.tolist(), sqs.tolist())]
 
 

@@ -106,6 +106,11 @@ def _hermitize(coeffs):
     return c
 
 
+def _full_rows(h):
+    """Exactly Hermitian rows c_{-K..K} from their nonnegative modes h[..., :K+1]."""
+    return np.concatenate((np.conj(h[..., :0:-1]), h), axis=-1)
+
+
 def _coeffs_from_samples(grid, values):
     """Hermitized coefficients of modes |j| <= K from grid.samples equispaced real values."""
     chat = np.fft.fft(values) / grid.samples

@@ -84,11 +84,15 @@ def periodized_field(func, grid):
 
 def config_number(value, where, key, kind=float):
     """value converted to ``kind`` (int or float) if it is a number of that kind
-    (an integer for int, never a bool); else a PreconditionError naming key."""
+    (an integer for int, never a bool) and, for float, an integer in float range;
+    else a PreconditionError naming key."""
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         what = "an integer" if kind is int else "a number"
         raise PreconditionError(f'{where}: "{key}" must be {what}, got {value!r}')
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # JSON integers have no bound
+        raise PreconditionError(f'{where}: "{key}" is an integer beyond float range') from None
 
 
 def config_list(value, key):

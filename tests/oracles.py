@@ -1,6 +1,6 @@
 """Helpers the tests use to check lab code, kept out of the library because no
 subcommand reaches them: field constructors and symmetries, Littlewood-Paley
-low and high projections, the dense route's complex-basis matrices and
+low and high projections, the dense route's complex-basis matrices, inverse and
 Neumann series, the calibration behind ``flows.HM1_RADIUS``, line data and
 its periodization, the flows' Hamiltonians, trajectory comparisons and the
 locality probes of the circle-to-line bridge."""
@@ -82,6 +82,19 @@ def complex_b(ctx):
     return qext[idx[:, None] - idx[None, :] + 2 * k] * np.outer(inv_sq, inv_sq)
 
 
+def dense_green_coeffs(ctx, inverse):
+    """g_hat from a complex (I+B)^{-1}: lag sums of D^{-1/2} inverse D^{-1/2}
+    plus the free-constant and tail-completion terms of ``green_diagonal``."""
+    grid = ctx.grid
+    k = grid.cutoff
+    inv_sq = 1.0 / np.sqrt(ctx.omega)
+    m = inverse * np.outer(inv_sq, inv_sq)
+    c = np.array([np.trace(m, offset=-d) for d in range(-k, k + 1)]) / grid.length
+    s_in, s_full, sum_inv_omega = _pair_sums(grid, ctx.kappa)
+    c[k] += free_diagonal_constant(ctx.kappa, grid.length) - sum_inv_omega / grid.length
+    return c - ctx.q.coeffs * (s_full - s_in) / grid.length
+
+
 def operator_matrix(ctx):
     """Dense Hermitian matrix of -d^2/dx^2 + q + kappa^2 in the mode basis."""
     sq = np.sqrt(ctx.omega)
@@ -108,7 +121,7 @@ def green_diagonal_series(q, kappa, l_max):
     for l in range(1, int(l_max) + 1):
         power = power @ b
         c += (-1.0) ** l * _lag_sums(power * scale)[k:3 * k + 1] / grid.length
-    norm = hs_norm(ctx)
+    norm = hs_norm(q, kappa)
     certified = norm < 1.0
     tail = (norm ** (l_max + 1) / (1.0 - norm) * (_pair_sums(grid, kappa)[2] / grid.length)
             if certified else None)
@@ -121,7 +134,7 @@ def alpha_series(ctx, l_max):
     when ||B||_HS < 1 (else tagged uncertified with no bound)."""
     evals = np.linalg.eigvalsh(complex_b(ctx))
     value = sum((-1.0) ** l / l * float(np.sum(evals ** l)) for l in range(2, int(l_max) + 1))
-    norm = hs_norm(ctx)
+    norm = hs_norm(ctx.q, ctx.kappa)
     certified = norm < 1.0
     nterm = max(int(l_max) + 1, 2)
     tail = norm ** nterm / (nterm * (1.0 - norm)) if certified else None
@@ -130,9 +143,8 @@ def alpha_series(ctx, l_max):
 
 def alpha_gradient_field(ctx):
     """The variational derivative of the dense alpha as a field: free constant minus g."""
-    res = green_diagonal(ctx)
-    c = -res.g.coeffs.copy()
-    c[ctx.grid.cutoff] += res.free_constant
+    c = -green_diagonal(ctx).coeffs
+    c[ctx.grid.cutoff] += free_diagonal_constant(ctx.kappa, ctx.grid.length)
     return PeriodicField(ctx.grid, _hermitize(c))
 
 
@@ -156,7 +168,7 @@ def calibrate_budget(length, cutoff, kappas=(1.0, 2.0, 4.0, 8.0), trials=24, see
         f = random_field()
         nrm = sobolev_norm(f, -1.0)
         for kap in kappas:
-            worst_ratio = max(worst_ratio, hs_norm(assemble_resolvent(f, kap)) / nrm)
+            worst_ratio = max(worst_ratio, hs_norm(f, kap) / nrm)
     delta0 = 0.5 / worst_ratio
     lip = 0.0
     for _ in range(trials):
@@ -164,8 +176,8 @@ def calibrate_budget(length, cutoff, kappas=(1.0, 2.0, 4.0, 8.0), trials=24, see
         u = u * (0.25 * delta0 / sobolev_norm(u, -1.0))
         v = u + d * (0.05 * delta0 / sobolev_norm(d, -1.0))
         for kap in kappas:
-            gu = green_diagonal(assemble_resolvent(u, kap)).g
-            gv = green_diagonal(assemble_resolvent(v, kap)).g
+            gu = green_diagonal(assemble_resolvent(u, kap))
+            gv = green_diagonal(assemble_resolvent(v, kap))
             lip = max(lip, sobolev_norm(gu - gv, 1.0) / sobolev_norm(u - v, -1.0))
     return float(delta0), float(lip)
 
@@ -274,7 +286,7 @@ def localized_smoothing_check(q, chi, kappa):
     n_pad = next_fast_len(2 * q.grid.samples)
     chi_pad = chi(np.arange(n_pad) * (length / n_pad))
 
-    gprime = derivative(green_of(q, kappa).g, 1)
+    gprime = derivative(green_of(q, kappa), 1)
     prod = chi_pad * gprime.samples_values(n_pad)
     lhs = math.sqrt(length * float(np.mean(prod ** 2)))
 

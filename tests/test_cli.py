@@ -346,7 +346,7 @@ NON_POSITIVE = {"modes": [{"j": 0, "re": -4.5}, {"j": 1, "re": 0.01}, {"j": -1, 
 
 
 def test_uncertified_dense_resolvent_exit_code_3(tmp_path, capsys):
-    # at K = 12 (< K*) I + B needs the LU fallback, which certifies nothing
+    # at K = 12 (< K*) the dense route's Cholesky of I + B fails
     cfg = {
         "grid": {"length": 6.283185307179586, "cutoff": 12},
         "initial": NON_POSITIVE,
@@ -361,7 +361,7 @@ def test_uncertified_dense_resolvent_exit_code_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("cutoff", [12, 64])
 def test_greens_refuses_a_non_positive_operator(tmp_path, capsys, cutoff):
-    # below K* = 64 the dense I + B falls back to LU; at K* Newton finds no branch
+    # below K* = 64 Cholesky of the dense I + B fails; at K* Newton finds no branch
     cfg = {"grid": {"length": 6.283185307179586, "cutoff": cutoff},
            "initial": NON_POSITIVE, "kappas": [2.0]}
     code, out = run_cli(tmp_path, "greens", cfg)
@@ -433,10 +433,14 @@ def test_cutcompare_reruns_replace_every_artifact(tmp_path):
 
 @pytest.mark.parametrize("block, key, value", [("flow", "kappa", math.nan),
                                                ("time", "dt", math.nan),
-                                               ("time", "T", math.inf)],
-                         ids=["kappa-nan", "dt-nan", "T-inf"])
+                                               ("time", "T", math.inf),
+                                               ("time", "dt", 1e-320),
+                                               ("flow", "kappa", 1e100)],
+                         ids=["kappa-nan", "dt-nan", "T-inf", "T-over-dt-inf",
+                              "kappa-to-the-5-inf"])
 def test_non_finite_flow_parameter_exit_code_2(tmp_path, capsys, block, key, value):
-    # json writes and reads these as NaN and Infinity
+    # json writes and reads these as NaN and Infinity; T/dt = 0.004/1e-320 and
+    # 16 kappa^5 = 1.6e501 are beyond float range
     cfg = {"grid": {"length": 6.283185307179586, "cutoff": 16}, "initial": MODES,
            "flow": {"kind": "hkappa", "kappa": 2.0},
            "time": {"dt": 1e-3, "T": 0.004, "saves": 1}}
@@ -622,7 +626,7 @@ for k, ham in ((32, HamiltonianSpec.kdv()), (64, HamiltonianSpec.hkappa(2.0))):
     evolve(field_from_modes(TorusGrid.make(6.0, k), modes), FlowSpec(ham, dt=1e-3, T=2e-3))
     loaded.append("scipy.linalg" in sys.modules)
 q = field_from_modes(TorusGrid.make(6.0, 12), modes)
-g = green_diagonal(assemble_resolvent(q, 2.0)).g
+g = green_diagonal(assemble_resolvent(q, 2.0))
 loaded.append("scipy.linalg" in sys.modules)
 hkappa_versions = manifest_versions(12, {"kind": "hkappa", "kappa": 2.0})
 print(json.dumps({"loaded": loaded, "g": g.coeffs.view(float).tolist(),
@@ -648,7 +652,7 @@ def test_scipy_linalg_loads_only_on_the_dense_route():
     assert out["hkappa_versions"]["scipy"] == out["scipy"]
     q = field_from_modes(TorusGrid.make(6.0, 12), [(1, 0.02), (-1, 0.02), (2, 0.01j),
                                                    (-2, -0.01j)])
-    g = green_diagonal(assemble_resolvent(q, 2.0)).g
+    g = green_diagonal(assemble_resolvent(q, 2.0))
     assert g.coeffs.view(float).tolist() == out["g"]
 
 
@@ -665,9 +669,12 @@ def test_scipy_linalg_loads_only_on_the_dense_route():
      '"widht"'),
     ("evolve", dict(EVOLVE, probe=[2.0]), '"probe"'),
     ("evolve", dict(EVOLVE, initial=dict(MODES, mode=[])), '"mode"'),
+    ("evolve", dict(EVOLVE, time={"dt": 1e-3, "T": 10 ** 400}), '"T"'),
+    ("evolve", dict(EVOLVE, grid=dict(GRID, length=10 ** 400)), '"length"'),
 ], ids=["string_dt", "string_search_starts", "unknown_search_key", "string_area_dt",
         "bool_cutoff", "string_mode_amplitude", "string_kappa", "unknown_scenario_key",
-        "unknown_prototype_key", "unknown_top_level_key", "unknown_initial_key"])
+        "unknown_prototype_key", "unknown_top_level_key", "unknown_initial_key",
+        "integer_T_beyond_float", "integer_length_beyond_float"])
 def test_wrong_type_or_unknown_key_exit_code_2(tmp_path, capsys, command, cfg, key):
     code, _ = run_cli(tmp_path, command, cfg)
     assert code == 2

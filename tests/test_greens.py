@@ -24,12 +24,7 @@ from kdvlab import (
     sobolev_norm,
     truncate_field,
 )
-from kdvlab.errors import (
-    CertificationError,
-    LogDetBranchError,
-    PreconditionError,
-    SingularResolventError,
-)
+from kdvlab.errors import CertificationError, PreconditionError
 from kdvlab import flows, greens
 from kdvlab.flows import evolve, rhs
 from kdvlab.greens import (
@@ -48,6 +43,7 @@ from oracles import (
     alpha_gradient_field,
     alpha_series,
     complex_b,
+    dense_green_coeffs,
     green_diagonal_series,
     operator_matrix,
     translate,
@@ -58,7 +54,7 @@ from oracles import (
 def small_random(grid, rng, target_hs, kappa):
     """Random mean-zero field scaled to a prescribed Hilbert-Schmidt norm."""
     f = random_field(grid, rng, decay=1.5, mean_zero=True)
-    h = hs_norm(assemble_resolvent(f, kappa))
+    h = hs_norm(f, kappa)
     return f * (target_hs / h)
 
 
@@ -123,19 +119,6 @@ def test_pair_sums_match_long_lattice(length, cutoff, kappa):
         assert abs(s_full[cutoff + d] - expected) <= 1e-13 * expected
 
 
-def dense_green_coeffs(ctx, inverse):
-    """g_hat from a complex (I+B)^{-1}: lag sums of D^{-1/2} inverse D^{-1/2}
-    plus the free-constant and tail-completion terms of ``green_diagonal``."""
-    grid = ctx.grid
-    k = grid.cutoff
-    inv_sq = 1.0 / np.sqrt(ctx.omega)
-    m = inverse * np.outer(inv_sq, inv_sq)
-    c = np.array([np.trace(m, offset=-d) for d in range(-k, k + 1)]) / grid.length
-    s_in, s_full, sum_inv_omega = _pair_sums(grid, ctx.kappa)
-    c[k] += free_diagonal_constant(ctx.kappa, grid.length) - sum_inv_omega / grid.length
-    return c - ctx.q.coeffs * (s_full - s_in) / grid.length
-
-
 def alpha_tail(ctx):
     """The second-order lattice-tail term of ``alpha``: sum_d |qhat(d)|^2 (S - S_K)(d) / 2."""
     s_in, s_full, _ = _pair_sums(ctx.grid, ctx.kappa)
@@ -163,11 +146,11 @@ class TestRealBasisMatchesComplexOracle:
     def test_green_diagonal(self, ctx):
         n = len(ctx.omega)
         expected = dense_green_coeffs(ctx, np.linalg.inv(np.eye(n) + complex_b(ctx)))
-        assert relative_error(green_diagonal(ctx).g.coeffs, expected) <= 1e-13
+        assert relative_error(green_diagonal(ctx).coeffs, expected) <= 1e-13
 
     def test_hs_norm(self, ctx):
         expected = np.linalg.norm(complex_b(ctx), "fro")
-        assert abs(hs_norm(ctx) - expected) <= 1e-13 * expected
+        assert abs(hs_norm(ctx.q, ctx.kappa) - expected) <= 1e-13 * expected
 
     def test_alpha(self, ctx):
         b = complex_b(ctx)
@@ -187,16 +170,20 @@ class TestRealBasisMatchesComplexOracle:
 
 
 class TestResolventFallbacks:
-    def test_indefinite_takes_lu_and_matches_complex_inverse(self, rng):
-        # q = -2 + small: the constant mode of I + B is -1 at kappa = 1, so
-        # Cholesky fails and the LU fallback must still give the dense g
+    """Unless I + B is positive definite, the dense g and alpha raise
+    CertificationError, as the Riccati route does."""
+
+    def test_indefinite_raises(self, rng):
+        # q = -2 + small: the constant mode of I + B is -1 at kappa = 1
         grid = TorusGrid.make(1.0, 16)
         q = with_mean(random_field(grid, rng, amplitude=0.05), -2.0)
         ctx = assemble_resolvent(q, 1.0)
         n = len(ctx.omega)
         assert np.min(np.linalg.eigvalsh(np.eye(n) + ctx.B_r)) < 0
-        expected = dense_green_coeffs(ctx, np.linalg.inv(np.eye(n) + complex_b(ctx)))
-        assert relative_error(green_diagonal(ctx).g.coeffs, expected) <= 1e-13
+        with pytest.raises(CertificationError, match="not positive definite"):
+            green_diagonal(ctx)
+        with pytest.raises(CertificationError, match="not positive definite"):
+            alpha(ctx)
 
     @pytest.mark.parametrize("mean, definite", [(-2.0, False), (0.0, True)])
     def test_certified_only_when_cholesky_ran(self, rng, mean, definite):
@@ -206,16 +193,20 @@ class TestResolventFallbacks:
         ctx = assemble_resolvent(with_mean(random_field(grid, rng, amplitude=0.05), mean), 1.0)
         n = len(ctx.omega)
         assert (np.min(np.linalg.eigvalsh(np.eye(n) + ctx.B_r)) > 0) == definite
-        assert ctx.positive_definite is None  # nothing inverted yet
-        res = green_diagonal(ctx)
-        assert ctx.positive_definite is definite
-        assert res.certified is definite
+        if definite:
+            green_diagonal(ctx)
+        else:
+            with pytest.raises(CertificationError):
+                green_diagonal(ctx)
 
     def test_singular_raises(self, unit_grid):
         # q = -kappa^2 annihilates the constants: I + B_r has an exact zero row
         q = field_from_modes(unit_grid, [(0, -4.0)])
-        with pytest.raises(SingularResolventError):
-            green_diagonal(assemble_resolvent(q, 2.0))
+        ctx = assemble_resolvent(q, 2.0)
+        with pytest.raises(CertificationError, match="not positive definite"):
+            green_diagonal(ctx)
+        with pytest.raises(CertificationError, match="not positive definite"):
+            alpha(ctx)
 
 
 def test_lag_sums_match_trace_loop(rng):
@@ -229,14 +220,14 @@ def test_lag_sums_match_trace_loop(rng):
 
 class TestHsNorm:
     def test_zero(self, unit_grid):
-        assert hs_norm(assemble_resolvent(zero_field(unit_grid), 2.0)) == 0.0
+        assert hs_norm(zero_field(unit_grid), 2.0) == 0.0
 
     def test_matches_double_sum_oracle(self):
         grid = TorusGrid.make(1.0, 64)
         a = 0.3
         q = field_from_modes(grid, [(1, a / 2), (-1, a / 2)])
         kap = 2.0
-        got = hs_norm(assemble_resolvent(q, kap))
+        got = hs_norm(q, kap)
         acc = 0.0
         for i in range(-64, 65):
             for j in range(-64, 65):
@@ -249,23 +240,22 @@ class TestHsNorm:
 
     def test_linear_in_q(self, unit_grid, rng):
         q = random_field(unit_grid, rng)
-        h1 = hs_norm(assemble_resolvent(q, 3.0))
-        h2 = hs_norm(assemble_resolvent(q * 2.0, 3.0))
+        h1 = hs_norm(q, 3.0)
+        h2 = hs_norm(q * 2.0, 3.0)
         assert abs(h2 - 2 * h1) < 1e-12 * h1
 
     @pytest.mark.parametrize("cutoff", [1, 12, 64, 128])
     def test_matches_frobenius_norm_of_real_matrix(self, cutoff, rng):
         ctx = assemble_resolvent(random_field(TorusGrid.make(2 * math.pi, cutoff), rng), 1.5)
         expected = np.linalg.norm(ctx.B_r)
-        assert abs(hs_norm(ctx) - expected) <= 1e-14 * expected
+        assert abs(hs_norm(ctx.q, ctx.kappa) - expected) <= 1e-14 * expected
 
 
 class TestGreenDiagonal:
     def test_free_circle_constant(self):
         grid = TorusGrid.make(1.0, 32)
-        res = green_diagonal(assemble_resolvent(zero_field(grid), 2.0))
+        g = green_diagonal(assemble_resolvent(zero_field(grid), 2.0))
         expected = math.cosh(1.0) / math.sinh(1.0) / 4.0
-        g = res.g
         assert abs(g.coeffs[grid.cutoff].real - expected) < 1e-12
         others = np.delete(g.coeffs, grid.cutoff)
         assert np.max(np.abs(others)) < 1e-14
@@ -274,8 +264,8 @@ class TestGreenDiagonal:
     def test_free_constant_approaches_line_value(self, length):
         kap = 2.0
         grid = TorusGrid.make(length, 16)
-        res = green_diagonal(assemble_resolvent(zero_field(grid), kap))
-        val = res.g.coeffs[grid.cutoff].real
+        g = green_diagonal(assemble_resolvent(zero_field(grid), kap))
+        val = g.coeffs[grid.cutoff].real
         assert abs(val - 1.0 / (2 * kap)) <= math.exp(-kap * length)
 
     def test_series_matches_direct_within_tail(self, rng):
@@ -287,7 +277,7 @@ class TestGreenDiagonal:
         series = green_diagonal_series(q, kap, l_max=8)
         assert series.certified
         diff = np.max(np.abs(
-            direct.g.samples_values() - series.g.samples_values()))
+            direct.samples_values() - series.g.samples_values()))
         assert diff <= series.tail_bound * 1.01
 
     def test_series_lmax_zero_is_free_diagonal(self, unit_grid, rng):
@@ -305,15 +295,14 @@ class TestGreenDiagonal:
         assert res.tail_bound is None
 
     def test_green_prime_zero_for_free(self, unit_grid):
-        res = green_diagonal(assemble_resolvent(zero_field(unit_grid), 2.0))
-        gp = derivative(res.g, 1)
+        gp = derivative(green_diagonal(assemble_resolvent(zero_field(unit_grid), 2.0)), 1)
         assert np.max(np.abs(gp.coeffs)) < 1e-14
 
     def test_green_prime_is_derivative(self, unit_grid, rng):
         q = small_random(unit_grid, rng, 0.3, 2.0)
-        res = green_diagonal(assemble_resolvent(q, 2.0))
-        gp = derivative(res.g, 1)
-        assert np.max(np.abs(gp.coeffs - derivative(res.g, 1).coeffs)) == 0.0
+        g = green_diagonal(assemble_resolvent(q, 2.0))
+        gp = derivative(g, 1)
+        assert np.max(np.abs(gp.coeffs - derivative(g, 1).coeffs)) == 0.0
         assert gp.is_mean_zero()
 
     def test_green_prime_lipschitz_in_hm1(self, rng):
@@ -325,8 +314,8 @@ class TestGreenDiagonal:
                 q = small_random(grid, rng, 0.3, kap)
                 v = small_random(grid, rng, 0.02, kap)
                 qt = q + v
-                gp = derivative(green_diagonal(assemble_resolvent(q, kap)).g, 1)
-                gpt = derivative(green_diagonal(assemble_resolvent(qt, kap)).g, 1)
+                gp = derivative(green_diagonal(assemble_resolvent(q, kap)), 1)
+                gpt = derivative(green_diagonal(assemble_resolvent(qt, kap)), 1)
                 num = sobolev_norm(gp - gpt, -1.0)
                 den = sobolev_norm(q - qt, -1.0)
                 worst = max(worst, num / den)
@@ -341,8 +330,8 @@ class TestDiffeomorphismBound:
             for _ in range(4):
                 q = small_random(grid, rng, 0.3, kap)
                 v = small_random(grid, rng, 0.03, kap)
-                gq = green_diagonal(assemble_resolvent(q, kap)).g
-                gqt = green_diagonal(assemble_resolvent(q + v, kap)).g
+                gq = green_diagonal(assemble_resolvent(q, kap))
+                gqt = green_diagonal(assemble_resolvent(q + v, kap))
                 ratio = sobolev_norm(gq - gqt, 1.0) / sobolev_norm(v, -1.0)
                 worst = max(worst, ratio)
         # paper: ratio bounded uniformly in kappa; frozen empirical bound
@@ -366,7 +355,7 @@ class TestAlpha:
             ctx = assemble_resolvent(q, kap)
             vals.append(alpha(ctx).value / a ** 2)
             if a == amps[0]:
-                assert abs(vals[0] / (0.5 * hs_norm(ctx) ** 2 / a ** 2) - 1) < 1e-4
+                assert abs(vals[0] / (0.5 * hs_norm(q, kap) ** 2 / a ** 2) - 1) < 1e-4
         d1 = abs(vals[1] - vals[0])
         d2 = abs(vals[2] - vals[1])
         assert d1 < 1e-4 * abs(vals[0])
@@ -380,7 +369,7 @@ class TestAlpha:
         q = small_random(unit_grid, rng, 0.3, 2.0)
         ctx = assemble_resolvent(q, 2.0)
         got = alpha_series(ctx, 2).value
-        assert abs(got - 0.5 * hs_norm(ctx) ** 2) < 1e-12
+        assert abs(got - 0.5 * hs_norm(q, 2.0) ** 2) < 1e-12
 
     def test_alpha_series_matches_logdet_within_tail(self, rng):
         grid = TorusGrid.make(2.0, 24)
@@ -397,7 +386,7 @@ class TestAlpha:
         q = small_random(grid, rng, 3.0, 1.0)  # pushes an eigenvalue below -1
         ctx = assemble_resolvent(q, 1.0)
         if np.min(1 + np.linalg.eigvalsh(complex_b(ctx))) <= 0:
-            with pytest.raises(LogDetBranchError):
+            with pytest.raises(CertificationError):
                 alpha(ctx)
         else:
             pytest.skip("eigenvalues stayed in the right half line")
@@ -481,21 +470,26 @@ class TestRiccatiRoute:
         (16.0, K_STAR, 4.0, 2.0, 0.5),
         (32.0, 128, 1.0, 2.0, 0.5),
     ])
-    def test_closer_to_dense_at_4k_than_dense_at_k(self, length, cutoff, kappa, decay,
-                                                   target_hs):
+    def test_closer_to_dense_at_4k_than_dense_at_k(self, monkeypatch, length, cutoff, kappa,
+                                                   decay, target_hs):
         grid = TorusGrid.make(length, cutoff)
         f = random_field(grid, np.random.default_rng(cutoff), decay=decay)
-        q = f * (target_hs / hs_norm(assemble_resolvent(f, kappa)))
+        q = f * (target_hs / hs_norm(f, kappa))
         wide = assemble_resolvent(truncate_field(q, 4 * cutoff), kappa)
-        ref_g = green_diagonal(wide).g.coeffs[3 * cutoff:5 * cutoff + 1]
+        ref_g = green_diagonal(wide).coeffs[3 * cutoff:5 * cutoff + 1]
         ref_a = alpha(wide).value
         ctx = assemble_resolvent(q, kappa)
-        dense_g, dense_a = green_diagonal(ctx).g.coeffs, alpha(ctx).value
-        res_g, res_a = green_of(q, kappa), alpha_of(q, kappa)
-        assert (res_g.method, res_a.method) == ("riccati", "hill")
-        assert np.linalg.norm(res_g.g.coeffs - ref_g) <= np.linalg.norm(dense_g - ref_g)
+        dense_g, dense_a = green_diagonal(ctx).coeffs, alpha(ctx).value
+        calls = []  # the dense g inverts I + B; the dense alpha takes its eigenvalues
+        original_inv_ib, original_alpha = ResolventContext.inv_ib, greens.alpha
+        monkeypatch.setattr(ResolventContext, "inv_ib",
+                            lambda ctx: calls.append(ctx) or original_inv_ib(ctx))
+        monkeypatch.setattr(greens, "alpha", lambda ctx: calls.append(ctx) or original_alpha(ctx))
+        g, res_a = green_of(q, kappa).coeffs, alpha_of(q, kappa)
+        assert calls == []
+        assert np.linalg.norm(g - ref_g) <= np.linalg.norm(dense_g - ref_g)
         assert abs(res_a.value - ref_a) <= abs(dense_a - ref_a)
-        assert res_a.hs_norm == hs_norm(ctx)
+        assert res_a.hs_norm == hs_norm(q, kappa)
 
     @pytest.mark.parametrize("kappa", [1.0, 4.0])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -505,15 +499,15 @@ class TestRiccatiRoute:
         q = small_random(grid, np.random.default_rng(7), sign * target_hs, kappa)
         dense = alpha(assemble_resolvent(q, kappa)).value
         assert abs(alpha_of(q, kappa).value - dense) <= 1e-4 * abs(dense)
-        g = green_of(q, kappa).g.coeffs
+        g = green_of(q, kappa).coeffs
         assert np.all(np.isfinite(g))
 
     def test_zero_potential_is_exactly_free(self):
         grid = TorusGrid.make(2 * math.pi, K_STAR)
-        res = green_of(zero_field(grid), 4.0)
+        g = green_of(zero_field(grid), 4.0)
         expected = np.zeros(2 * K_STAR + 1, dtype=complex)
         expected[K_STAR] = free_diagonal_constant(4.0, grid.length)
-        assert np.array_equal(res.g.coeffs, expected)
+        assert np.array_equal(g.coeffs, expected)
         assert alpha_of(zero_field(grid), 4.0).value == 0.0
 
     def test_negative_operator_raises_through_evolve(self):
@@ -570,12 +564,12 @@ class TestRiccatiRoute:
         monkeypatch.setattr(greens, "_newton_correction", counted)
         grid = TorusGrid.make(length, K_STAR)
         q = small_random(grid, np.random.default_rng(2), 0.99, 1.0)
-        res_g = green_of(q, 1.0)
+        g = green_of(q, 1.0).coeffs
         assert calls
         wide = green_diagonal(assemble_resolvent(truncate_field(q, 4 * K_STAR), 1.0))
-        ref = wide.g.coeffs[3 * K_STAR:5 * K_STAR + 1]
-        dense = green_diagonal(assemble_resolvent(q, 1.0)).g.coeffs
-        assert np.linalg.norm(res_g.g.coeffs - ref) <= np.linalg.norm(dense - ref)
+        ref = wide.coeffs[3 * K_STAR:5 * K_STAR + 1]
+        dense = green_diagonal(assemble_resolvent(q, 1.0)).coeffs
+        assert np.linalg.norm(g - ref) <= np.linalg.norm(dense - ref)
 
     def test_warm_starts_match_cold_along_a_trajectory(self, monkeypatch):
         seen = []
@@ -595,7 +589,7 @@ class TestRiccatiRoute:
         assert all(start is not None for _, _, start, _ in seen[1:])
         for qh, kappa, _, warm in seen:
             full = np.concatenate((np.conj(qh[:0:-1]), qh))
-            cold = green_of(PeriodicField(grid, full), kappa).g.coeffs[K_STAR:]
+            cold = green_of(PeriodicField(grid, full), kappa).coeffs[K_STAR:]
             assert np.linalg.norm(warm - cold) <= 1e-14 * np.linalg.norm(cold)
 
     @pytest.mark.parametrize("spoil", [1.0, 1e3])

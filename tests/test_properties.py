@@ -4,21 +4,28 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kdvlab import TorusGrid, build_scenario, escape_search, make_field, pairing
+from kdvlab.errors import CertificationError
 from kdvlab.greens import (
     NEWTON_RTOL,
     RICCATI_MIN_CUTOFF,
-    _hs_norm,
     _riccati_green_hat,
     _riccati_half,
     alpha_of,
     alphas_of,
+    assemble_resolvent,
+    green_diagonal,
+    green_of,
+    hs_norm,
 )
 
 from kdvlab.squeeze import SearchBudget, _propagate_linear
+from conftest import random_field
+from oracles import complex_b, dense_green_coeffs
 from search_reference import assert_same_search, sequential_search
 
 K_STAR = RICCATI_MIN_CUTOFF
@@ -30,7 +37,7 @@ def band_limited(grid, rng, band, hs, kappa):
     c = np.zeros(2 * k + 1, dtype=complex)
     c[k - band:k + band + 1] = rng.standard_normal(2 * band + 1) + 1j * rng.standard_normal(2 * band + 1)
     q = make_field(grid, coeffs=c)
-    return q * (hs / _hs_norm(q, kappa))
+    return q * (hs / hs_norm(q, kappa))
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -65,6 +72,35 @@ def test_warm_start_near_the_solve_gives_the_cold_g(seed, kappa, band, length, d
     d, dtheta = _riccati_half(grid, qh, kappa, nonlinear + nudge)[:2]
     warm = _riccati_green_hat(grid, kappa, d, dtheta)
     assert np.abs(warm - cold).max() <= 1e-11 * np.abs(cold).max()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), cutoff=st.sampled_from([4, 16, K_STAR - 1]),
+       kappa=st.sampled_from([1.0, 2.0, 4.0]), length=st.sampled_from([1.0, 2.0 * math.pi]),
+       shift=st.floats(-0.5, 0.5), amplitude=st.floats(0.0, 0.3))
+def test_dense_route_certifies_or_raises(seed, cutoff, kappa, length, shift, amplitude):
+    # the mean -kappa^2 (1 + shift) puts -d^2 + q + kappa^2 on either side of
+    # positivity; the oscillation moves the boundary by O(amplitude^2)
+    grid = TorusGrid.make(length, cutoff)
+    c = random_field(grid, np.random.default_rng(seed), amplitude=amplitude * kappa ** 2,
+                     mean_zero=True).coeffs.copy()
+    c[cutoff] = -kappa ** 2 * (1.0 + shift)
+    q = make_field(grid, coeffs=c)
+    ctx = assemble_resolvent(q, kappa)
+    n = len(ctx.omega)
+    lowest = np.linalg.eigvalsh(np.eye(n) + ctx.B_r)[0]
+    assume(abs(lowest) > 1e-8)  # nearer, Cholesky and eigvalsh may round to either side
+    if lowest <= 0.0:
+        with pytest.raises(CertificationError, match="not positive definite"):
+            green_of(q, kappa)
+        with pytest.raises(CertificationError, match="not positive definite"):
+            alpha_of(q, kappa)
+        return
+    alpha_of(q, kappa)
+    got = green_of(q, kappa).coeffs
+    assert np.array_equal(got, green_diagonal(ctx).coeffs)
+    expected = dense_green_coeffs(ctx, np.linalg.inv(np.eye(n) + complex_b(ctx)))
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 # the KdV desk scenario of the squeeze tests at K = 16, with alpha drawn
