@@ -9,8 +9,9 @@ outputs are CSV tables plus a manifest with sha256 digests.  Config blocks:
   initial  {modes: [{j, re, im}, ...]} with |j| <= K and repeated j summed,
            or {prototype: {kind: gauss_prime | gauss_bump, width, amplitude,
            center}} periodized onto the grid
-  flow     {kind: kdv | kdv_linear | hkappa | hkappa_linear | hkappa_band,
-           kappa, band: {m, M} (hkappa_band only)}; sweep-band and cutcompare
+  flow     {kind: kdv | hkappa | hkappa_band | <kind>_linear (that flow's
+           linearisation at q = 0: its kappa, band and linear_symbol), kappa,
+           band: {m, M} (hkappa_band(_linear) only)}; sweep-band and cutcompare
            take {kappa, kind: hkappa (optional)}, as they set the bands
   time     {dt, T, saves (optional)}
 
@@ -226,12 +227,9 @@ def cmd_squeeze(cfg, out):
                                            rounds=int, step=float, dt=float, directions=int))
     result = escape_search(scenario, budget)
     rows = [[scenario.r, scenario.R, result.value, int(result.exceeds_r),
-             result.evaluations]]
+             result.evaluations, linear_oracle(scenario)]]
     p = write_csv(os.path.join(out, "squeeze.csv"),
-                  ["r", "R", "best_value", "exceeds_r", "evaluations"], rows)
-    if scenario.flow.is_linear:
-        oracle = linear_oracle(scenario)
-        print(f"linear oracle {oracle:.6g}, search {result.value:.6g}")
+                  ["r", "R", "best_value", "exceeds_r", "evaluations", "linear_value"], rows)
     print(f"best |<l,q(T)>-alpha| = {result.value:.6g} "
           f"({'exceeds' if result.exceeds_r else 'does not exceed'} r={scenario.r})")
     return _manifest(cfg, [p], out, seeds={"scenario": scenario.seed})

@@ -6,7 +6,8 @@ Three flows share one integrator:
     hkappa       dq/dt = 4 kappa^2 q' + 16 kappa^5 g'(q)
     hkappa_band  dq/dt = 4 kappa^2 q' + 16 kappa^5 P_band g'(P_band q)
 
-plus the linear flows (nonlinearity dropped) used as closed-form oracles.
+and for each flow the kind "<flow>_linear", its linearisation at q = 0: the
+flow's kappa and band, stepped by the exact multiplier of its ``linear_symbol``.
 
 Integrator: Lawson (integrating-factor) RK4.  The exactly-propagated linear
 symbol is the full linearization of the flow at q = 0 in Fourier space: the
@@ -65,8 +66,7 @@ certifies or raises, and a warm start that fails is retried cold.
 Below K* it is ``rhs`` on the full row less the linear symbol's part, with g
 from ``greens.green_of`` (dense below K*), which raises a CertificationError
 where the dense I + B is not positive definite, as the Riccati route does
-where -d^2 + q + kappa^2 is not positive.  The linear kinds have no remainder:
-their step is the exact multiplier e^{lambda dt}.
+where -d^2 + q + kappa^2 is not positive.
 The alpha monitors take alpha on the route of g, so the flow conserves the
 alpha its g belongs to.  ``evolve`` computes the monitors of its saved states
 after the loop, alpha and hs as one ``alphas_of`` stack per probe kappa;
@@ -79,7 +79,7 @@ while the other rows go on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -107,13 +107,12 @@ from .spectral import (
     sobolev_norm,
 )
 
-HKAPPA_KINDS = ("hkappa", "hkappa_band", "hkappa_linear")
-ALL_KINDS = ("kdv", "kdv_linear") + HKAPPA_KINDS
+ALL_KINDS = ("kdv", "hkappa", "hkappa_band", "kdv_linear", "hkappa_linear", "hkappa_band_linear")
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Selector for the evolution: KdV, H_kappa, truncated H_kappa, or linear."""
+    """Selector for the evolution: KdV, H_kappa, truncated H_kappa, or one's linearisation."""
 
     kind: str
     kappa: float | None = None
@@ -122,7 +121,7 @@ class HamiltonianSpec:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise PreconditionError(f"unknown flow kind {self.kind!r}")
-        if self.kind in HKAPPA_KINDS:
+        if self.parent != "kdv":
             try:  # the flow's gain 16 kappa^5 must be a float; kappa^5 may overflow
                 valid = (self.kappa is not None and 1 <= self.kappa
                          and 16.0 * self.kappa ** 5 < math.inf)
@@ -131,33 +130,35 @@ class HamiltonianSpec:
             if not valid:
                 raise PreconditionError(
                     f"hkappa flows need a kappa >= 1 with 16 kappa^5 finite, got {self.kappa}")
-        if self.kind == "hkappa_band":
-            if self.band is None:
-                raise PreconditionError("hkappa_band needs a band MultiplierSpec")
+        if (self.band is None) == (self.parent == "hkappa_band"):
+            raise PreconditionError(f"{self.kind} {'needs a' if self.band is None else 'takes no'}"
+                                    ' "band": hkappa_band and its linearisation take one, no '
+                                    "other kind does")
 
     @classmethod
     def kdv(cls):
         return cls("kdv")
 
     @classmethod
-    def kdv_linear(cls):
-        return cls("kdv_linear")
-
-    @classmethod
     def hkappa(cls, kappa):
         return cls("hkappa", kappa=float(kappa))
-
-    @classmethod
-    def hkappa_linear(cls, kappa):
-        return cls("hkappa_linear", kappa=float(kappa))
 
     @classmethod
     def hkappa_band(cls, kappa, m, M):
         return cls("hkappa_band", kappa=float(kappa), band=MultiplierSpec.band(m, M))
 
     @property
+    def parent(self):
+        """The nonlinear flow kind: this kind, or the flow a linear kind linearises."""
+        return self.kind.removesuffix("_linear")
+
+    @property
     def is_linear(self):
-        return self.kind in ("kdv_linear", "hkappa_linear")
+        return self.kind != self.parent
+
+    def linearised(self):
+        """The flow's linearisation at q = 0 (module docstring); a linear kind's is itself."""
+        return replace(self, kind=f"{self.parent}_linear")
 
 
 # The H^{-1} radius of the small-data regime (the KV18 well-posedness ball) that
@@ -166,6 +167,13 @@ class HamiltonianSpec:
 # cutoffs 24-32, kappa in {1,2,4,8} (seed 0): the largest H^{-1} ball keeping
 # ||B||_HS <= 1/2 came out at delta0 ~ 1.08; this is the rounded-down value.
 HM1_RADIUS = 0.85
+
+# The most steps a run may take, and the most saves it may ask for.  The runs in
+# use take at most 5000 steps (in the tests; the workloads fewer).  At ~55 us a
+# step, the cheapest there is (KdV, K = 32, one row), 10^6 steps take about a
+# minute, and a batch or a larger K hours.  A larger count is refused before the
+# loop or np.linspace is asked for it.
+MAX_STEPS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +315,14 @@ def _hkappa_nonlinear(grid, ham):
     Riccati solve started from ``history`` (a ``_StageHistory``, which records the
     solve; an empty one starts cold); for K >= RICCATI_MIN_CUTOFF."""
     k = grid.cutoff
-    w = np.ones(k + 1) if ham.band is None else ham.band.values(grid.frequencies[k:])
-    amp = (16.0 * ham.kappa ** 5 * 2j * math.pi / grid.length) * np.arange(k + 1) * w
-    m_lin = first_order_green(grid, ham.kappa)[k:] * w
-    for a in (w, amp, m_lin):
+    amp = (16.0 * ham.kappa ** 5 * 2j * math.pi / grid.length) * np.arange(k + 1)
+    m_lin = first_order_green(grid, ham.kappa)[k:]
+    w = None  # no band: P_band is the identity, and no multiply is spent on it
+    if ham.band is not None:
+        w = ham.band.values(grid.frequencies[k:])
+        w.setflags(write=False)
+        amp, m_lin = amp * w, m_lin * w
+    for a in (amp, m_lin):
         a.setflags(write=False)
     return partial(_hkappa_term, grid, ham.kappa, w, amp, m_lin)
 
@@ -318,7 +330,8 @@ def _hkappa_nonlinear(grid, ham):
 def _hkappa_term(grid, kappa, w, amp, m_lin, h, history):
     if h[0].imag != 0.0:
         raise PreconditionError("q is not real: Im qhat(0) of its half row is not 0")
-    d, dtheta, _, nonlinear, settled = _riccati_half(grid, w * h, kappa, history.start())
+    q = h if w is None else w * h
+    d, dtheta, _, nonlinear, settled = _riccati_half(grid, q, kappa, history.start())
     history.push(nonlinear, settled)
     return amp * (_riccati_green_hat(grid, kappa, d, dtheta) - m_lin * h)
 
@@ -342,14 +355,12 @@ def rhs(q, ham):
 
 
 def linear_symbol(grid, ham):
-    """Fourier symbol of the flow's linearization at q = 0 (exactly propagated)."""
+    """Fourier symbol of the flow's (a linear kind's parent's) linearization at q = 0."""
     two_pi_i_k = 2j * math.pi * grid.frequencies
-    if ham.kind in ("kdv", "kdv_linear"):
+    if ham.parent == "kdv":
         return -two_pi_i_k ** 3
     kap = ham.kappa
     sym = 4.0 * kap ** 2 * two_pi_i_k
-    if ham.kind == "hkappa_linear":
-        return sym
     # first-order symbol of 16 kappa^5 d/dx g(q)
     gain = 16.0 * kap ** 5 * first_order_green(grid, kap)
     w = _band_values(ham, grid)
@@ -378,10 +389,11 @@ class FlowSpec:
             raise PreconditionError(f"T must be nonnegative and finite, got {self.T}")
         if self.T > 0 and self.dt > self.T + 1e-15:
             raise PreconditionError("dt must not exceed T")
-        if not self.T / self.dt < math.inf:
-            raise PreconditionError(f"dt {self.dt} is too small: T/dt is not finite")
-        if self.saves < 1:
-            raise PreconditionError("need at least one save interval")
+        if not self.T / self.dt <= MAX_STEPS:
+            raise PreconditionError(f"dt {self.dt} is too small: T/dt = {self.T / self.dt:.3g} "
+                                    f"steps, above MAX_STEPS = {MAX_STEPS}")
+        if not 1 <= self.saves <= MAX_STEPS:
+            raise PreconditionError(f"saves must be from 1 to MAX_STEPS = {MAX_STEPS}")
         columns = {}  # monitor column -> the probe it holds
         for kap in self.probes:
             if not 1.0 <= kap < math.inf:
@@ -539,7 +551,7 @@ def evolve(q0, spec):
     if isinstance(final, KdvLabError):
         raise final
     warnings = []
-    if spec.hamiltonian.kind in HKAPPA_KINDS:
+    if spec.hamiltonian.parent != "kdv":
         for t, f in zip(times, states):
             nrm = sobolev_norm(f, -1.0)
             if nrm > HM1_RADIUS:

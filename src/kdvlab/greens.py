@@ -83,23 +83,10 @@ one.  The cold start is the linear response w' +- 2 kappa w = q, in closed
 form, and ``green_of`` and ``alphas_of`` always start cold.  A warm start is
 the linear response of the new q plus a guess at the nonlinear part N of
 w-hat (w-hat less the linear response of its q): ``_riccati_half`` takes the
-guess, one (2, M + 1) pair per row, and returns the solve's own N.  RK
-stages are transported at speed ~4 kappa^2, which the linear response absorbs
-on modes 0..K.  w is translation-covariant, so its modes K+1..M, where q has
-none, rotate with that transport alone: by up to ~5 rad a step at kappa = 4,
-K = 64, dt = 1e-3.  The H_kappa flow
-guesses, per Lawson-RK4 row, the previous stage's N plus this stage's
-increment extrapolated through its last p steps and carried by the full-step
-multiplier: e^{lambda dt} on modes 0..K and the transport's rotation on
-K+1..M (``flows._StageHistory``).  Held fixed, modes K+1..M stalled the
-starts of stages b and d, half a step past the stage before.  p starts at
-``flows.EXTRAPOLATION_ORDER`` = 7, the largest fixed order at which
-cut_compare's residuals per stage solve stayed at their floor, and rises by
-one per start at full order that does not certify, up to
-``flows.EXTRAPOLATION_MAX_ORDER`` = 12, separately for each RK stage (the
-rule and the cap are argued in the flows docstring; tables in CHANGES.md).
-A row whose warm start fails to certify is solved again cold, so a poor
-guess costs Newton steps only.
+guess, one (2, M + 1) pair per row, and returns the solve's own N.  The
+H_kappa flow builds its guesses by ``flows._StageHistory``'s rule.  A row
+whose warm start fails to certify is solved again cold, so a poor guess
+costs Newton steps only.
 
 ``_newton`` takes one (2, M + 1) pair or a stack (S, 2, M + 1) of them, one
 per row of qhat, through the same ``...`` indexing: one row is never given a

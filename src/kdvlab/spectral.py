@@ -32,6 +32,14 @@ from .errors import (
 
 MEAN_ZERO_RTOL = 1e-12
 
+# The most sample points a grid may have, and so the largest mode cutoff K, as a
+# grid takes 2K + 1 points or more (3K + 1 or more by default).  The largest
+# grids in use have 8192 points (K = 2560, in the tests) and ~900 (K = 288, in
+# cut_compare); 2^18 is 32 times the first, while one row of n complex values
+# stays 4 MB.  A larger cutoff is refused before next_fast_len searches for its
+# transform length, a search that does not end in any time for a huge K.
+MAX_SAMPLES = 2 ** 18
+
 
 @lru_cache(maxsize=256)
 def next_fast_len(n, real=False):
@@ -66,6 +74,10 @@ class TorusGrid:
             raise PreconditionError(f"circle length must be positive, got {self.length}")
         if self.cutoff < 1:
             raise PreconditionError(f"mode cutoff must be >= 1, got {self.cutoff}")
+        for key in ("cutoff", "samples"):
+            if getattr(self, key) > MAX_SAMPLES:
+                raise PreconditionError(f"grid {key} must be at most MAX_SAMPLES = {MAX_SAMPLES} "
+                                        "(a cutoff K takes at least 3K + 1 by default)")
         if self.samples < 2 * self.cutoff + 1:
             raise PreconditionError(
                 f"need at least 2K+1 = {2 * self.cutoff + 1} samples, got {self.samples}"
@@ -74,8 +86,8 @@ class TorusGrid:
     @classmethod
     def make(cls, length, cutoff, samples=None):
         """Grid with dealiasing headroom (n >= 3K+1) unless samples is given."""
-        if samples is None:
-            samples = next_fast_len(3 * cutoff + 1)
+        if samples is None:  # a cutoff above MAX_SAMPLES is refused, after a short search
+            samples = next_fast_len(3 * min(cutoff, MAX_SAMPLES) + 1)
         return cls(float(length), int(cutoff), int(samples))
 
     @property

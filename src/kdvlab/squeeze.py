@@ -133,14 +133,19 @@ def band_from_config(block):
 
 
 def flow_from_config(block, band=None):
-    """HamiltonianSpec from a {kind, kappa, band} block; a scenario passes its own band."""
-    own_band = band is None and isinstance(block, dict) and block.get("kind") == "hkappa_band"
-    f = config_numbers(block, "flow block", ("kind",) + (("kappa", "band") if own_band else ()),
+    """HamiltonianSpec from a {kind, kappa, band} block.  A band key sets the flow's
+    band, which HamiltonianSpec refuses on a kind other than hkappa_band and its
+    linearisation; without one, those two take ``band``, a scenario's own."""
+    banded = isinstance(block, dict) and block.get("kind") in ("hkappa_band",
+                                                               "hkappa_band_linear")
+    f = config_numbers(block, "flow block",
+                       ("kind",) + (("kappa", "band") if banded and band is None else ()),
                        kind=None, kappa=float, band=None)
-    if own_band:
+    if "band" in f:
         band = band_from_config(f["band"])
-    return HamiltonianSpec(f["kind"], kappa=f.get("kappa"),
-                           band=band if f["kind"] == "hkappa_band" else None)
+    elif not banded:
+        band = None
+    return HamiltonianSpec(f["kind"], kappa=f.get("kappa"), band=band)
 
 
 def field_from_config(block, grid):
@@ -427,10 +432,9 @@ def escape_search(scenario, budget=SearchBudget()):
 
 
 def linear_oracle(scenario):
-    """Exact escape value for the linear flows:
+    """Exact escape value under the scenario flow's linearisation at q = 0 (itself
+    for a linear kind), whose propagator U is the flow's ``linear_symbol`` multiplier:
     |<U(-T) l, z> - alpha| + R * ||U(-T) l||_{Hdot^{1/2}} (last factor = 1)."""
-    if not scenario.flow.is_linear:
-        raise PreconditionError("linear_oracle requires a linear flow kind")
     back = _propagate_linear(scenario.observable, scenario.flow, -scenario.T)
     base = abs(pairing(back, scenario.center) - scenario.alpha_target)
     dual_norm = sobolev_norm(back, 0.5, homogeneous=True)

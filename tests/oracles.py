@@ -18,6 +18,7 @@ from kdvlab.greens import (
     _pair_sums,
     alpha_of,
     assemble_resolvent,
+    first_order_green,
     free_diagonal_constant,
     green_diagonal,
     green_of,
@@ -219,16 +220,20 @@ def periodize(f, L):
 
 def hamiltonian_value(q, ham):
     """The conserved functional generating the flow (under omega_{-1/2}), with
-    alpha on the route of g, so the flow conserves the alpha its g belongs to."""
+    alpha on the route of g, so the flow conserves the alpha its g belongs to;
+    for a linear kind, the quadratic part of its parent flow's."""
     _, momentum, energy = polynomial_invariants(q)
     if ham.kind == "kdv":
         return energy
     if ham.kind == "kdv_linear":
         return energy - cubic_integral(q)
     kap = ham.kappa
-    if ham.kind == "hkappa_linear":
-        return 4.0 * kap ** 2 * momentum
-    qin = PeriodicField(q.grid, q.coeffs * _band_values(ham, q.grid))
+    w = _band_values(ham, q.grid)
+    if ham.is_linear:  # -16 kappa^5 tr(B^2)/2 = 8 kappa^5 l sum_d m(d) |w qhat(d)|^2
+        m = first_order_green(q.grid, kap)
+        return (4.0 * kap ** 2 * momentum
+                + 8.0 * kap ** 5 * q.grid.length * float(np.sum(m * np.abs(w * q.coeffs) ** 2)))
+    qin = PeriodicField(q.grid, q.coeffs * w)
     a = alpha_of(qin, kap).value
     return -16.0 * kap ** 5 * a + 4.0 * kap ** 2 * momentum
 

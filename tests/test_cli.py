@@ -263,8 +263,11 @@ def test_squeeze_linear(tmp_path):
     cfg = {"scenario": SCENARIO, "search": {"starts": 8, "rounds": 0}}
     code, out = run_cli(tmp_path, "squeeze", cfg)
     assert code == 0
-    lines = (out / "squeeze.csv").read_text().splitlines()
-    assert lines[0] == "r,R,best_value,exceeds_r,evaluations"
+    header, row = (out / "squeeze.csv").read_text().splitlines()
+    assert header == "r,R,best_value,exceeds_r,evaluations,linear_value"
+    values = dict(zip(header.split(","), map(float, row.split(","))))
+    assert values["linear_value"] == squeeze.linear_oracle(squeeze.build_scenario(SCENARIO))
+    assert 0 <= values["linear_value"] - values["best_value"] <= 1e-3 * SCENARIO["R"]
 
 
 def test_area_linear(tmp_path):
@@ -435,12 +438,19 @@ def test_cutcompare_reruns_replace_every_artifact(tmp_path):
                                                ("time", "dt", math.nan),
                                                ("time", "T", math.inf),
                                                ("time", "dt", 1e-320),
-                                               ("flow", "kappa", 1e100)],
+                                               ("flow", "kappa", 1e100),
+                                               ("time", "dt", 1e-300),
+                                               ("time", "saves", 10 ** 400),
+                                               ("grid", "cutoff", 10 ** 400)],
                          ids=["kappa-nan", "dt-nan", "T-inf", "T-over-dt-inf",
-                              "kappa-to-the-5-inf"])
+                              "kappa-to-the-5-inf", "T-over-dt-above-max-steps",
+                              "saves-above-max-steps", "cutoff-above-max-samples"])
 def test_non_finite_flow_parameter_exit_code_2(tmp_path, capsys, block, key, value):
     # json writes and reads these as NaN and Infinity; T/dt = 0.004/1e-320 and
-    # 16 kappa^5 = 1.6e501 are beyond float range
+    # 16 kappa^5 = 1.6e501 are beyond float range; T/dt = 4e297 steps, 10^400
+    # saves and a cutoff of 10^400 are finite but beyond flows.MAX_STEPS and
+    # spectral.MAX_SAMPLES, refused before any work (the cutoff's search for a
+    # transform length would not end)
     cfg = {"grid": {"length": 6.283185307179586, "cutoff": 16}, "initial": MODES,
            "flow": {"kind": "hkappa", "kappa": 2.0},
            "time": {"dt": 1e-3, "T": 0.004, "saves": 1}}
@@ -671,10 +681,16 @@ def test_scipy_linalg_loads_only_on_the_dense_route():
     ("evolve", dict(EVOLVE, initial=dict(MODES, mode=[])), '"mode"'),
     ("evolve", dict(EVOLVE, time={"dt": 1e-3, "T": 10 ** 400}), '"T"'),
     ("evolve", dict(EVOLVE, grid=dict(GRID, length=10 ** 400)), '"length"'),
+    ("evolve", dict(EVOLVE, flow={"kind": "hkappa", "kappa": 2.0, "band": SCENARIO["band"]}),
+     '"band"'),
+    ("evolve", dict(EVOLVE, flow={"kind": "kdv", "band": SCENARIO["band"]}), '"band"'),
+    ("squeeze", {"scenario": dict(SCENARIO, flow={"kind": "kdv", "band": SCENARIO["band"]})},
+     '"band"'),
 ], ids=["string_dt", "string_search_starts", "unknown_search_key", "string_area_dt",
         "bool_cutoff", "string_mode_amplitude", "string_kappa", "unknown_scenario_key",
         "unknown_prototype_key", "unknown_top_level_key", "unknown_initial_key",
-        "integer_T_beyond_float", "integer_length_beyond_float"])
+        "integer_T_beyond_float", "integer_length_beyond_float", "band_on_hkappa",
+        "band_on_kdv", "band_on_scenario_kdv"])
 def test_wrong_type_or_unknown_key_exit_code_2(tmp_path, capsys, command, cfg, key):
     code, _ = run_cli(tmp_path, command, cfg)
     assert code == 2

@@ -79,13 +79,12 @@ def small_smooth(grid, scale=1.0):
     )
 
 
-ALL_HAMS = [
+NONLINEAR_HAMS = [
     HamiltonianSpec.kdv(),
-    HamiltonianSpec.kdv_linear(),
     HamiltonianSpec.hkappa(2.0),
-    HamiltonianSpec.hkappa_linear(2.0),
     HamiltonianSpec.hkappa_band(2.0, 0.25, 2.0),
 ]
+ALL_HAMS = NONLINEAR_HAMS + [ham.linearised() for ham in NONLINEAR_HAMS]
 
 
 def vector_field(q, ham):
@@ -133,6 +132,25 @@ class TestRhs:
         fd = (hamiltonian_value(q + v * eps, ham)
               - hamiltonian_value(q + v * (-eps), ham)) / (2 * eps)
         assert abs(lhs - fd) <= 1e-6 * max(abs(fd), 1e-12)
+
+    @pytest.mark.parametrize("cutoff", [16, RICCATI_MIN_CUTOFF])
+    @pytest.mark.parametrize("ham", NONLINEAR_HAMS, ids=lambda h: h.kind)
+    def test_linearisation_is_the_derivative_of_rhs_at_zero(self, ham, cutoff, rng):
+        # the linearised kind steps the flow's own symbol, and that symbol times
+        # qhat is the limit of rhs(eps q) / eps, on both routes of g: the gap
+        # falls tenfold with eps (for KdV it is exactly eps 3 d/dx (q^2))
+        lin = ham.linearised()
+        assert (lin.is_linear, lin.kappa, lin.band) == (True, ham.kappa, ham.band)
+        assert lin.linearised() == lin
+        grid = TorusGrid.make(TWO_PI, cutoff)
+        symbol = linear_symbol(grid, lin)
+        assert np.array_equal(symbol, linear_symbol(grid, ham))
+        q = random_field(grid, rng, decay=2.0, amplitude=0.05)
+        exact = symbol * q.coeffs
+        gaps = [np.linalg.norm(rhs(q * eps, ham).coeffs / eps - exact) / np.linalg.norm(exact)
+                for eps in (1e-3, 1e-4)]
+        assert gaps[0] <= 1e-2
+        assert gaps[1] == pytest.approx(0.1 * gaps[0], rel=0.05)
 
 
     @pytest.mark.parametrize("cutoff", [12, RICCATI_MIN_CUTOFF])
@@ -314,8 +332,8 @@ class TestEvolveBatch:
         for got, q0 in zip(evolve_batch(q0s, spec), q0s):
             assert _rel(got, evolve(q0, spec).final()) <= 1e-13
 
-    @pytest.mark.parametrize("ham", [HamiltonianSpec.kdv_linear(),
-                                     HamiltonianSpec.hkappa_linear(2.0)],
+    @pytest.mark.parametrize("ham", [HamiltonianSpec.kdv().linearised(),
+                                     HamiltonianSpec.hkappa(2.0).linearised()],
                              ids=["kdv_linear", "hkappa_linear"])
     def test_linear_kinds_step_the_exact_multiplier(self, ham, rng, monkeypatch):
         # a linear flow has no remainder: each step is c <- e^{lambda dt} c, no rhs
@@ -463,7 +481,7 @@ class TestHkappaNonlinear:
             h = q.coeffs[K_STAR:]
             start = history.start()
             got = term(h, history)
-            d, dtheta = _riccati_half(grid, w * h, kappa, start)[:2]
+            d, dtheta = _riccati_half(grid, h if w is None else w * h, kappa, start)[:2]
             assert np.array_equal(got, amp * (_riccati_green_hat(grid, kappa, d, dtheta)
                                               - m_lin * h))
         assert history.solves == 2
@@ -501,11 +519,11 @@ class TestHkappaNonlinear:
         grid = TorusGrid.make(TWO_PI, K_STAR)
         term = _hkappa_nonlinear(grid, HamiltonianSpec.hkappa(4.0))
         _, kappa, w, _, _ = term.args
+        assert w is None  # no band: the solve takes h itself
         m, _, _, lin, _, _ = _riccati_plan(grid, kappa)
         solves = record_final_iterates(monkeypatch)
         history = still_history(K_STAR)
-        h = small_smooth(grid).coeffs[K_STAR:]
-        qh = w * h
+        qh = h = small_smooth(grid).coeffs[K_STAR:]
         cold = np.zeros((2, m + 1), dtype=complex)
         cold[:, :K_STAR + 1] = qh / lin[:, :K_STAR + 1]
         for _ in range(2):
@@ -601,8 +619,11 @@ class TestHkappaNonlinear:
             term = _hkappa_nonlinear(grid, ham)
             assert term is _hkappa_nonlinear(TorusGrid.make(TWO_PI, K_STAR), replace(ham))
             assert term.func is _hkappa_term
+            # amp and m_lin, and the band's w: the unbanded flow has none to multiply by
             arrays = [a for a in term.args if isinstance(a, np.ndarray)]
-            assert len(arrays) == 3 and not any(a.flags.writeable for a in arrays)
+            assert (term.args[2] is None) == (ham.band is None)
+            assert len(arrays) == 2 + (ham.band is not None)
+            assert not any(a.flags.writeable for a in arrays)
 
 
 class TestStageOrders:

@@ -113,7 +113,8 @@ class TestEscapeSearch:
         assert res.evaluations == 18
 
     @pytest.mark.parametrize("kind,kappa", [("kdv_linear", None),
-                                            ("hkappa_linear", 2.0)])
+                                            ("hkappa_linear", 2.0),
+                                            ("hkappa_band_linear", 2.0)])
     def test_matches_linear_oracle(self, kind, kappa):
         flow = {"kind": kind}
         if kappa is not None:
@@ -424,10 +425,14 @@ class TestLinearOracle:
         expected = abs(pairing(s.observable, s.center) - s.alpha_target) + s.R
         assert linear_oracle(s) == pytest.approx(expected, rel=1e-12)
 
-    def test_rejects_nonlinear_flow(self):
-        s = build_scenario(base_config(flow={"kind": "kdv"}))
-        with pytest.raises(PreconditionError):
-            linear_oracle(s)
+    @pytest.mark.parametrize("flow", [{"kind": "kdv"}, {"kind": "hkappa", "kappa": 2.0},
+                                      {"kind": "hkappa_band", "kappa": 2.0}],
+                             ids=lambda f: f["kind"])
+    def test_nonlinear_flow_gets_its_linearisations_value(self, flow):
+        s = build_scenario(base_config(flow=flow))
+        linear = replace(s, flow=s.flow.linearised())
+        assert linear.flow.kind == flow["kind"] + "_linear"
+        assert linear_oracle(s) == linear_oracle(linear)
 
 
 class TestImageArea:
