@@ -10,9 +10,9 @@ outputs are CSV tables plus a manifest with sha256 digests.  Config blocks:
            or {prototype: {kind: gauss_prime | gauss_bump, width, amplitude,
            center}} periodized onto the grid
   flow     {kind: kdv | hkappa | hkappa_band | <kind>_linear (that flow's
-           linearisation at q = 0: its kappa, band and linear_symbol), kappa,
-           band: {m, M} (hkappa_band(_linear) only)}; sweep-band and cutcompare
-           take {kappa, kind: hkappa (optional)}, as they set the bands
+           linearisation at q = 0: its kappa, band and linear_symbol), kappa (hkappa
+           kinds only), band: {m, M} (hkappa_band(_linear) only)}; sweep-band and
+           cutcompare take {kappa, kind: hkappa (optional)}, as they set the bands
   time     {dt, T, saves (optional)}
 
 Other top-level keys: probes (evolve), kappas (greens, alpha, sweep-kappa),

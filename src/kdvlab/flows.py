@@ -37,16 +37,17 @@ least a quarter faster at both B = 1 and B = 18 (timings in CHANGES.md).
 
 The H_kappa remainder takes one of two routes by K* = greens.RICCATI_MIN_CUTOFF.
 At K >= K* it is ``_hkappa_nonlinear``, cached per (grid, flow), once per half
-row and stage: one Riccati solve for P_band q, then g less g0 and less its
-first-order part, times 16 kappa^5 (2 pi i j / l) P_band; the transport term
-and the first-order part of g are in the exactly propagated symbol.  Each row
-keeps a ``_StageHistory``, dropped with the row: the nonlinear part N that
-its newest Riccati solve returned, and per RK stage its extrapolation order p
-and the increments over the solve before of that stage's last p steps, one
-(4, 12, 2, M + 1) complex array (M = 3K/2).  The N a solve returns is not its
-certified iterate's but one diagonal Newton step past it, taken from the
-residual the solve already has (``greens._riccati_half``), so a solve whose
-start certifies as it stands still records new information.  Its next solve
+row and stage: one Riccati solve for P_band q, which reads g - g0 (one irfft
+and one rfft when its start certifies), less its first-order part, times
+16 kappa^5 (2 pi i j / l) P_band; the transport term and the first-order part
+of g are in the exactly propagated symbol.  Each row keeps a
+``_StageHistory``, dropped with the row: the nonlinear part N that its newest
+Riccati solve returned, and per RK stage its extrapolation order p and the
+increments over the solve before of that stage's last 12 steps (M = 3K/2).
+The N a solve returns is not its certified iterate's but one diagonal Newton
+step past it, taken from the residual the solve already has
+(``greens._riccati_half``), so a solve whose start certifies as it stands
+still records new information.  Its next solve
 starts from the newest N plus this stage's increment, extrapolated through
 those steps by binomial weights times the powers of the full-step
 multiplier, precomputed once per row: three numpy calls per start at any
@@ -73,7 +74,8 @@ after the loop, alpha and hs as one ``alphas_of`` stack per probe kappa;
 ``FlowSpec`` refuses a probe kappa outside [1, inf), or two whose monitor
 columns alpha(kappa:g) coincide, before anything is evolved.  A row whose
 remainder raises or whose L^2 norm doubles in a step stops with its error
-while the other rows go on.
+while the other rows go on; one that raises on a stage input that is not finite
+or above twice the pre-step norm is a BlowUpError from that error.
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ import numpy as np
 from .errors import BlowUpError, KdvLabError, PreconditionError
 from .greens import (
     RICCATI_MIN_CUTOFF,
-    _riccati_green_hat,
     _riccati_half,
     _riccati_plan,
     alphas_of,
@@ -121,6 +122,8 @@ class HamiltonianSpec:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise PreconditionError(f"unknown flow kind {self.kind!r}")
+        if self.parent == "kdv" and self.kappa is not None:
+            raise PreconditionError(f'{self.kind} takes no "kappa": only the hkappa kinds do')
         if self.parent != "kdv":
             try:  # the flow's gain 16 kappa^5 must be a float; kappa^5 may overflow
                 valid = (self.kappa is not None and 1 <= self.kappa
@@ -268,7 +271,8 @@ class _StageHistory:
             p = EXTRAPOLATION_MAX_ORDER
             self.powers = np.cumprod(np.broadcast_to(transport, (p, len(transport))), axis=0)
             self.weights = [self._weights(r) for r in range(EXTRAPOLATION_ORDER + 1)]
-            self.increments = np.zeros((4, p, 2, len(transport)), dtype=complex)
+            # per stage its last p increments at slot and slot + p: ring[slot:slot + r] is one slice
+            self.rings, self.slots = list(np.zeros((4, 2 * p, 2, len(transport)), complex)), [0] * 4
 
     def _weights(self, r):
         return _extrapolation_signs(r) * self.powers[:r, None, :]
@@ -283,7 +287,9 @@ class _StageHistory:
         r = self.depth()
         if not r:
             return self.newest
-        return self.newest + (self.weights[r] * self.increments[self.solves % 4, :r]).sum(axis=0)
+        stage = self.solves % 4
+        slot = self.slots[stage]
+        return self.newest + (self.weights[r] * self.rings[stage][slot:slot + r]).sum(axis=0)
 
     def push(self, nonlinear, settled):
         """Record a solve's N; ``settled``: its start certified as it stood."""
@@ -295,9 +301,9 @@ class _StageHistory:
                 p = self.orders[stage] = p + 1
                 if p == len(self.weights):
                     self.weights.append(self._weights(p))
-            d = self.increments[stage]
-            d[1:p] = d[:p - 1]
-            np.subtract(nonlinear, self.newest, out=d[0])
+            slot = self.slots[stage] = (self.slots[stage] - 1) % EXTRAPOLATION_MAX_ORDER
+            ring = self.rings[stage]
+            ring[slot + len(ring) // 2] = np.subtract(nonlinear, self.newest, out=ring[slot])
         self.newest = nonlinear
         self.solves += 1
 
@@ -313,27 +319,27 @@ def _hkappa_nonlinear(grid, ham):
     """(h, history) -> the H_kappa (or band) remainder 16 kappa^5 d/dx P_band (g - g0 -
     m P_band q) on modes 0..K of one half row h, m the first-order symbol of g, by one
     Riccati solve started from ``history`` (a ``_StageHistory``, which records the
-    solve; an empty one starts cold); for K >= RICCATI_MIN_CUTOFF."""
+    solve; an empty one starts cold) that also reads g; for K >= RICCATI_MIN_CUTOFF."""
     k = grid.cutoff
     amp = (16.0 * ham.kappa ** 5 * 2j * math.pi / grid.length) * np.arange(k + 1)
-    m_lin = first_order_green(grid, ham.kappa)[k:]
+    amp_m = amp * first_order_green(grid, ham.kappa)[k:]  # the first-order part's, folded
     w = None  # no band: P_band is the identity, and no multiply is spent on it
     if ham.band is not None:
         w = ham.band.values(grid.frequencies[k:])
         w.setflags(write=False)
-        amp, m_lin = amp * w, m_lin * w
-    for a in (amp, m_lin):
+        amp, amp_m = amp * w, amp_m * w * w
+    for a in (amp, amp_m):
         a.setflags(write=False)
-    return partial(_hkappa_term, grid, ham.kappa, w, amp, m_lin)
+    return partial(_hkappa_term, grid, ham.kappa, w, amp, amp_m)
 
 
-def _hkappa_term(grid, kappa, w, amp, m_lin, h, history):
+def _hkappa_term(grid, kappa, w, amp, amp_m, h, history):
     if h[0].imag != 0.0:
         raise PreconditionError("q is not real: Im qhat(0) of its half row is not 0")
-    q = h if w is None else w * h
-    d, dtheta, _, nonlinear, settled = _riccati_half(grid, q, kappa, history.start())
+    gh, _, _, nonlinear, settled = _riccati_half(grid, h if w is None else w * h, kappa,
+                                                 history.start())
     history.push(nonlinear, settled)
-    return amp * (_riccati_green_hat(grid, kappa, d, dtheta) - m_lin * h)
+    return amp * gh - amp_m * h
 
 
 def rhs(q, ham):
@@ -475,13 +481,21 @@ def _lawson_rk4(q0s, spec, on_save=None):
                 return rhs(PeriodicField(grid, _full_rows(h)), ham).coeffs[k:] - lam * h
 
         def nonlinear(c):
-            out = np.zeros_like(c)
+            out = np.empty_like(c)  # every row is written: its term, or 0 once it failed
             for i, h in enumerate(c):
                 if i not in failed:
                     try:
                         out[i] = row_term(h, histories[i])
+                        continue
                     except KdvLabError as exc:
-                        failed[i] = exc
+                        failed[i], before, after = exc, float(norm_before[i]), float(norms(h))
+                        if not after <= 2.0 * before:  # h not finite, or past the guard's ratio
+                            failed[i] = BlowUpError(
+                                f"L^2 norm of a stage input more than doubled within the step "
+                                f"to t={step * dt:.6g} ({before:.3e} -> {after:.3e})",
+                                time=step * dt, norm_before=before, norm_after=after)
+                            failed[i].__cause__ = exc  # as raise ... from exc would
+                out[i] = 0.0
             return out
 
     def norms(c):
@@ -506,7 +520,8 @@ def _lawson_rk4(q0s, spec, on_save=None):
         c = fc + (dt / 6.0) * (full * a + two_half * (b + cc) + d)
         c.imag[:, 0] = 0.0
         norm_after = norms(c)
-        for i in np.flatnonzero((norm_after > 2.0 * norm_before) & (norm_before > 1e-300)):
+        grew = norm_after > 2.0 * norm_before
+        for i in np.flatnonzero(grew & (norm_before > 1e-300)) if grew.any() else ():
             before, after = float(norm_before[i]), float(norm_after[i])
             failed.setdefault(i, BlowUpError(
                 f"L^2 norm doubled within one step at t={step * dt:.6g} "

@@ -72,21 +72,23 @@ transforms, as every transform here is real), so the residual
 
     F-hat = (ik +- 2 kappa) w-hat - qhat + P_M rfft(w^2)
 
-is alias-free and costs two transforms.  M = 3K/2 because with M = K the
-Riccati g on rough data was further from the dense g at 4K than the dense g at
-K (accuracy figures and the real length's transform timings in CHANGES.md,
-issue 23).  n, M, ik and the other operators are cached per (grid, kappa).
+is alias-free and costs two transforms (the rfft also reads g, below).
+M = 3K/2 because with M = K the Riccati g on rough data was further from the
+dense g at 4K than the dense g at K (accuracy figures and the real length's
+transform timings in CHANGES.md, issue 23); n, M, ik and the other operators
+are cached per (grid, kappa).
 
 ``_riccati_half`` is the one Riccati driver.  It solves one half row of qhat
-(modes 0..K) or a stack (S, K + 1) of them, from the cold start or a warm
-one.  The cold start is the linear response w' +- 2 kappa w = q, in closed
-form, and ``green_of`` and ``alphas_of`` always start cold.  A warm start is
-the linear response of the new q plus a guess at the nonlinear part N of
-w-hat (w-hat less the linear response of its q): ``_riccati_half`` takes the
-guess, one (2, M + 1) pair per row, and returns the solve's own N.  The
-H_kappa flow builds its guesses by ``flows._StageHistory``'s rule.  A row
-whose warm start fails to certify is solved again cold, so a poor guess
-costs Newton steps only.
+(modes 0..K) or a stack (S, K + 1) of them, from the cold start or a warm one,
+for g (``green_of``, the H_kappa flow) and theta and mean w_-^2
+(``alphas_of``, whose stack still transforms its g rows).  The cold start is
+the linear response w' +- 2 kappa w = q, in closed form, and ``green_of`` and
+``alphas_of`` always start cold.  A warm start is the linear response of the
+new q plus a guess at the nonlinear part N of w-hat (w-hat less the linear
+response of its q): ``_riccati_half`` takes the guess, one (2, M + 1) pair per
+row, and returns the solve's own N.  The H_kappa flow builds its guesses by
+``flows._StageHistory``'s rule.  A row whose warm start fails to certify is
+solved again cold, so a poor guess costs Newton steps only.
 
 ``_newton`` takes one (2, M + 1) pair or a stack (S, 2, M + 1) of them, one
 per row of qhat, through the same ``...`` indexing: one row is never given a
@@ -127,28 +129,28 @@ same ratio r'/r, is predicted to land below rounding, so it would buy only
 digits the certified level does not ask for, at two transforms.
 
 The start itself is held to NEWTON_RTOL max |qhat|, not to rounding: a start
-at the certified level ends the solve with no step (the start stop), and
-every later iterate keeps the tests above.  ``_riccati_half`` takes the
-start's residual itself and calls ``_newton`` only when the start misses,
-which goes on from that residual, so a solve whose start certifies makes one
-residual and the read-out, and reports itself ``settled`` (the flows raise a
-stage's extrapolation order on an unsettled start).  The outputs are then
-read from an iterate whose residual was computed and is certified, as
-before, but a solve that takes no step learns nothing new, and a history
-that stored its iterate would extrapolate its own extrapolations.  So the
-nonlinear part ``_riccati_half`` returns for the next start is the certified
-iterate's N less one diagonal correction F-hat / (lin + 2 Re w-hat_0), built
-from the residual the solve already has, at no transform; without that step
-the start stop saved few residuals (CHANGES.md).
+at the certified level ends the solve with no step (the start stop), and every
+later iterate keeps the tests above.  ``_riccati_half`` takes the start's
+residual itself and calls ``_newton`` only when the start misses, which goes
+on from that residual, so a solve whose start certifies makes one residual,
+one irfft and one rfft, and reports itself ``settled`` (the flows raise a
+stage's extrapolation order on an unsettled start).  The outputs are then read
+from an iterate whose residual was computed and is certified, but a solve that
+takes no step learns nothing new, and a history that stored its iterate would
+extrapolate its own extrapolations.  So the nonlinear part ``_riccati_half``
+returns for the next start is the certified iterate's N (a settled start as
+given) less one diagonal correction F-hat / (lin + 2 Re w-hat_0), from the
+residual the solve already has, at no transform; without that step the start
+stop saved few residuals (CHANGES.md).
 
 Averaging the equation of w_- gives, exactly,
 
     theta - kappa = (qhat(0) - mean(w_-^2)) / (2 kappa),
 
 so the first-order parts of alpha cancel in closed form and alpha, which is
-second order in q, is summed without cancellation.  g is read out as its
-value at (w, theta) less the same expression at (0, kappa), plus the closed
-form g0 at d = 0, so q = 0 gives g0 and exact zeros.  The route raises
+second order in q, is summed without cancellation.  Each residual's rfft takes
+the samples of coth(theta l / 2) / (m_- - m_+) less the same at (0, kappa), so
+it reads g - g0 on modes 0..K (exact zeros at q = 0).  The route raises
 ``CertificationError`` unless Newton converged, m_- - m_+ > 0 everywhere and
 theta > 0; those certify -d^2 + q + kappa^2 > 0 on T_l.
 
@@ -401,7 +403,7 @@ NEWTON_PATIENCE = 3      # Newton stops after this many steps with no new smalle
 @lru_cache(maxsize=64)
 def _riccati_plan(grid, kappa):
     """(M, n, ik on the rfft modes, ik +- 2 kappa on modes 0..M, the Phi operator 2/ik,
-    +-2 kappa) for one (grid, kappa); the arrays are read-only."""
+    +-2 kappa, kappa, l/2, g0) for one (grid, kappa); the arrays are read-only."""
     k = grid.cutoff
     m = 3 * k // 2
     n = next_fast_len(3 * m + 1, real=True)  # every transform here is real
@@ -413,40 +415,55 @@ def _riccati_plan(grid, kappa):
     lin = ik[:m + 1] + two_kappa
     for a in (ik, lin, anti, two_kappa):
         a.setflags(write=False)
-    return m, n, ik, lin, anti, two_kappa
+    half = 0.5 * grid.length
+    return m, n, ik, lin, anti, two_kappa, kappa, half, 0.5 / math.tanh(kappa * half) / kappa
 
 
 def _newton_correction(plan, wh, fh, mean_m):
     """The Newton correction from w-hat with residual F-hat: delta' + 2 m delta = -F
     <=> y' + 2 mean(m) y = -e^Phi F with y = e^Phi delta, diagonal in Fourier space."""
-    m, n, ik, _, anti, _ = plan
+    m, n, ik, _, anti, *_ = plan
     phi, f = np.fft.irfft(np.stack((anti * wh, fh)), n, norm="forward")
     e = np.exp(phi)
     yh = np.fft.rfft(e * f, norm="forward") / (ik + 2.0 * mean_m)
     return np.fft.rfft(np.fft.irfft(yh, n, norm="forward") / e, norm="forward")[..., :m + 1]
 
 
-def _residual(plan, qh, wh):
-    """(samples of w, F-hat, its largest |F-hat|) at w-hat wh, one (2, M + 1) pair
-    or a stack (S, 2, M + 1), for qh with a unit axis for the pair: (..., 1, K + 1)."""
-    m, n, _, lin, _, _ = plan
+def _residual(plan, qh, q0, wh):
+    """(F-hat, its largest |F-hat|, g - g0 on modes 0..K, theta - kappa, mean w_-^2, m_- - m_+,
+    whether theta > 0 and m_- - m_+ > 0, else g = 0 as it is not read) at w-hat wh, a (2, M + 1)
+    pair for the half row qh or (S, 2, M + 1) for qh (S, 1, K + 1); q0 = Re qhat(0)."""
+    m, n, _, lin, _, _, kappa, half, g0 = plan
     w = np.fft.irfft(wh, n, norm="forward")
-    fh = np.fft.rfft(w * w, norm="forward")[..., :m + 1]
-    fh += lin * wh
+    sq = np.vecdot(w[..., 0, :], w[..., 0, :]) / n
+    d = 2.0 * kappa + w[..., 0, :] - w[..., 1, :]
+    x = np.zeros(w.shape[:-2] + (3, n))
+    np.multiply(w, w, out=x[..., :2, :])
+    if wh.ndim == 2:  # one row, in floats
+        dtheta = (q0 - float(sq)) / (2.0 * kappa)
+        if ok := kappa + dtheta > 0.0 and np.minimum.reduce(d) > 0.0:
+            np.divide(1.0 / math.tanh((kappa + dtheta) * half), d, out=x[2])
+    else:
+        dtheta = (q0 - sq) / (2.0 * kappa)
+        ok = (kappa + dtheta > 0.0) & (np.minimum.reduce(d, axis=-1) > 0.0)
+        np.divide((1.0 / np.tanh((kappa + dtheta) * half))[:, None], d, out=x[:, 2],
+                  where=ok[:, None])
+    x[..., 2, :] -= g0
+    t = np.fft.rfft(x, norm="forward")
+    fh = lin * wh
+    fh += t[..., :2, :m + 1]
     fh[..., :qh.shape[-1]] -= qh
-    return w, fh, float(np.abs(fh).max())
+    return fh, float(np.abs(fh).max()), t[..., 2, :qh.shape[-1]], dtheta, sq, d, ok
 
 
-def _newton(plan, qh, wh, w, fh, res, scale):
-    """Correct w-hat from an iterate wh whose samples w, residual fh and largest
-    |F-hat| res are at hand (a start above NEWTON_RTOL scale), one (2, M + 1) pair
-    or a stack (S, 2, M + 1) of them for the rows of qh (..., 1, K + 1): (w-hat,
-    samples of w, residual F-hat, its largest |F-hat|) of the iterate with the
-    smallest largest residual over the stack.  Every test compares the stack's
-    largest residual with scale, the smallest row's max |qhat|, so one pair is
-    solved as alone.  See the module docstring."""
-    _, _, _, lin, _, two_kappa = plan
-    best = wh, w, fh, res
+def _newton(plan, qh, q0, wh, state, scale):
+    """Correct w-hat from an iterate wh whose ``_residual`` state is at hand (a start
+    above NEWTON_RTOL scale), a pair or a stack for qh as ``_residual`` takes it:
+    (w-hat, state) of the iterate with the smallest largest residual over the stack.
+    Every test compares the stack's largest residual with scale, the smallest row's
+    max |qhat|, so one pair is solved as alone.  See the module docstring."""
+    _, _, _, lin, _, two_kappa, *_ = plan
+    best, (fh, res) = (wh, state), state[:2]
     diagonal, stale = True, 0
     for _ in range(NEWTON_MAX_STEPS):
         mean_m = 0.5 * two_kappa + wh[..., :1].real  # (theta, -theta) at a solution
@@ -457,27 +474,28 @@ def _newton(plan, qh, wh, w, fh, res, scale):
             new = wh - fh / (lin + 2.0 * wh[..., :1].real)
         else:
             new = wh - _newton_correction(plan, wh, fh, mean_m)
-        new_w, new_fh, new_res = _residual(plan, qh, new)
+        new_state = _residual(plan, qh, q0, new)
+        new_res = new_state[1]
         if diagonal and not new_res <= DIAGONAL_CUT * res:
             diagonal = False  # retake the step from wh as a Newton correction
             continue
-        halved = new_res <= 0.5 * best[3]
+        halved = new_res <= 0.5 * best[1][1]
         # a next diagonal step, cutting by the same ratio, would land below rounding
         contracted = (diagonal and new_res <= NEWTON_RTOL * scale
                       and new_res * new_res <= ROUNDING_RTOL * scale * res)
-        wh, w, fh, res = new, new_w, new_fh, new_res
-        if res < best[3]:
-            best, stale = (wh, w, fh, res), 0
+        wh, state, (fh, res) = new, new_state, new_state[:2]
+        if res < best[1][1]:
+            best, stale = (wh, state), 0
         else:
             stale += 1  # Newton need not decrease the residual every step (a nan never does)
         if (res <= ROUNDING_RTOL * scale or contracted
-                or not halved and best[3] <= NEWTON_RTOL * scale or stale == NEWTON_PATIENCE):
+                or not halved and best[1][1] <= NEWTON_RTOL * scale or stale == NEWTON_PATIENCE):
             break
     return best
 
 
 def _riccati_half(grid, qh, kappa, nonlinear=None):
-    """(samples of m_- - m_+, theta - kappa, mean w_-^2, the nonlinear part of
+    """(g - g0 on modes 0..K, theta - kappa, mean w_-^2, the nonlinear part of
     w-hat, settled) from qhat on modes 0..K (the mean is Re qhat(0)), for one
     half row qh or for each row of a stack (S, K + 1) of them: see the module
     docstring.
@@ -489,32 +507,29 @@ def _riccati_half(grid, qh, kappa, nonlinear=None):
     solved as one and each row certified after; a row that does not certify is
     solved again alone and cold, which certifies it or raises its
     CertificationError.  The nonlinear part returned is the certified iterate's
-    less one diagonal correction F-hat / (lin + 2 Re w-hat_0), from the
-    residual the solve already has: the next start, not the iterate the
-    outputs were read from.
+    (a settled start as given) less one diagonal correction F-hat / (lin + 2 Re
+    w-hat_0), from the residual at hand: the next start, not the outputs' iterate.
     """
     plan = _riccati_plan(grid, kappa)
-    m, n, _, lin, _, two_kappa = plan
-    k = grid.cutoff
-    scales = np.abs(qh).max(axis=-1)
-    scale = float(min(scales.flat))  # the smallest row's
-    pair = qh[..., None, :]  # one row of qhat for both branches
+    m, lin = plan[0], plan[3]
+    k, row = grid.cutoff, qh.ndim == 1
+    scales = np.abs(qh).max(axis=-1)  # scale: the smallest row's; floats for one row
+    scale, q0, pair = ((float(scales), float(qh[0].real), qh) if row else  # a stack's
+                       (float(scales.min()), qh[:, 0].real, qh[:, None, :]))  # pair axis
     # the linear response, w' +- 2 kappa w = q, is the cold start
     cold = np.zeros(qh.shape[:-1] + (2, m + 1), dtype=complex)
     np.divide(pair, lin[:, :k + 1], out=cold[..., :k + 1])
     wh = cold if nonlinear is None else cold + nonlinear
-    w, fh, res = _residual(plan, pair, wh)
-    settled = res <= NEWTON_RTOL * scale  # the start stop
+    state = _residual(plan, pair, q0, wh)
+    settled = state[1] <= NEWTON_RTOL * scale  # the start stop
     if not settled:
-        wh, w, fh, res = _newton(plan, pair, wh, w, fh, res, scale)
-    sq = np.vecdot(w[..., 0, :], w[..., 0, :]) / n
-    dtheta = (qh[..., 0].real - sq) / (2.0 * kappa)
-    d = two_kappa[0] + w[..., 0, :] - w[..., 1, :]
-    # min over .flat is cheap on one row; a nan it may pass over fails res already
-    if res <= NEWTON_RTOL * scale and kappa + min(dtheta.flat) > 0.0 and d.min() > 0.0:
+        wh, state = _newton(plan, pair, q0, wh, state, scale)
+    fh, res, gh, dtheta, sq, d, ok = state
+    if res <= NEWTON_RTOL * scale and (ok if row else ok.all()):
         # one diagonal step past the certified iterate, from the residual at hand
-        return d, dtheta, sq, (wh - cold) - fh / (lin + 2.0 * wh[..., :1].real), settled
-    if qh.ndim == 1:  # one row: a warm start is retried cold, a cold one raises
+        start = nonlinear if settled and nonlinear is not None else wh - cold
+        return gh, dtheta, sq, start - fh / (lin + 2.0 * wh[..., :1].real), settled
+    if row:  # a warm start is retried cold, a cold one raises
         if nonlinear is not None:
             return _riccati_half(grid, qh, kappa)[:4] + (False,)
         if not res <= NEWTON_RTOL * scale:
@@ -524,21 +539,12 @@ def _riccati_half(grid, qh, kappa, nonlinear=None):
         raise CertificationError(
             f"Riccati branches do not certify -d^2 + q + kappa^2 > 0 at kappa={kappa:g}: "
             f"theta = {kappa + dtheta:.3e}, min(m_- - m_+) = {d.min():.3e}")
-    certified = ((np.abs(fh).max(axis=(1, 2)) <= NEWTON_RTOL * scales)
-                 & (kappa + dtheta > 0.0) & (d.min(axis=-1) > 0.0))
+    certified = (np.abs(fh).max(axis=(1, 2)) <= NEWTON_RTOL * scales) & ok
     with np.errstate(divide="ignore", invalid="ignore"):  # its failed rows are replaced
         step = (wh - cold) - fh / (lin + 2.0 * wh[..., :1].real)
     for i in np.flatnonzero(~certified):
-        d[i], dtheta[i], sq[i], step[i], _ = _riccati_half(grid, qh[i], kappa)
-    return d, dtheta, sq, step, False
-
-
-def _riccati_green_hat(grid, kappa, d, dtheta):
-    """g - g0 on modes 0..K from a Riccati solve's (m_- - m_+, theta - kappa)."""
-    half = 0.5 * grid.length
-    gx = (1.0 / math.tanh((kappa + dtheta) * half) / d
-          - 1.0 / math.tanh(kappa * half) / (2.0 * kappa))
-    return np.fft.rfft(gx, norm="forward")[:grid.cutoff + 1]
+        gh[i], dtheta[i], sq[i], step[i], _ = _riccati_half(grid, qh[i], kappa)
+    return gh, dtheta, sq, step, False
 
 
 def green_of(q, kappa):
@@ -550,8 +556,7 @@ def green_of(q, kappa):
     if grid.cutoff < RICCATI_MIN_CUTOFF:
         return green_diagonal(assemble_resolvent(q, kappa))
     _check_domain(q.coeffs, kappa)
-    d, dtheta, _, _, _ = _riccati_half(grid, q.coeffs[grid.cutoff:], kappa)
-    gh = _riccati_green_hat(grid, kappa, d, dtheta)
+    gh, _, _, _, _ = _riccati_half(grid, q.coeffs[grid.cutoff:], kappa)
     gh[0] += free_diagonal_constant(kappa, grid.length)
     return PeriodicField(grid, _full_rows(gh))
 

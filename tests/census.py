@@ -1,19 +1,22 @@
-"""Residuals per Riccati stage solve of the H_kappa flows: a count, not a timing.
+"""Residuals and transforms per Riccati stage solve of the H_kappa flows: counts,
+not timings.
 
 A residual is one evaluation of F-hat, and each starts with the inverse
 transform of the (2, M + 1) w-hat pair, M = 3K/2.  ``count_stage_residuals``
-counts those transforms per stage solve of ``flows``, through a proxy for the
-numpy of ``greens``, so the count is the same on every machine and every run.
+counts those transforms per stage solve of ``flows``, and the census also
+counts every np.fft call that ``greens`` makes in the run (the read-out of g
+included), through a proxy for the numpy of ``greens``, so the counts are
+the same on every machine and every run.
 
 Run as a script,
 
     PYTHONPATH=src python tests/census.py
 
-it prints residuals per solve for each RK stage a, b, c and d, and the
-stages' extrapolation orders at the end, over the 200 steps of each of the 16
-input variants of the hkappa_evolve benchmark and over the 20 steps of the
-cut_compare circle flow; then the residuals per run of the cut_compare
-benchmark (its circle and line flows) for each variant.
+it prints residuals per solve for each RK stage a, b, c and d, np.fft calls
+per solve, and the stages' extrapolation orders at the end, over the 200
+steps of each of the 16 input variants of the hkappa_evolve benchmark and
+over the 20 steps of the cut_compare circle flow; then the residuals per run
+of the cut_compare benchmark (its circle and line flows) for each variant.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ HKAPPA_STEPS = 200  # hkappa_evolve: T = 0.2 at dt = 1e-3
 CUT_STEPS = 20      # cut_compare: T = 0.02 at dt = 1e-3
 
 
-def record_transforms(monkeypatch):
+def record_transforms(monkeypatch, calls=None):
     """The (name, input shape) of each np.fft transform that greens makes from
-    now on, recorded through a proxy for its numpy."""
-    calls = []
+    now on, recorded through a proxy for its numpy (appended to ``calls``, if
+    given)."""
+    calls = [] if calls is None else calls
 
     def counted(name):
         fn = getattr(np.fft, name)
@@ -69,10 +73,11 @@ def record_transforms(monkeypatch):
     return calls
 
 
-def count_stage_residuals(monkeypatch):
+def count_stage_residuals(monkeypatch, calls=None):
     """Per stage solve of the flows from now on, its residual evaluations: the
-    inverse transforms of its (2, M + 1) w-hat pair, M = 3K/2."""
-    calls = record_transforms(monkeypatch)
+    inverse transforms of its (2, M + 1) w-hat pair, M = 3K/2.  Every transform
+    of greens is appended to ``calls``, if given (``record_transforms``)."""
+    calls = record_transforms(monkeypatch, calls)
     residuals = []
     solve = flows._riccati_half
 
@@ -88,9 +93,10 @@ def count_stage_residuals(monkeypatch):
 
 
 def stage_census(run):
-    """(the residuals of each stage solve, the final stage orders of each row's
-    ``_StageHistory``) of the flows that ``run()`` evolves."""
-    histories = []
+    """(the residuals of each stage solve, the np.fft calls of greens, the final
+    stage orders of each row's ``_StageHistory``) of the flows that ``run()``
+    evolves."""
+    histories, calls = [], []
 
     class Recorded(flows._StageHistory):
         def __init__(self, transport):
@@ -98,10 +104,10 @@ def stage_census(run):
             histories.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
-        residuals = count_stage_residuals(mp)
+        residuals = count_stage_residuals(mp, calls)
         mp.setattr(flows, "_StageHistory", Recorded)
         run()
-    return residuals, [h.orders for h in histories]
+    return residuals, len(calls), [h.orders for h in histories]
 
 
 def benchmark_hkappa_input(grid, seed=0):
@@ -148,21 +154,22 @@ def cut_compare_input(seed):
 
 
 def _per_step(run):
-    residuals, orders = stage_census(run)
-    return np.reshape(residuals, (-1, 4)), orders
+    """((steps, 4) residuals of each stage solve, final stage orders, np.fft calls
+    of greens per stage solve) of a run that computes no monitor, so that every
+    transform belongs to a stage solve or its read-out of g."""
+    residuals, transforms, orders = stage_census(run)
+    return np.reshape(residuals, (-1, 4)), orders, transforms / len(residuals)
 
 
 def hkappa_census(seed):
-    """((steps, 4) residuals of each stage solve, final stage orders) of
-    hkappa_evolve variant ``seed``."""
+    """``_per_step`` of hkappa_evolve variant ``seed``."""
     q0, ham = hkappa_evolve_input(seed)
     spec = FlowSpec(ham, dt=1e-3, T=HKAPPA_STEPS * 1e-3, saves=1)
     return _per_step(lambda: evolve(q0, spec))
 
 
 def cut_circle_census():
-    """((steps, 4) residuals of each stage solve, final stage orders) of the
-    cut_compare circle flow."""
+    """``_per_step`` of the cut_compare circle flow."""
     q0, ham = cut_circle_input()
     spec = FlowSpec(ham, dt=1e-3, T=CUT_STEPS * 1e-3, saves=1)
     return _per_step(lambda: evolve(q0, spec))
@@ -172,25 +179,27 @@ def cut_compare_census(seed):
     """(the residuals of all stage solves of one cut_compare run, variant
     ``seed``, the final stage orders of its circle and line flows)."""
     u0, plan = cut_compare_input(seed)
-    residuals, orders = stage_census(
+    residuals, _, orders = stage_census(
         lambda: compare_local(u0, plan, 1.0, CUT_BAND, T=CUT_STEPS * 1e-3, dt=1e-3, saves=2))
     return sum(residuals), orders
 
 
-def _row(label, per_step, orders):
+def _row(label, per_step, orders, transforms):
     stages = " ".join(f"{v:6.3f}" for v in per_step.mean(axis=0))
-    return f"{label:<17} {stages}   {per_step.mean():6.3f}   {orders[0]}"
+    return f"{label:<17} {stages}   {per_step.mean():6.3f}   {transforms:6.3f}   {orders[0]}"
 
 
 def main():
-    print(f"{'residuals/solve':<17}      a      b      c      d     all   orders a-d")
-    means = []
+    print(f"{'residuals/solve':<17}      a      b      c      d     all   np.fft   orders a-d")
+    means, transforms = [], []
     for seed in range(VARIANTS):
-        per_step, orders = hkappa_census(seed)
+        per_step, orders, per_solve = hkappa_census(seed)
         means.append(per_step.mean())
-        print(_row(f"hkappa_evolve {seed}", per_step, orders))
-    print(f"hkappa_evolve: {np.mean(means):.4f} per solve over {VARIANTS} variants, "
-          f"{sum(m <= 1.05 for m in means)} of them at <= 1.05")
+        transforms.append(per_solve)
+        print(_row(f"hkappa_evolve {seed}", per_step, orders, per_solve))
+    print(f"hkappa_evolve: {np.mean(means):.4f} residuals and {np.mean(transforms):.4f} np.fft "
+          f"calls per solve over {VARIANTS} variants, {sum(m <= 1.05 for m in means)} of them "
+          "at <= 1.05 residuals")
     print(_row("cut_circle", *cut_circle_census()))
     runs = [cut_compare_census(seed)[0] for seed in range(VARIANTS)]
     print("cut_compare residuals per run:", " ".join(map(str, runs)))

@@ -348,6 +348,18 @@ def test_certification_failure_exit_code_3(tmp_path):
 NON_POSITIVE = {"modes": [{"j": 0, "re": -4.5}, {"j": 1, "re": 0.01}, {"j": -1, "re": 0.01}]}
 
 
+@pytest.mark.parametrize("cutoff", [12, 64])
+def test_stage_blow_up_exit_code_3(tmp_path, capsys, cutoff):
+    # kappa = 1e60: a stage input of the first step overflows, on either route of g
+    cfg = dict(EVOLVE, grid=dict(GRID, cutoff=cutoff), flow={"kind": "hkappa", "kappa": 1e60})
+    with pytest.warns(RuntimeWarning):
+        code, out = run_cli(tmp_path, "evolve", cfg)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical certification failure:") and "stage input" in err
+    assert not out.exists()
+
+
 def test_uncertified_dense_resolvent_exit_code_3(tmp_path, capsys):
     # at K = 12 (< K*) the dense route's Cholesky of I + B fails
     cfg = {
@@ -686,16 +698,19 @@ def test_scipy_linalg_loads_only_on_the_dense_route():
     ("evolve", dict(EVOLVE, flow={"kind": "kdv", "band": SCENARIO["band"]}), '"band"'),
     ("squeeze", {"scenario": dict(SCENARIO, flow={"kind": "kdv", "band": SCENARIO["band"]})},
      '"band"'),
+    ("evolve", dict(EVOLVE, flow={"kind": "kdv", "kappa": 2.0}), '"kappa"'),
+    ("evolve", dict(EVOLVE, flow={"kind": "kdv_linear", "kappa": 2.0}), '"kappa"'),
 ], ids=["string_dt", "string_search_starts", "unknown_search_key", "string_area_dt",
         "bool_cutoff", "string_mode_amplitude", "string_kappa", "unknown_scenario_key",
         "unknown_prototype_key", "unknown_top_level_key", "unknown_initial_key",
         "integer_T_beyond_float", "integer_length_beyond_float", "band_on_hkappa",
-        "band_on_kdv", "band_on_scenario_kdv"])
+        "band_on_kdv", "band_on_scenario_kdv", "kappa_on_kdv", "kappa_on_kdv_linear"])
 def test_wrong_type_or_unknown_key_exit_code_2(tmp_path, capsys, command, cfg, key):
-    code, _ = run_cli(tmp_path, command, cfg)
+    code, out = run_cli(tmp_path, command, cfg)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition failure:") and key in err
+    assert not out.exists()
 
 
 def test_empty_search_block_gives_default_budget(tmp_path, monkeypatch):

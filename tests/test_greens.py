@@ -33,7 +33,6 @@ from kdvlab.greens import (
     alphas_of,
     _lag_sums,
     _pair_sums,
-    _riccati_green_hat,
     _riccati_half,
 )
 from kdvlab.spectral import PeriodicField, product_coeffs
@@ -455,8 +454,8 @@ K_STAR = RICCATI_MIN_CUTOFF
 
 
 def riccati_g(grid, kappa, solve):
-    """g on modes 0..K from a ``_riccati_half`` result."""
-    gh = _riccati_green_hat(grid, kappa, *solve[:2])
+    """g on modes 0..K from a ``_riccati_half`` result: the g - g0 it read, plus g0."""
+    gh = solve[0].copy()
     gh[0] += free_diagonal_constant(kappa, grid.length)
     return gh
 

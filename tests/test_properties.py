@@ -13,7 +13,6 @@ from kdvlab.errors import CertificationError
 from kdvlab.greens import (
     NEWTON_RTOL,
     RICCATI_MIN_CUTOFF,
-    _riccati_green_hat,
     _riccati_half,
     alpha_of,
     alphas_of,
@@ -64,13 +63,11 @@ def test_warm_start_near_the_solve_gives_the_cold_g(seed, kappa, band, length, d
     grid = TorusGrid.make(length, K_STAR)
     rng = np.random.default_rng(seed)
     qh = band_limited(grid, rng, band, rng.uniform(0.01, 0.5), kappa).coeffs[K_STAR:]
-    d, dtheta, _, nonlinear, _ = _riccati_half(grid, qh, kappa)
-    cold = _riccati_green_hat(grid, kappa, d, dtheta)
+    cold, _, _, nonlinear, _ = _riccati_half(grid, qh, kappa)
     nudge = rng.standard_normal(nonlinear.shape) + 1j * rng.standard_normal(nonlinear.shape)
     nudge[:, 0] = nudge[:, 0].real  # w is real
     nudge *= 10.0 ** -decades * NEWTON_RTOL * np.abs(qh).max() / np.abs(nudge).max()
-    d, dtheta = _riccati_half(grid, qh, kappa, nonlinear + nudge)[:2]
-    warm = _riccati_green_hat(grid, kappa, d, dtheta)
+    warm = _riccati_half(grid, qh, kappa, nonlinear + nudge)[0]
     assert np.abs(warm - cold).max() <= 1e-11 * np.abs(cold).max()
 
 
