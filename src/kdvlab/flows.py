@@ -512,12 +512,27 @@ def _lawson_rk4(q0s, spec, on_save=None):
     norm_before = norms(c)
     for step in range(1, n_steps + 1):
         failed = {}
+        # each stage input is built in the scratch s, and c becomes full * c; the
+        # step full * c + dt/6 (full a + 2 half (b + cc) + d) accumulates into a,
+        # in the textbook's operation order, so every output is bitwise the same.
+        # Every remainder returns a fresh array, which this may overwrite
+        s = np.empty_like(c)
         a = nonlinear(c)
-        b = nonlinear(half * (c + (dt / 2.0) * a))
-        cc = nonlinear(half * c + (dt / 2.0) * b)
-        fc = full * c
-        d = nonlinear(fc + dt_half * cc)
-        c = fc + (dt / 6.0) * (full * a + two_half * (b + cc) + d)
+        np.multiply(dt / 2.0, a, out=s)
+        np.add(c, s, out=s)
+        b = nonlinear(np.multiply(half, s, out=s))
+        np.multiply(half, c, out=s)
+        s += (dt / 2.0) * b
+        cc = nonlinear(s)
+        np.multiply(full, c, out=c)
+        np.multiply(dt_half, cc, out=s)
+        d = nonlinear(np.add(c, s, out=s))
+        np.multiply(full, a, out=a)
+        np.add(b, cc, out=b)
+        a += np.multiply(two_half, b, out=b)
+        a += d
+        a *= dt / 6.0
+        c = np.add(c, a, out=a)
         c.imag[:, 0] = 0.0
         norm_after = norms(c)
         grew = norm_after > 2.0 * norm_before

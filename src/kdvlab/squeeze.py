@@ -12,11 +12,18 @@ propagator is a unit-modulus Fourier multiplier and the area is pi R^2).
 
 Searches are heuristics and are reported as best-found values with an
 "exceeds r" certificate; nothing here claims optimality.
+
+Ball samples come from a seeded standard-library ``random.Random`` stream,
+read as vectorized uniforms and Box-Muller normals (``sample_ball``), not from
+numpy.random, whose import (11 modules) costs a short squeeze run more than
+its sampling does.  The move off numpy's ``default_rng`` changed the samples
+drawn for a given seed (CHANGES.md).
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +33,7 @@ from .errors import (
     PreconditionError,
     SearchFailureError,
 )
-from .flows import FlowSpec, HamiltonianSpec, evolve_batch, linear_symbol
+from .flows import MAX_STEPS, FlowSpec, HamiltonianSpec, evolve_batch, linear_symbol
 from .spectral import (
     MultiplierSpec,
     PeriodicField,
@@ -232,14 +239,18 @@ def build_scenario(config):
 # ball sampling
 # ---------------------------------------------------------------------------
 
-def _random_direction(grid, dead, rng):
-    """A random real direction with the modes of the mask ``dead`` and the mean cleared."""
-    k = grid.cutoff
-    c = rng.standard_normal(2 * k + 1) + 1j * rng.standard_normal(2 * k + 1)
-    c = _hermitize(c)
-    c[dead] = 0.0
-    c[k] = 0.0
-    return PeriodicField(grid, _hermitize(c))
+def _uniforms(rng, n):
+    """n uniforms in [0, 1) from one ``rng.randbytes`` call: the top 53 bits of each
+    little-endian uint64, over 2^53."""
+    return (np.frombuffer(rng.randbytes(8 * n), dtype="<u8") >> np.uint64(11)) * 2.0 ** -53
+
+
+def _complex_normals(u):
+    """len(u) // 2 complex normals, real and imaginary parts independent standard
+    normals, from the uniforms u by Box-Muller: a radius from the first half and an
+    angle from the second.  log1p(-u) keeps a zero uniform finite."""
+    m = len(u) // 2
+    return np.sqrt(-2.0 * np.log1p(-u[:m])) * np.exp(2j * math.pi * u[m:2 * m])
 
 
 def _half_norm(f):
@@ -249,22 +260,33 @@ def _half_norm(f):
 def sample_ball(scenario, count, seed=None):
     """Mean-zero band-limited samples with ||q - z||_{Hdot^{-1/2}} < R.
 
-    Deterministic per seed (defaults to the scenario's); radius fractions are
-    drawn uniformly in (0, 1).
+    Each sample is z + 0.999 u R v / ||v||: v a Hermitized complex Gaussian
+    direction with the modes outside the band and the mean cleared, and u a
+    radius fraction uniform in [0, 1).  Both come from one ``_uniforms`` call of
+    4K + 3 uniforms per sample, drawn from a standard-library ``random.Random``
+    seeded with ``seed`` (defaults to the scenario's): deterministic per seed
+    and platform, with no numpy.random import.  The draws came from numpy's
+    ``default_rng`` before this stream replaced it, and every seed's samples
+    changed with it (CHANGES.md).
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")
-    rng = np.random.default_rng(scenario.seed if seed is None else seed)
+    rng = random.Random(scenario.seed if seed is None else seed)
+    grid = scenario.grid
+    k = grid.cutoff
     dead = ~scenario.live_modes()
     out = []
     for _ in range(count):
-        v = _random_direction(scenario.grid, dead, rng)
-        frac = rng.uniform(0.0, 1.0)
+        u = _uniforms(rng, 4 * k + 3)
+        c = _hermitize(_complex_normals(u[:-1]))
+        c[dead] = 0.0
+        c[k] = 0.0
+        v = PeriodicField(grid, _hermitize(c))
         nrm = _half_norm(v)
         if nrm < 1e-300:
             out.append(scenario.center)
             continue
-        scale = 0.999 * frac * scenario.R / nrm
+        scale = 0.999 * float(u[-1]) * scenario.R / nrm
         out.append(scenario.center + v * scale)
     return out
 
@@ -317,6 +339,12 @@ class SearchBudget:
         if self.starts < 1 or self.rounds < 0 or self.directions < 0:
             raise PreconditionError("search budget needs starts >= 1, rounds >= 0 and "
                                     f"directions >= 0, got {self}")
+        # a start is one ball sample and a round one evolve batch, so a count
+        # past MAX_STEPS would run for hours; refused before either runs
+        for key in ("starts", "rounds"):
+            if not getattr(self, key) <= MAX_STEPS:
+                raise PreconditionError(f'search budget: "{key}" must be at most '
+                                        f"MAX_STEPS = {MAX_STEPS}")
         # written so that NaN fails, as +-inf does
         if not (0 < self.step < math.inf and 0 < self.dt < math.inf):
             raise PreconditionError("search budget needs 0 < step < inf and 0 < dt < inf, "

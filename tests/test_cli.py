@@ -510,18 +510,24 @@ def test_certified_evolve_exits_0_and_says_so(tmp_path):
 
 
 @pytest.mark.parametrize("search", [{"dt": -1.0}, {"starts": -5}, {"rounds": -3},
-                                    {"step": -1.0}, {"step": math.inf}, {"dt": math.inf}],
+                                    {"step": -1.0}, {"step": math.inf}, {"dt": math.inf},
+                                    {"starts": 10 ** 400}, {"rounds": 10 ** 400}],
                          ids=["negative_dt", "negative_starts", "negative_rounds",
-                              "negative_step", "infinite_step", "infinite_dt"])
+                              "negative_step", "infinite_step", "infinite_dt",
+                              "starts_above_max_steps", "rounds_above_max_steps"])
 def test_out_of_domain_search_budget_exit_code_2(tmp_path, capsys, monkeypatch, search):
+    # 10^400 starts would loop sample_ball for ever, and 10^400 rounds evolve a
+    # batch per round for ever: both are refused with the count past flows.MAX_STEPS
     def never(*args, **kwargs):
-        raise AssertionError("evolve_batch must not run")
+        raise AssertionError("sample_ball and evolve_batch must not run")
 
     monkeypatch.setattr("kdvlab.squeeze.evolve_batch", never)
+    monkeypatch.setattr("kdvlab.squeeze.sample_ball", never)
     cfg = {"scenario": dict(SCENARIO, flow={"kind": "kdv"}), "search": search}
     code, out = run_cli(tmp_path, "squeeze", cfg)
     assert code == 2
-    assert "search budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "search budget" in err and next(iter(search)) in err
     assert not out.exists()
 
 
@@ -564,6 +570,16 @@ def test_squeeze_repeats_byte_identically(tmp_path):
     assert digests[0] == digests[1]
 
 
+def run_script(script, *args):
+    """The finished run of ``python -c script *args`` in a fresh process, with src
+    first on its path."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
+                          text=True)
+
+
 CLI_IMPORT = """
 import json, sys
 import kdvlab.cli
@@ -582,11 +598,7 @@ print(json.dumps({"loaded": loaded, "bridge_name": select_cut is kdvlab.bridge.s
 
 
 def test_cli_import_leaves_out_scipy_and_bridge():
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    run = subprocess.run([sys.executable, "-c", CLI_IMPORT], env=env, capture_output=True,
-                         text=True)
+    run = run_script(CLI_IMPORT)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == {"loaded": [], "bridge_name": True,
                                       "unknown": "AttributeError"}
@@ -612,11 +624,7 @@ with tempfile.TemporaryDirectory() as tmp:
 def test_cli_run_imports_nothing():
     # an H_kappa evolve at K = 64 makes its first transforms inside main: the
     # numpy.fft import belongs to the import of kdvlab, not to the run
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    run = subprocess.run([sys.executable, "-c", RUN_IMPORTS], env=env, capture_output=True,
-                         text=True)
+    run = run_script(RUN_IMPORTS)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1]) == {"code": 0, "imported": []}
 
@@ -660,11 +668,7 @@ print(json.dumps({"loaded": loaded, "g": g.coeffs.view(float).tolist(),
 def test_scipy_linalg_loads_only_on_the_dense_route():
     from kdvlab import TorusGrid, assemble_resolvent, field_from_modes, green_diagonal
 
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    run = subprocess.run([sys.executable, "-c", LAZY_LAPACK], env=env, capture_output=True,
-                         text=True)
+    run = run_script(LAZY_LAPACK)
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout)
     # import, KdV evolve at K = 32, H_kappa evolve at K = 64, dense g at K = 12
@@ -676,6 +680,30 @@ def test_scipy_linalg_loads_only_on_the_dense_route():
                                                    (-2, -0.01j)])
     g = green_diagonal(assemble_resolvent(q, 2.0))
     assert g.coeffs.view(float).tolist() == out["g"]
+
+
+NO_NUMPY_RANDOM = """
+import json, os, sys, tempfile
+import kdvlab.cli
+codes = []
+with tempfile.TemporaryDirectory() as tmp:
+    for command in ("squeeze", "area"):
+        path = os.path.join(tmp, command + ".json")
+        with open(path, "w") as fh:
+            json.dump({"scenario": json.loads(sys.argv[1])}, fh)
+        codes.append(kdvlab.cli.main([command, "--config", path,
+                                      "--out", os.path.join(tmp, command)]))
+print(json.dumps({"codes": codes,
+                  "numpy.random": sorted(m for m in sys.modules if m.startswith("numpy.random"))}))
+"""
+
+
+def test_squeeze_and_area_never_import_numpy_random():
+    # the ball samples come from a standard-library stream: numpy.random's import
+    # (11 modules) would cost a short squeeze run more than its sampling does
+    run = run_script(NO_NUMPY_RANDOM, json.dumps(SCENARIO))
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == {"codes": [0, 0], "numpy.random": []}
 
 
 @pytest.mark.parametrize("command, cfg, key", [

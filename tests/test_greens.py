@@ -576,7 +576,8 @@ class TestRiccatiRoute:
 
         def recording(grid, qh, kappa, nonlinear=None):
             res = original(grid, qh, kappa, nonlinear)
-            seen.append((qh, kappa, nonlinear, riccati_g(grid, kappa, res)))
+            # qh copied: the Lawson loop builds every stage input in one scratch array
+            seen.append((qh.copy(), kappa, nonlinear, riccati_g(grid, kappa, res)))
             return res
 
         monkeypatch.setattr(flows, "_riccati_half", recording)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -24,8 +25,9 @@ from kdvlab import (
 from kdvlab.errors import BlowUpError, KdvLabError, PreconditionError
 from kdvlab.flows import FlowSpec, evolve, evolve_batch
 from kdvlab.spectral import PeriodicField
-from kdvlab.squeeze import (LOOP_POINTS, SearchBudget, _propagate_linear, evolved_pairing,
-                            hilbert_partner, slice_basis, slice_loop)
+from kdvlab.squeeze import (LOOP_POINTS, SearchBudget, _complex_normals, _propagate_linear,
+                            _uniforms, evolved_pairing, hilbert_partner, slice_basis,
+                            slice_loop)
 
 import search_reference
 from search_reference import assert_same_search, sequential_search
@@ -98,6 +100,22 @@ class TestSampleBall:
         a = sample_ball(linear_scenario, 8, seed=5)
         b = sample_ball(linear_scenario, 8, seed=5)
         assert all(np.array_equal(x.coeffs, y.coeffs) for x, y in zip(a, b))
+        c = sample_ball(linear_scenario, 8, seed=6)
+        assert not any(np.array_equal(x.coeffs, y.coeffs) for x, y in zip(a, c))
+
+    def test_normals_are_standard(self):
+        # 10000 complex normals: 20000 real ones, mean 0 and variance 1 within 0.03
+        z = _complex_normals(_uniforms(random.Random(1), 20000)).view(float)
+        assert z.size == 20000
+        assert abs(z.mean()) <= 0.03 and abs(z.var() - 1.0) <= 0.03
+
+    def test_uniforms_in_unit_interval_and_pinned(self):
+        u = _uniforms(random.Random(3), 10000)
+        assert u.min() >= 0.0 and u.max() < 1.0
+        # the stream itself: a change of byte order, bit selection or draw order moves these
+        first = _uniforms(random.Random(0), 4)
+        assert first.tolist() == [0.38524530801093704, 0.8902439183457648,
+                                  0.040484381006232306, 0.9654648886665042]
 
     def test_samples_stay_in_band(self, linear_scenario):
         live = linear_scenario.live_modes()
