@@ -44,13 +44,12 @@ from .greens import (
 )
 from .flows import (
     HM1_RADIUS,
-    ConservationReport,
     FlowSpec,
     HamiltonianSpec,
     Trajectory,
     evolve,
     evolve_batch,
-    kappa_sweep,
+    flow_sweep,
     monitors,
     rhs,
 )

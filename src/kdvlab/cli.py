@@ -41,7 +41,8 @@ prototype or mode entry block), 3 numerical certification failure.  An
 evolve, sweep-band, sweep-kappa or cutcompare one of whose H_kappa
 trajectories leaves the flows.HM1_RADIUS ball still writes its outputs and
 manifest, with certified: false and the warnings in the manifest, and exits
-3; every manifest of these four records certified and warnings.
+3; every manifest of these four records certified and warnings.  sweep-band
+checks every band of its list before it evolves any flow.
 """
 
 from __future__ import annotations
@@ -62,9 +63,8 @@ from .flows import (
     FlowSpec,
     HamiltonianSpec,
     evolve,
-    kappa_sweep,
+    flow_sweep,
     monitors,
-    sup_distance,
 )
 from .greens import alpha_of, green_of
 from .reporting import RunManifest, run_report, write_csv, write_json
@@ -146,9 +146,8 @@ def cmd_evolve(cfg, out):
             for i in range(len(traj.times))]
     p2 = write_csv(os.path.join(out, "monitors.csv"), ["t"] + mon_keys, rows)
     if spec.probes:
-        rep = monitors(traj)
         print("max relative drifts:")
-        for key, val in sorted(rep.drifts.items()):
+        for key, val in sorted(monitors(traj).items()):
             print(f"  {key}: {val:.3e}")
     return _manifest(cfg, [p1, p2], out, trajs=(traj,))
 
@@ -179,14 +178,11 @@ def cmd_sweep_band(cfg, out):
     q0 = _field_from(cfg, grid)
     time_kw = _time_from(cfg, 10)
     kap = _kappa(cfg)
-    trajs = [evolve(q0, FlowSpec(HamiltonianSpec.hkappa(kap), **time_kw))]
-    rows = []
-    for band in map(band_from_config, config_list(cfg["bands"], "bands")):
-        m, M = band.N, band.M
-        trajs.append(evolve(q0, FlowSpec(HamiltonianSpec.hkappa_band(kap, m, M), **time_kw)))
-        sup = sup_distance(trajs[0], trajs[-1])
-        rate = m ** 0.5 + M ** (-0.5)
-        rows.append([m, M, sup, rate, sup / rate])
+    bands = [band_from_config(b) for b in config_list(cfg["bands"], "bands")]
+    trajs, sups = flow_sweep(q0, HamiltonianSpec.hkappa(kap),
+                             [HamiltonianSpec.hkappa_band(kap, b.N, b.M) for b in bands], **time_kw)
+    rates = [b.N ** 0.5 + b.M ** (-0.5) for b in bands]
+    rows = [[b.N, b.M, sup, rate, sup / rate] for b, sup, rate in zip(bands, sups, rates)]
     p = write_csv(os.path.join(out, "band_sweep.csv"),
                   ["m", "M", "sup_error", "rate", "ratio"], rows)
     return _manifest(cfg, [p], out, trajs=trajs)
@@ -195,9 +191,12 @@ def cmd_sweep_band(cfg, out):
 def cmd_sweep_kappa(cfg, out):
     grid = grid_from_config(cfg["grid"])
     q0 = _field_from(cfg, grid)
-    sweep, trajs = kappa_sweep(q0, _numbers(cfg, "kappas", [2.0, 4.0, 8.0]),
-                               **_time_from(cfg, 10))
-    rows = [[k, v] for k, v in sorted(sweep.items())]
+    kappas = _numbers(cfg, "kappas", [2.0, 4.0, 8.0])
+    time_kw = _time_from(cfg, 10)
+    trajs, sups = flow_sweep(q0, HamiltonianSpec.kdv(), [HamiltonianSpec.hkappa(k) for k in kappas],
+                             **time_kw)
+    # one row per distinct kappa: a repeated kappa's later run takes its entry
+    rows = [[k, v] for k, v in sorted({float(k): v for k, v in zip(kappas, sups)}.items())]
     p = write_csv(os.path.join(out, "kappa_sweep.csv"), ["kappa", "sup_error"], rows)
     return _manifest(cfg, [p], out, trajs=trajs)
 

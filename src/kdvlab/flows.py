@@ -47,11 +47,11 @@ increments over the solve before of that stage's last 12 steps (M = 3K/2).
 The N a solve returns is not its certified iterate's but one diagonal Newton
 step past it, taken from the residual the solve already has
 (``greens._riccati_half``), so a solve whose start certifies as it stands
-still records new information.  Its next solve
-starts from the newest N plus this stage's increment, extrapolated through
-those steps by binomial weights times the powers of the full-step
-multiplier, precomputed once per row: three numpy calls per start at any
-order.  The multiplier is e^{lambda dt} on modes 0..K and, on the modes
+still records new information.  Its next solve starts from the newest N
+plus this stage's increment, extrapolated through those steps by binomial
+weights times the powers of the full-step multiplier, built once per run
+for all its rows (``_extrapolation_table``): three numpy calls per start at
+any order.  The multiplier is e^{lambda dt} on modes 0..K and, on the modes
 K+1..M that only w has, the rotation e^{8 pi i kappa^2 j dt / l} of the
 transport 4 kappa^2 d/dx.  Every stage starts at p = EXTRAPOLATION_ORDER = 7,
 the largest fixed order at which cut_compare's residuals per solve stayed at
@@ -243,6 +243,16 @@ EXTRAPOLATION_ORDER = 7       # a stage's starting order: the module docstring s
 EXTRAPOLATION_MAX_ORDER = 12  # the cap on a stage's rising order: the module docstring says why
 
 
+def _extrapolation_table(transport):
+    """[r], for r = 0..EXTRAPOLATION_MAX_ORDER: the (r, 1, M + 1) weights (-1)^{j+1} C(r, j)
+    T^j, j = 1..r, with T the full-step multiplier ``transport``.  Without T they extrapolate
+    a polynomial of degree r - 1 from its last r values."""
+    p = EXTRAPOLATION_MAX_ORDER
+    powers = np.cumprod(np.broadcast_to(transport, (p, len(transport))), axis=0)
+    return [np.array([(-1.0) ** (j + 1) * math.comb(r, j) for j in range(1, r + 1)])[:, None, None]
+            * powers[:r, None, :] for r in range(p + 1)]
+
+
 class _StageHistory:
     """One row's Riccati stage solves as the nonlinear parts N they return (w-hat
     less its linear response, one diagonal step past the certified iterate): the
@@ -255,33 +265,23 @@ class _StageHistory:
     the next solve starts from N + sum_j (-1)^{j+1} C(r, j) T^j D_j: this stage's
     increment extrapolated through its last r steps and transported by the
     linear flow, where r, the depth, is the number of increments the stage has,
-    at most p.  The start is N while r = 0, and cold (None) before the first
-    solve.  Every order starts at EXTRAPOLATION_ORDER; a solve at full depth
-    whose start does not certify raises its stage's order by one, up to
-    EXTRAPOLATION_MAX_ORDER, and an order never falls.  A history with no
-    transport (None) starts from its newest solve only.
+    at most p.  The weights are ``table`` (``_extrapolation_table`` of T), built
+    once per run and shared by its rows.  The start is N while r = 0, and cold
+    (None) before the first solve.  Every order starts at EXTRAPOLATION_ORDER; a
+    solve at full depth whose start does not certify raises its stage's order by
+    one, up to EXTRAPOLATION_MAX_ORDER, and an order never falls.
     """
 
-    def __init__(self, transport):
-        self.solves = 0
-        self.newest = None
-        self.orders = [EXTRAPOLATION_ORDER] * 4
-        self.weights = []  # [r]: the (r, 1, M + 1) weights C(r, j) (-1)^{j+1} T^j, to the top order
-        if transport is not None:
-            p = EXTRAPOLATION_MAX_ORDER
-            self.powers = np.cumprod(np.broadcast_to(transport, (p, len(transport))), axis=0)
-            self.weights = [self._weights(r) for r in range(EXTRAPOLATION_ORDER + 1)]
-            # per stage its last p increments at slot and slot + p: ring[slot:slot + r] is one slice
-            self.rings, self.slots = list(np.zeros((4, 2 * p, 2, len(transport)), complex)), [0] * 4
-
-    def _weights(self, r):
-        return _extrapolation_signs(r) * self.powers[:r, None, :]
+    def __init__(self, table):
+        p = EXTRAPOLATION_MAX_ORDER
+        self.solves, self.newest, self.orders = 0, None, [EXTRAPOLATION_ORDER] * 4
+        self.weights = table
+        # per stage its last p increments at slot and slot + p: ring[slot:slot + r] is one slice
+        self.rings, self.slots = list(np.zeros((4, 2 * p, 2, table[0].shape[-1]), complex)), [0] * 4
 
     def depth(self):
         """The number of increments the next start extrapolates through."""
-        if not (self.solves and self.weights):
-            return 0
-        return min((self.solves - 1) // 4, self.orders[self.solves % 4])
+        return min((self.solves - 1) // 4, self.orders[self.solves % 4]) if self.solves else 0
 
     def start(self):
         r = self.depth()
@@ -293,25 +293,17 @@ class _StageHistory:
 
     def push(self, nonlinear, settled):
         """Record a solve's N; ``settled``: its start certified as it stood."""
-        if self.solves and self.weights:
+        if self.solves:
             stage = self.solves % 4
             p = self.orders[stage]
             # a start at full depth, (solves - 1) // 4 >= p, that did not certify
             if not settled and p < EXTRAPOLATION_MAX_ORDER and (self.solves - 1) // 4 >= p:
-                p = self.orders[stage] = p + 1
-                if p == len(self.weights):
-                    self.weights.append(self._weights(p))
+                self.orders[stage] = p + 1
             slot = self.slots[stage] = (self.slots[stage] - 1) % EXTRAPOLATION_MAX_ORDER
             ring = self.rings[stage]
             ring[slot + len(ring) // 2] = np.subtract(nonlinear, self.newest, out=ring[slot])
         self.newest = nonlinear
         self.solves += 1
-
-
-def _extrapolation_signs(r):
-    """(-1)^{j+1} C(r, j) for j = 1..r, as an (r, 1, 1) array: the weights that
-    extrapolate a polynomial of degree r - 1 from its last r values."""
-    return np.array([(-1.0) ** (j + 1) * math.comb(r, j) for j in range(1, r + 1)])[:, None, None]
 
 
 @lru_cache(maxsize=8)
@@ -464,7 +456,7 @@ def _lawson_rk4(q0s, spec, on_save=None):
     dt_half, two_half = dt * half, 2.0 * half
     weights = np.repeat([1.0, 2.0], [2, 2 * k])   # (re, im) of modes 0..K in the float view
 
-    transport = None
+    histories = [None] * len(q0s)  # per row: its Riccati starts, on the kernel route only
     if ham.kind == "kdv":
         nonlinear = _kdv_nonlinear(grid)
     elif ham.is_linear:
@@ -476,6 +468,8 @@ def _lawson_rk4(q0s, spec, on_save=None):
             j = np.arange(_riccati_plan(grid, ham.kappa)[0] + 1)
             transport = np.exp((8j * math.pi * ham.kappa ** 2 * dt / grid.length) * j)
             transport[:k + 1] = full
+            table = _extrapolation_table(transport)
+            histories = [_StageHistory(table) for _ in q0s]
         else:
             def row_term(h, _):
                 return rhs(PeriodicField(grid, _full_rows(h)), ham).coeffs[k:] - lam * h
@@ -505,7 +499,6 @@ def _lawson_rk4(q0s, spec, on_save=None):
 
     c = _hermitize(np.array([q.coeffs for q in q0s], dtype=complex))[:, k:].copy()
     members = np.arange(len(q0s))
-    histories = [_StageHistory(transport) for _ in q0s]  # per row: its Riccati starts
     results = [None] * len(q0s)
     if on_save is not None:
         on_save(0.0, _full_rows(c))
@@ -610,42 +603,21 @@ def evolve_batch(q0s, spec):
 # reporting on trajectories
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ConservationReport:
-    drifts: dict
-    scales: dict
-    certified: dict
-
-
 def monitors(traj):
-    """Max relative drift of M, P, H_kdv, and alpha at each probe of the flow's
-    spec, read back from the columns ``evolve`` stored in ``traj.monitors``."""
-    probes = traj.spec.probes
-    if len(probes) < 1:
+    """{column: max relative drift} of M, P, H_kdv, and alpha at each probe of the
+    flow's spec: every column ``evolve`` stored in ``traj.monitors`` but the hs ones."""
+    if not traj.spec.probes:
         raise PreconditionError("need at least one alpha probe")
-    series = traj.monitors
-    drifts, scales, cert = {}, {}, {}
-    for key in ["M", "P", "H_kdv"] + [f"alpha({kap:g})" for kap in probes]:
-        vals = series[key]
-        scale = max(float(np.max(np.abs(vals))), 1e-30)
-        drifts[key] = float(np.max(np.abs(vals - vals[0]))) / scale
-        scales[key] = scale
-        cert[key] = True
-    for kap in probes:
-        cert[f"alpha({kap:g})"] = bool(np.all(series[f"hs({kap:g})"] < 1.0))
-    return ConservationReport(drifts=drifts, scales=scales, certified=cert)
+    return {key: float(np.max(np.abs(v - v[0]))) / max(float(np.max(np.abs(v))), 1e-30)
+            for key, v in traj.monitors.items() if not key.startswith("hs(")}
 
 
-def sup_distance(ref, traj):
-    """sup over the saves of ||ref(t) - traj(t)||_{H^{-1}} for two trajectories
-    on shared output times: a reference evolved once serves many flows."""
-    return float(np.max([sobolev_norm(u - v, -1.0) for u, v in zip(ref.states, traj.states)]))
-
-
-def kappa_sweep(q0, kappas, T, dt, saves=10):
-    """(kappa -> sup_{t<=T} || KdV(q0)(t) - H_kappa(q0)(t) ||_{H^{-1}}, the
-    trajectories evolved: the KdV reference, then one per kappa)."""
-    trajs = [evolve(q0, FlowSpec(ham, dt=dt, T=T, saves=saves))
-             for ham in [HamiltonianSpec.kdv()] + [HamiltonianSpec.hkappa(k) for k in kappas]]
-    return {float(kap): sup_distance(trajs[0], t) for kap, t in zip(kappas, trajs[1:])}, trajs
+def flow_sweep(q0, reference, hams, dt, T, saves):
+    """(the trajectories of q0 under ``reference`` and then each flow of ``hams``,
+    and per flow of ``hams`` the sup over the saves of its H^{-1} distance from the
+    reference trajectory): one reference, evolved once, serves every flow."""
+    trajs = [evolve(q0, FlowSpec(ham, dt=dt, T=T, saves=saves)) for ham in [reference, *hams]]
+    ref = trajs[0].states
+    return trajs, [float(np.max([sobolev_norm(u - v, -1.0) for u, v in zip(ref, t.states)]))
+                   for t in trajs[1:]]
 

@@ -121,6 +121,8 @@ after NEWTON_PATIENCE = 3 steps without a new smallest residual, and it keeps
 the iterate with the smallest residual.  On hard data (l = 64, kappa = 4,
 ||B||_HS = 1.5) Newton's residual does not fall every step, and stopping at
 the first rise left cases uncertified that the dense route shows positive.
+Where -d^2 + q + kappa^2 is not positive the iterates may overflow to inf or nan,
+which is never a new smallest residual, so ``_newton`` runs with float warnings off.
 
 An accepted diagonal step that takes the residual from r to r' also ends the
 solve, the contraction stop, when r' <= NEWTON_RTOL max |qhat| and
@@ -456,6 +458,7 @@ def _residual(plan, qh, q0, wh):
     return fh, float(np.abs(fh).max()), t[..., 2, :qh.shape[-1]], dtheta, sq, d, ok
 
 
+@np.errstate(all="ignore")  # a diverging iterate may overflow: its residual says so
 def _newton(plan, qh, q0, wh, state, scale):
     """Correct w-hat from an iterate wh whose ``_residual`` state is at hand (a start
     above NEWTON_RTOL scale), a pair or a stack for qh as ``_residual`` takes it:

@@ -257,21 +257,20 @@ def _half_norm(f):
     return sobolev_norm(f, -0.5, homogeneous=True)
 
 
-def sample_ball(scenario, count, seed=None):
+def sample_ball(scenario, count):
     """Mean-zero band-limited samples with ||q - z||_{Hdot^{-1/2}} < R.
 
     Each sample is z + 0.999 u R v / ||v||: v a Hermitized complex Gaussian
     direction with the modes outside the band and the mean cleared, and u a
     radius fraction uniform in [0, 1).  Both come from one ``_uniforms`` call of
     4K + 3 uniforms per sample, drawn from a standard-library ``random.Random``
-    seeded with ``seed`` (defaults to the scenario's): deterministic per seed
-    and platform, with no numpy.random import.  The draws came from numpy's
-    ``default_rng`` before this stream replaced it, and every seed's samples
-    changed with it (CHANGES.md).
+    seeded with the scenario's seed: deterministic per seed and platform, with
+    no numpy.random import.  The draws came from numpy's ``default_rng`` before
+    this stream replaced it, and every seed's samples changed with it (CHANGES.md).
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")
-    rng = random.Random(scenario.seed if seed is None else seed)
+    rng = random.Random(scenario.seed)
     grid = scenario.grid
     k = grid.cutoff
     dead = ~scenario.live_modes()

@@ -99,8 +99,8 @@ def stage_census(run):
     histories, calls = [], []
 
     class Recorded(flows._StageHistory):
-        def __init__(self, transport):
-            super().__init__(transport)
+        def __init__(self, table):
+            super().__init__(table)
             histories.append(self)
 
     with pytest.MonkeyPatch.context() as mp:

@@ -125,14 +125,29 @@ def test_greens_and_alpha_tables(tmp_path):
     assert len(lines) == 3
 
 
+SWEEP_KAPPA = {
+    "grid": GRID,
+    "initial": MODES,
+    "time": {"dt": 2e-3, "T": 0.05, "saves": 2},
+    "kappas": [2.0, 4.0],
+}
+
+
+def count_evolves(monkeypatch):
+    """The argument tuples of every ``flows._lawson_rk4`` call from now on."""
+    calls = []
+    original = flows._lawson_rk4
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(flows, "_lawson_rk4", counted)
+    return calls
+
+
 def test_sweep_kappa(tmp_path):
-    cfg = {
-        "grid": GRID,
-        "initial": MODES,
-        "time": {"dt": 2e-3, "T": 0.05, "saves": 2},
-        "kappas": [2.0, 4.0],
-    }
-    code, out = run_cli(tmp_path, "sweep-kappa", cfg)
+    code, out = run_cli(tmp_path, "sweep-kappa", SWEEP_KAPPA)
     assert code == 0
     lines = (out / "kappa_sweep.csv").read_text().splitlines()
     assert lines[0] == "kappa,sup_error"
@@ -144,6 +159,22 @@ def test_sweep_kappa(tmp_path):
 # modes j = +-1 of size 0.3 on the circle of length 2 pi: ||q0||_{H^-1} ~ 1.05,
 # outside the HM1_RADIUS ball from the start
 LARGE_MODES = {"modes": [{"j": 1, "re": 0.3}, {"j": -1, "re": 0.3}]}
+
+
+def test_sweep_kappa_writes_one_row_per_distinct_kappa(tmp_path, monkeypatch):
+    # a repeated kappa is evolved again, and its row is written once
+    cfg = dict(SWEEP_KAPPA, kappas=[4.0, 2.0, 2.0])
+    q0 = field_from_config(cfg["initial"], grid_from_config(cfg["grid"]))
+    kdv = FlowSpec(HamiltonianSpec.kdv(), dt=2e-3, T=0.05, saves=2)
+    rows = [[kap, float(max(compare_flows(
+        q0, q0, kdv, FlowSpec(HamiltonianSpec.hkappa(kap), dt=2e-3, T=0.05, saves=2))[1]))]
+        for kap in (2.0, 4.0)]
+    expected = write_csv(tmp_path / "expected.csv", ["kappa", "sup_error"], rows)
+    calls = count_evolves(monkeypatch)
+    code, out = run_cli(tmp_path, "sweep-kappa", cfg)
+    assert code == 0
+    assert len(calls) == 1 + len(cfg["kappas"])
+    assert (out / "kappa_sweep.csv").read_bytes() == expected.read_bytes()
 
 
 def test_uncertified_sweep_kappa_exit_code_3(tmp_path, capsys):
@@ -203,19 +234,22 @@ def test_sweep_band_evolves_the_full_flow_once(tmp_path, monkeypatch):
         rows.append([band.N, band.M, sup, rate, sup / rate])
     expected = write_csv(tmp_path / "expected.csv", ["m", "M", "sup_error", "rate", "ratio"],
                          rows)
-
-    calls = []
-    original = flows._lawson_rk4
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(flows, "_lawson_rk4", counted)
+    calls = count_evolves(monkeypatch)
     code, out = run_cli(tmp_path, "sweep-band", cfg)
     assert code == 0
     assert len(calls) == len(cfg["bands"]) + 1
     assert (out / "band_sweep.csv").read_bytes() == expected.read_bytes()
+
+
+def test_sweep_band_refuses_a_bad_band_before_it_evolves(tmp_path, capsys, monkeypatch):
+    # m = 0.3 is not a power of two: the whole list is read before the first evolve
+    cfg = dict(SWEEP_BAND, bands=[{"m": 0.25, "M": 2.0}, {"m": 0.3, "M": 2.0}])
+    calls = count_evolves(monkeypatch)
+    code, out = run_cli(tmp_path, "sweep-band", cfg)
+    assert code == 2
+    assert calls == []
+    assert "power of two" in capsys.readouterr().err
+    assert not out.exists()
 
 
 CUTCOMPARE = {
@@ -403,19 +437,23 @@ def test_manifest_records_the_radius_and_repeats_byte_identically(tmp_path):
     assert manifests[0] == manifests[1]
 
 
-def test_evolve_reruns_into_one_out_byte_identically(tmp_path):
+@pytest.mark.parametrize("command, cfg, artifacts", [
+    ("evolve", dict(EVOLVE, probes=[2.0]), {"trajectory.csv", "monitors.csv"}),
+    ("sweep-band", SWEEP_BAND, {"band_sweep.csv"}),
+    ("sweep-kappa", SWEEP_KAPPA, {"kappa_sweep.csv"}),
+], ids=["evolve", "sweep-band", "sweep-kappa"])
+def test_reruns_into_one_out_byte_identically(tmp_path, command, cfg, artifacts):
     # a rerun unlinks each old file and creates it anew: with a hard link held
     # to each first-run file, its old inode cannot be reused by the rerun
-    cfg = dict(EVOLVE, probes=[2.0])
-    code, out = run_cli(tmp_path, "evolve", cfg)
+    code, out = run_cli(tmp_path, command, cfg)
     assert code == 0
     first = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert set(first) == {"trajectory.csv", "monitors.csv", "manifest.json"}
+    assert set(first) == artifacts | {"manifest.json"}
     held = tmp_path / "held"
     held.mkdir()
     for name in first:
         os.link(out / name, held / name)
-    code, _ = run_cli(tmp_path, "evolve", cfg)
+    code, _ = run_cli(tmp_path, command, cfg)
     assert code == 0
     assert {p.name: p.read_bytes() for p in out.iterdir()} == first
     outputs = json.loads(first["manifest.json"])["outputs"]

@@ -1,6 +1,7 @@
 """Resolvent assembly, diagonal Green's function, perturbation determinant."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -518,6 +519,38 @@ class TestRiccatiRoute:
         with pytest.raises(CertificationError):
             evolve(q0, spec)
 
+    @staticmethod
+    def assert_raises_without_a_float_warning(qs, kappa):
+        # the suite turns a RuntimeWarning into an error; this holds without that filter
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for solve in (lambda: green_of(qs[-1], kappa), lambda: alpha_of(qs[-1], kappa),
+                          lambda: alphas_of(qs, kappa)):
+                with pytest.raises(CertificationError):
+                    solve()
+
+    def test_diverging_newton_raises_without_a_float_warning(self):
+        # the iterates from this start overflow (vecdot, multiply) and turn to nan
+        # before the solve gives up on them
+        grid = TorusGrid.make(32.0, K_STAR)
+        q = field_from_modes(grid, [(0, -4.0), (1, 60.0), (-1, 60.0)])
+        good = small_random(grid, np.random.default_rng(3), 0.3, 2.0)
+        self.assert_raises_without_a_float_warning([good, q], 2.0)
+
+    def test_non_positive_draws_raise_without_a_float_warning(self):
+        # mean below -kappa^2: <1, (-d^2 + q + kappa^2) 1> < 0.  Random modes of size
+        # 10..1000 times (1 + |j|)^-2.  9 of these 60 draws warned (overflow in vecdot,
+        # multiply, divide or exp) while ``_newton`` ran with numpy's float warnings on
+        js = np.arange(-K_STAR, K_STAR + 1)
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            length, kappa = [2 * math.pi, 16.0, 32.0][seed % 3], [1.0, 2.0, 4.0][seed // 3 % 3]
+            grid = TorusGrid.make(length, K_STAR)
+            c = rng.standard_normal(js.size) + 1j * rng.standard_normal(js.size)
+            c = 0.5 * (c + np.conj(c[::-1])) * 10.0 ** rng.uniform(1, 3) / (1.0 + abs(js)) ** 2
+            c[K_STAR] = -kappa ** 2 - rng.uniform(0.1, 10.0)
+            self.assert_raises_without_a_float_warning([make_field(grid, coeffs=c)], kappa)
+
     @pytest.mark.parametrize("bad", [
         [(1, -10.0), (-1, -10.0)],                    # -20 cos x against kappa^2 = 4
         [(0, -8.0), (1, 0.01), (-1, 0.01)],           # -2 kappa^2: no periodic branch
@@ -597,7 +630,8 @@ class TestRiccatiRoute:
         grid = TorusGrid.make(2 * math.pi, K_STAR)
         rng = np.random.default_rng(11)
         q = small_random(grid, rng, -0.9, 2.0)
-        history = flows._StageHistory(np.ones(3 * K_STAR // 2 + 1, dtype=complex))
+        history = flows._StageHistory(
+            flows._extrapolation_table(np.ones(3 * K_STAR // 2 + 1, dtype=complex)))
         # a full-order history, so the start extrapolates through every stored step
         for shift in range(4 * flows.EXTRAPOLATION_ORDER + 1):
             qh = translate(q, 1e-3 * shift).coeffs[K_STAR:]
